@@ -66,6 +66,8 @@ from .matspan import (
     multiplicative_closure,
     orthonormal_rows,
     residual_outside,
+    structure_tables,
+    table_defect,
 )
 from .qgroup import build_model, translations
 
@@ -140,18 +142,6 @@ def sparse_triplets(tensor: np.ndarray, eps: float = 1e-12) -> list:
 # structure constants on homogeneous monomials
 
 
-def _alg_structure(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(products, adjoints, residual) of an orthonormal matrix basis."""
-    k = basis.shape[0]
-    rows = basis.reshape(k, -1)
-    prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(k * k, -1)
-    mu, res_m = expand_in_rows(prods, rows)
-    stars = basis.conj().transpose(0, 2, 1).reshape(k, -1)
-    smat, res_s = expand_in_rows(stars, rows)
-    res = float(max(np.max(res_m, initial=0.0), np.max(res_s, initial=0.0)))
-    return mu.reshape(k, k, k), smat, res
-
-
 @dataclass
 class TwistedProductTable:
     """Structure constants of a cocycle twist of C (x) D.
@@ -181,8 +171,8 @@ def cocycle_twist_table(
     """Twisted structure constants built from the factor tables alone."""
     lab_c = c_graded.homogeneous_basis()
     lab_d = d_graded.homogeneous_basis()
-    a_mu, a_star, res_a = _alg_structure(np.stack([m for _, m in lab_c]))
-    b_mu, b_star, res_b = _alg_structure(np.stack([m for _, m in lab_d]))
+    a_mu, a_star, res_a, _ = structure_tables(np.stack([m for _, m in lab_c]), tol)
+    b_mu, b_star, res_b, _ = structure_tables(np.stack([m for _, m in lab_d]), tol)
     mc, md = len(lab_c), len(lab_d)
     m = mc * md
 
@@ -220,22 +210,25 @@ def cocycle_twist_table(
     return TwistedProductTable(labels=labels, structure=mu, star=star, report=rep)
 
 
-def _monomial_structure(
-    x: CrossedProduct, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Structure constants of x on the homogeneous monomial family."""
-    ac = np.stack([x.iota_c_apply(m, tol) for _, m in x.c_graded.homogeneous_basis()])
-    ad = np.stack([x.iota_d_apply(m, tol) for _, m in x.d_graded.homogeneous_basis()])
-    fam = coords_product_pairs(ac, ad, x.legs)
-    m = fam.shape[0] * fam.shape[1]
-    fam = fam.reshape(m, *x.legs.dims)
-    rows = fam.reshape(m, -1)
-    prods = coords_product_pairs(fam, fam, x.legs).reshape(m * m, -1)
-    mu, res_m = expand_in_rows(prods, rows)
-    stars = np.stack([coords_star(f, x.legs).reshape(-1) for f in fam])
-    smat, res_s = expand_in_rows(stars, rows)
-    res = float(max(np.max(res_m, initial=0.0), np.max(res_s, initial=0.0)))
-    return mu.reshape(m, m, m), smat, res
+def _monomial_tables(x: CrossedProduct) -> tuple[np.ndarray, np.ndarray, float]:
+    """(mult, star, residual) of x on the homogeneous monomial family c_i d_j.
+
+    That family is T x.family with T = kron(T_C, T_D), T_C the homogeneous
+    basis of C in ambient.basis coordinates; both bases are orthonormal, so
+    T is unitary and the tables are x.structure and x.star rebased by T.
+    """
+    if x.structure is None:
+        raise ValueError("monomial tables need the structure tensor (dimension law failed)")
+
+    def change(graded: GradedAlgebra) -> np.ndarray:
+        homs = np.stack([m.reshape(-1) for _, m in graded.homogeneous_basis()])
+        return homs @ graded.ambient.space.coords().conj().T
+
+    t = np.kron(change(x.c_graded), change(x.d_graded))
+    mult = np.einsum("pa,qb,abc,rc->pqr", t, t, x.structure, t.conj(), optimize=True)
+    star = t.conj() @ x.star @ t.conj().T
+    res = max(x.report["structure_residual"], x.report["adjoint_residual"])
+    return mult, star, res
 
 
 def tensor_structure_residual(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -246,8 +239,8 @@ def tensor_structure_residual(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -
     """
     if x.structure is None:
         raise ValueError("tensor comparison needs the structure tensor")
-    a_mu, _, res_a = _alg_structure(x.c_graded.ambient.basis)
-    b_mu, _, res_b = _alg_structure(x.d_graded.ambient.basis)
+    a_mu, _, res_a, _ = structure_tables(x.c_graded.ambient.basis, tol)
+    b_mu, _, res_b, _ = structure_tables(x.d_graded.ambient.basis, tol)
     model = np.einsum("ikp,jlq->ijklpq", a_mu, b_mu)
     m = x.structure.shape[0]
     diff = float(np.max(np.abs(x.structure - model.reshape(m, m, m))))
@@ -276,7 +269,7 @@ def skew_tensor(
     chi = Bicharacter(c_graded.group, d_graded.group, ((1,),))
     table = cocycle_twist_table(c_graded, d_graded, chi, tol)
     x = build_via_heisenberg(c_graded, d_graded, chi, tol=tol)
-    mu, smat, res_mon = _monomial_structure(x, tol)
+    mu, smat, res_mon = _monomial_tables(x)
 
     m = table.dim
     thr = tol.eps_eq * max(1.0, m)
@@ -380,8 +373,8 @@ def finite_torus(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult
                 for b in range(n)
             ]
         )
-        mu_t, smat_t, res_t = _alg_structure_rows(target)
-        mu_x, smat_x, res_x = _monomial_structure(x, tol)
+        mu_t, smat_t, res_t, _ = structure_tables(target.reshape(m, n, n), tol)
+        mu_x, smat_x, res_x = _monomial_tables(x)
         diff = float(
             max(np.max(np.abs(mu_t - mu_x)), np.max(np.abs(smat_t - smat_x)))
         )
@@ -397,13 +390,6 @@ def finite_torus(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult
         verdicts,
     )
     return ScenarioResult("finite_torus", {"product": x, "u": u, "v": v}, rep)
-
-
-def _alg_structure_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """_alg_structure for a family given as flattened square matrices."""
-    m = rows.shape[0]
-    n = int(round(math.isqrt(rows.shape[1])))
-    return _alg_structure(rows.reshape(m, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +549,7 @@ def rieffel_twist_compare(
     """
     table = cocycle_twist_table(c_graded, d_graded, chi, tol)
     x = build_via_heisenberg(c_graded, d_graded, chi, tol=tol)
-    mu, smat, res_mon = _monomial_structure(x, tol)
+    mu, smat, res_mon = _monomial_tables(x)
     m = table.dim
     thr = tol.eps_eq * max(1.0, m)
     diff_mu = float(np.max(np.abs(mu - table.structure)))
@@ -829,25 +815,13 @@ def cocycle_conjugacy(
     if x1.structure is None or x2.structure is None:
         raise ValueError("both twisted products must satisfy the dimension law")
 
-    def corner_hom(fam, mu, smat):
-        rows = fam.reshape(m, -1)
-        prods = coords_product_pairs(fam, fam, legs).reshape(m * m, -1)
-        model = np.einsum("ijk,kf->ijf", mu, rows).reshape(m * m, -1)
-        hom = float(np.max(np.linalg.norm(prods - model, axis=1)))
-        stars = np.stack([coords_star(t, legs).reshape(-1) for t in fam])
-        star = float(np.max(np.linalg.norm(stars - smat @ rows, axis=1)))
-        return hom, star
+    def corner_hom(fam, x):
+        # a corner family is aligned with x.family, so it obeys x's tables
+        prods = coords_product_pairs(fam, fam, legs)
+        stars = np.stack([coords_star(t, legs) for t in fam])
+        return table_defect(x.structure, x.star, fam, prods, stars)
 
-    smat1, _ = expand_in_rows(
-        np.stack([coords_star(t, x1.legs).reshape(-1) for t in x1.family]),
-        x1.family.reshape(m, -1),
-    )
-    smat2, _ = expand_in_rows(
-        np.stack([coords_star(t, x2.legs).reshape(-1) for t in x2.family]),
-        x2.family.reshape(m, -1),
-    )
-
-    hom2, star2 = corner_hom(f2, x2.structure, smat2)
+    hom2, star2 = corner_hom(f2, x2)
 
     s_big = coords_product(
         _marked_coords(link_c, ic, np.kron(e10, np.eye(n)), tol),
@@ -861,7 +835,7 @@ def cocycle_conjugacy(
             for t in f1
         ]
     )
-    hom1, star1 = corner_hom(conj, x1.structure, smat1)
+    hom1, star1 = corner_hom(conj, x1)
 
     p1 = corner_family([np.eye(n)], [np.eye(p)], e00)[0]
     p2 = corner_family([np.eye(n)], [np.eye(p)], e11)[0]

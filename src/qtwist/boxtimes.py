@@ -12,7 +12,9 @@ Operators live on tensor-product carriers and are stored as coordinate
 tensors over one orthonormal frame per leg.  Every frame carries
 numerically certified product and adjoint tables, so algebra operations
 run on small coordinate arrays instead of large ambient matrices; the
-worst table residual is part of every report.
+worst table residual is part of every report.  Every product and adjoint
+table here (frames, factors, a crossed product's structure and star) comes
+from matspan.structure_tables / expand_table and is checked by table_defect.
 
 A leg whose generators are already orthonormal up to phase repeats (the
 group unitaries lambda_g, the Weyl monomials U_g V_h, the homogeneous
@@ -44,11 +46,14 @@ from .matspan import (
     Tolerance,
     cmatrix,
     expand_in_rows,
+    expand_table,
     left_null_rows,
     orthonormal_rows,
     relation_transport,
     residual_outside,
+    structure_tables,
     subspace_equal,
+    table_defect,
 )
 
 __all__ = [
@@ -99,14 +104,10 @@ class LegFrames:
     """Orthonormal frames, one per tensor leg, with product/adjoint tables.
 
     frames[l] holds orthonormal rows spanning a subspace of the l-th leg
-    matrices; mult[l][i,j,:] expands f_i f_j in the frame and stars[l][i,:]
-    expands f_i*.  A table whose every row is one term, f_i f_j = c f_k
-    within eps_eq, is held exactly monomial (one non-zero a row), and
-    monomial[l] then gives it as (index, phase) arrays of shape (d, d):
-    f_i f_j ~ phase[i,j] f_index[i,j]; it is None for a dense table.
-    residual is the worst defect of the stored tables over all legs (for
-    a monomial table the distance ||f_i f_j - c f_k||), so coordinate
-    arithmetic is faithful up to this number.
+    matrices; mults[l], stars[l] and monomial[l] are the frame's tables as
+    matspan.structure_tables gives them (a monomial table is held exactly,
+    one non-zero a row).  residual is the worst table defect over all
+    legs, so coordinate arithmetic is faithful up to this number.
     """
 
     sizes: tuple[int, ...]
@@ -156,29 +157,6 @@ def _kept_generators(rows: np.ndarray, tol: Tolerance) -> np.ndarray | None:
     return kept
 
 
-def _table(
-    targets: np.ndarray, rows: np.ndarray, tol: Tolerance
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, float]:
-    """(table, monomial form or None, residual) of targets in the frame.
-
-    When every target is one frame element up to eps_eq, the table keeps
-    that single term per row and its residual is ||t - c f_k||; otherwise
-    it is the least-squares expansion with its residual.
-    """
-    coeffs = targets @ rows.conj().T
-    if coeffs.size:
-        r = np.arange(coeffs.shape[0])
-        k = np.argmax(np.abs(coeffs), axis=1)
-        c = coeffs[r, k]
-        one_term = float(np.max(np.linalg.norm(targets - c[:, None] * rows[k], axis=1)))
-        if one_term <= tol.eps_eq:
-            table = np.zeros_like(coeffs)
-            table[r, k] = c
-            return table, (k, c), one_term
-    coeffs, res = expand_in_rows(targets, rows)
-    return coeffs, None, float(np.max(res, initial=0.0))
-
-
 def leg_frames(leg_mats, tol: Tolerance = DEFAULT_TOL) -> LegFrames:
     """Build certified frames from spanning matrices for each leg.
 
@@ -202,20 +180,13 @@ def leg_frames(leg_mats, tol: Tolerance = DEFAULT_TOL) -> LegFrames:
         rows = _kept_generators(given, tol)
         if rows is None:
             rows = orthonormal_rows(given, tol.eps_rank)
-        d = rows.shape[0]
-        f = rows.reshape(d, n, n)
-        prods = np.einsum("iab,jbc->ijac", f, f).reshape(d * d, n * n)
-        coeffs, mono, res = _table(prods, rows, tol)
-        adjs = f.conj().transpose(0, 2, 1).reshape(d, n * n)
-        s_coeffs, _, s_res = _table(adjs, rows, tol)
-        worst = max(worst, res, s_res)
+        mult, star, res, mono = structure_tables(rows.reshape(-1, n, n), tol)
+        worst = max(worst, res)
         frames.append(rows)
-        mults.append(coeffs.reshape(d, d, d))
-        stars.append(s_coeffs)
+        mults.append(mult)
+        stars.append(star)
         sizes.append(n)
-        monomial.append(
-            None if mono is None else (mono[0].reshape(d, d), mono[1].reshape(d, d))
-        )
+        monomial.append(mono)
     return LegFrames(
         sizes=tuple(sizes),
         frames=tuple(frames),
@@ -423,23 +394,10 @@ def graded_morphism(
         max(target.ambient.space.contains_residual(m) for m in images)
     )
     m = len(basis)
-    coords = source.ambient.space.coords()
-    prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(m * m, -1)
-    coeffs, _ = expand_in_rows(prods, coords)
-    expected = np.einsum("pk,kab->pab", coeffs, images)
-    actual = np.einsum("iab,jbc->ijac", images, images).reshape(expected.shape)
-    rep["homomorphism"] = float(
-        np.max(np.linalg.norm((actual - expected).reshape(m * m, -1), axis=1))
-    )
-    s_coeffs, _ = expand_in_rows(basis.conj().transpose(0, 2, 1).reshape(m, -1), coords)
-    exp_star = np.einsum("pk,kab->pab", s_coeffs, images)
-    rep["star"] = float(
-        np.max(
-            np.linalg.norm(
-                (images.conj().transpose(0, 2, 1) - exp_star).reshape(m, -1), axis=1
-            )
-        )
-    )
+    mult, star, _, _ = structure_tables(basis, tol)
+    prods = np.einsum("iab,jbc->ijac", images, images)
+    adjs = images.conj().transpose(0, 2, 1)
+    rep["homomorphism"], rep["star"] = table_defect(mult, star, images, prods, adjs)
     equi = 0.0
     for g in source.degrees():
         tc = target.component(g)
@@ -552,10 +510,11 @@ class CrossedProduct:
     """A realized twisted product: one algebra with two marked embeddings.
 
     family holds the marked spanning elements iota_C(c_i) iota_D(d_j)
-    (i-major) as coordinate tensors; onb is an orthonormal basis of their
-    flattened span; structure is the multiplication tensor over the family
-    when it is a basis.  algebra is a dense materialization when the
-    ambient is small enough, None otherwise.
+    (i-major over the factors' ambient.basis) as coordinate tensors; onb
+    is an orthonormal basis of their flattened span.  structure[i, j]
+    expands f_i f_j and star[i] expands f_i* in the family (matspan's
+    expand_table) when the family is a basis, else both are None.  algebra
+    is a dense materialization when the ambient is small enough, else None.
     """
 
     c_graded: GradedAlgebra
@@ -567,6 +526,7 @@ class CrossedProduct:
     family: np.ndarray
     onb: np.ndarray
     structure: np.ndarray | None
+    star: np.ndarray | None
     algebra: AlgebraBasis | None
     provenance: dict
     report: dict
@@ -601,9 +561,6 @@ class CrossedProduct:
     def element_matrix(self, coords: np.ndarray) -> np.ndarray:
         return coords_to_matrix(coords, self.legs)
 
-    def family_matrices(self) -> list[np.ndarray]:
-        return [coords_to_matrix(f, self.legs) for f in self.family]
-
     def contains_residual(self, coords: np.ndarray) -> float:
         """Distance of a coordinate tensor from the algebra span."""
         return float(residual_outside(coords.reshape(1, -1), self.onb)[0])
@@ -613,24 +570,13 @@ def _marking_report(
     graded: GradedAlgebra, iota: np.ndarray, legs: LegFrames, tol: Tolerance
 ) -> tuple[float, float, bool]:
     """(homomorphism, star, injective) certification of one marking."""
-    basis = graded.ambient.basis
-    coords = graded.ambient.space.coords()
-    m = len(basis)
-    prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(m * m, -1)
-    coeffs, _ = expand_in_rows(prods, coords)
-    expected = np.einsum("pk,k...->p...", coeffs, iota)
-    actual = coords_product_pairs(iota, iota, legs).reshape(expected.shape)
-    hom = float(
-        np.max(np.linalg.norm((actual - expected).reshape(m * m, -1), axis=1))
-    )
-    s_coeffs, _ = expand_in_rows(basis.conj().transpose(0, 2, 1).reshape(m, -1), coords)
-    exp_star = np.einsum("pk,k...->p...", s_coeffs, iota)
-    act_star = np.stack([coords_star(v, legs) for v in iota])
-    star = float(
-        np.max(np.linalg.norm((act_star - exp_star).reshape(m, -1), axis=1))
-    )
+    mult, star, _, _ = structure_tables(graded.ambient.basis, tol)
+    prods = coords_product_pairs(iota, iota, legs)
+    adjs = np.stack([coords_star(v, legs) for v in iota])
+    hom, star_res = table_defect(mult, star, iota, prods, adjs)
+    m = iota.shape[0]
     inj = orthonormal_rows(iota.reshape(m, -1), tol.eps_rank).shape[0] == m
-    return hom, star, inj
+    return hom, star_res, inj
 
 
 def _require_factor(graded: GradedAlgebra, group: FinAbGroup, name: str) -> None:
@@ -672,16 +618,15 @@ def _assemble(
 
     prods = coords_product_pairs(family, family, legs).reshape(m * m, -1)
     rep["closure_residual"] = float(np.max(residual_outside(prods, onb)))
-    if rep["dim_law_ok"]:
-        coeffs, sres = expand_in_rows(prods, rows)
-        structure = coeffs.reshape(m, m, m)
-        rep["structure_residual"] = float(np.max(sres))
-    else:
-        structure = None
-        rep["structure_residual"] = float("inf")
-
     star_rows = np.stack([coords_star(f, legs).reshape(-1) for f in family])
     rep["adjoint_residual"] = float(np.max(residual_outside(star_rows, onb)))
+    if rep["dim_law_ok"]:
+        structure, _, rep["structure_residual"] = expand_table(prods, rows, tol)
+        structure = structure.reshape(m, m, m)
+        star, _, _ = expand_table(star_rows, rows, tol)
+    else:
+        structure = star = None
+        rep["structure_residual"] = float("inf")
 
     rev = coords_product_pairs(iota_d, iota_c, legs).reshape(m, -1)
     onb_rev = orthonormal_rows(rev, tol.eps_rank)
@@ -712,6 +657,7 @@ def _assemble(
         family=family,
         onb=onb,
         structure=structure,
+        star=star,
         algebra=None,
         provenance=provenance,
         report=rep,
@@ -990,6 +936,13 @@ def _family_map(
     Returns None when a bijection is required but the families satisfy
     different linear relations; raises when a plain (possibly
     non-injective) extension is not well defined.
+
+    With m the family size and scale = max(1, largest row norm of either
+    family), the bounds are s = eps_eq * scale * max(1, m) for the star,
+    markings and alignment residuals and s * scale for the multiplicative
+    one: product rows scale as the square of the family norms, so that
+    bound carries scale twice.  The well-definedness defect of a plain
+    extension is held to s as well.
     """
     m = src.family.shape[0]
     rows1 = src.family.reshape(m, -1)

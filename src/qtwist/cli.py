@@ -43,7 +43,7 @@ from .heis import (
     conjugate_pair,
 )
 from .matspan import DEFAULT_TOL, Tolerance
-from .qgroup import translations
+from .qgroup import MAX_MODEL_ORDER, translations
 
 REPRODUCER_PATH = "qtwist_reproducer.json"
 
@@ -100,6 +100,9 @@ def parse_group(obj, where: str) -> FinAbGroup:
         or not all(isinstance(n, int) and n >= 1 for n in cycles)
     ):
         raise SpecError(f"{where}.cycles: expected positive integers")
+    order = math.prod(cycles)  # checked before anything enumerates the elements
+    if order > MAX_MODEL_ORDER:
+        raise SpecError(f"{where}.cycles: group order {order} exceeds {MAX_MODEL_ORDER}")
     return FinAbGroup(tuple(cycles))
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "AlgebraBasis",
     "span_basis",
     "subspace_equal",
+    "structure_tables",
     "multiplicative_closure",
     "internal_unit",
     "center",
@@ -145,6 +146,72 @@ def expand_in_rows(
     coeffs = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
     res = np.linalg.norm(rows - coeffs @ family, axis=1)
     return coeffs, res
+
+
+# ---------------------------------------------------------------------------
+# product and adjoint tables
+
+
+def expand_table(
+    targets: np.ndarray, rows: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, float]:
+    """(table, monomial form or None, residual) of targets in the rows' span.
+
+    When every target is one unit row up to eps_eq, t ~ c f_k with
+    c = <f_k, t>, the table holds that one term exactly, the monomial form
+    is the pair of arrays (k, c) and the residual the worst ||t - c f_k||
+    (rows of another norm fail this test).  Otherwise the table is the
+    least-squares expansion of expand_in_rows with its worst residual.
+    """
+    coeffs = targets @ rows.conj().T
+    if coeffs.size:
+        r = np.arange(coeffs.shape[0])
+        k = np.argmax(np.abs(coeffs), axis=1)
+        c = coeffs[r, k]
+        one_term = float(np.max(np.linalg.norm(targets - c[:, None] * rows[k], axis=1)))
+        if one_term <= tol.eps_eq:
+            table = np.zeros_like(coeffs)
+            table[r, k] = c
+            return table, (k, c), one_term
+    coeffs, res = expand_in_rows(targets, rows)
+    return coeffs, None, float(np.max(res, initial=0.0))
+
+
+def structure_tables(
+    basis: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
+    """(mult, star, residual, monomial) of a (d, n, n) family of matrices.
+
+    mult[i, j] expands b_i b_j and star[i] expands b_i* in the family,
+    both through expand_table; residual is the worst defect of either
+    table.  monomial is None unless the product table is monomial, then
+    (index, phase) arrays of shape (d, d): b_i b_j ~ phase[i, j] b_index[i, j].
+    """
+    basis = np.asarray(basis, dtype=np.complex128)
+    d, n = basis.shape[0], basis.shape[-1]
+    rows = basis.reshape(d, n * n)
+    prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(d * d, n * n)
+    mult, mono, res = expand_table(prods, rows, tol)
+    adjs = basis.conj().transpose(0, 2, 1).reshape(d, n * n)
+    star, _, s_res = expand_table(adjs, rows, tol)
+    if mono is not None:
+        mono = (mono[0].reshape(d, d), mono[1].reshape(d, d))
+    return mult.reshape(d, d, d), star, max(res, s_res), mono
+
+
+def table_defect(mult, star, images, prods, stars) -> tuple[float, float]:
+    """(product, adjoint) defect of images against a basis's tables.
+
+    images[k] is the image of basis element k, prods[i, j] the product of
+    images i and j, stars[i] the adjoint of image i, each of any shape;
+    the defects are the worst row norms of prods - mult . images and
+    stars - star . images, zero exactly for a *-homomorphism b_k -> images[k].
+    """
+    m = images.shape[0]
+    img = images.reshape(m, -1)
+    hom = np.linalg.norm(prods.reshape(m * m, -1) - mult.reshape(m * m, m) @ img, axis=1)
+    adj = np.linalg.norm(stars.reshape(m, -1) - star @ img, axis=1)
+    return float(np.max(hom)), float(np.max(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qtwist.abgroup import Bicharacter, FinAbGroup
+from qtwist import apps
 from qtwist.apps import (
     cocycle_conjugacy,
     cocycle_twist_table,
@@ -24,14 +25,20 @@ from qtwist.apps import (
     sparse_triplets,
     tensor_structure_residual,
 )
-from qtwist.boxtimes import build_via_heisenberg, product_center_dim
+from qtwist.boxtimes import (
+    build_via_heisenberg,
+    coords_product_pairs,
+    coords_star,
+    product_center_dim,
+)
 from qtwist.coact import (
     ad_grading,
+    character_grading,
     delta_grading,
     grading_to_coaction,
     make_cocycle,
 )
-from qtwist.matspan import center
+from qtwist.matspan import center, expand_in_rows
 from qtwist.qgroup import translations
 
 Z2 = FinAbGroup((2,))
@@ -257,6 +264,40 @@ def test_rieffel_twist_compare_matches_trace_oracle():
     mu, st = expected_twist_table(delta_grading(Z3), delta_grading(Z3), CHI3)
     assert np.max(np.abs(table.structure - mu)) < 1e-12
     assert np.max(np.abs(table.star - st)) < 1e-12
+
+
+def monomial_structure_oracle(x):
+    """x's tables on the homogeneous monomial family, from its products."""
+    ac = np.stack([x.iota_c_apply(m) for _, m in x.c_graded.homogeneous_basis()])
+    ad = np.stack([x.iota_d_apply(m) for _, m in x.d_graded.homogeneous_basis()])
+    fam = coords_product_pairs(ac, ad, x.legs)
+    m = fam.shape[0] * fam.shape[1]
+    fam = fam.reshape(m, *x.legs.dims)
+    rows = fam.reshape(m, -1)
+    prods = coords_product_pairs(fam, fam, x.legs).reshape(m * m, -1)
+    mu, res_m = expand_in_rows(prods, rows)
+    stars = np.stack([coords_star(f, x.legs).reshape(-1) for f in fam])
+    smat, res_s = expand_in_rows(stars, rows)
+    return mu.reshape(m, m, m), smat, max(np.max(res_m), np.max(res_s))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: finite_torus(6, 1),
+        lambda: skew_tensor(delta_grading(Z2), delta_grading(Z2)),
+        lambda: rieffel_twist_compare(delta_grading(Z3), delta_grading(Z3), CHI3),
+        lambda: rieffel_twist_compare(delta_grading(Z3), character_grading(Z3), CHI3),
+    ],
+    ids=["torus-6-1", "skew", "rieffel-z3", "rieffel-z3-character"],
+)
+def test_monomial_tables_match_recomputed_products(make):
+    x = make().objects["product"]
+    mu, smat, res = apps._monomial_tables(x)
+    want_mu, want_smat, want_res = monomial_structure_oracle(x)
+    assert np.max(np.abs(mu - want_mu)) <= 1e-12
+    assert np.max(np.abs(smat - want_smat)) <= 1e-12
+    assert max(res, want_res) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,16 @@ def test_rotated_leg_takes_dense_path(monkeypatch):
             assert np.linalg.norm(diff) <= 1e-12
 
 
+def test_star_table_expands_family_adjoints():
+    x = finite_torus(6, 1).objects["product"]
+    m = x.family.shape[0]
+    stars = np.stack([coords_star(f, x.legs).reshape(-1) for f in x.family])
+    want, res = expand_in_rows(stars, x.family.reshape(m, -1))
+    assert np.max(res) < 1e-12
+    assert x.star.shape == (m, m)
+    assert np.max(np.abs(x.star - want)) <= 1e-12
+
+
 def test_unclosed_leg_fails_certification():
     # orthogonal generators whose span misses SZ SX: the leg keeps them,
     # but its table is not snapped to monomial and its residual stays large

@@ -90,6 +90,36 @@ def test_verify_missing_field_exits_2(tmp_path, capsys):
     assert "bicharacter" in json.loads(err)["message"]
 
 
+def forbid_enumeration(monkeypatch):
+    # an oversized group must be refused before its elements are listed
+    def enumerated(self):
+        raise AssertionError(f"elements of {self.cycles} were enumerated")
+
+    monkeypatch.setattr(FinAbGroup, "elements", enumerated)
+
+
+def test_verify_group_above_model_order_exits_2(tmp_path, capsys, monkeypatch):
+    forbid_enumeration(monkeypatch)
+    spec = dict(M2_SPEC)
+    spec["group_g"] = {"cycles": [17]}
+    code, _, err = run_cli(capsys, ["verify", write_spec(tmp_path, spec)])
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "spec"
+    assert "group_g" in diag["message"] and "17" in diag["message"]
+
+
+def test_verify_huge_group_exits_2_without_enumerating(tmp_path, capsys, monkeypatch):
+    forbid_enumeration(monkeypatch)
+    spec = dict(M2_SPEC)
+    spec["group_h"] = {"cycles": [10**12]}
+    code, _, err = run_cli(capsys, ["verify", write_spec(tmp_path, spec)])
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "spec"
+    assert "group_h" in diag["message"]
+
+
 def test_verify_invalid_matrix_grading_exits_2(tmp_path, capsys):
     spec = dict(M2_SPEC)
     spec["algebra_c"] = {

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from qtwist.abgroup import FinAbGroup
+from qtwist.coact import character_grading
 from qtwist.matspan import (
     DEFAULT_TOL,
     Tolerance,
@@ -16,7 +18,9 @@ from qtwist.matspan import (
     multiplicative_closure,
     relation_transport,
     span_basis,
+    structure_tables,
     subspace_equal,
+    table_defect,
 )
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -196,3 +200,89 @@ def test_generator_isomorphism_random_conjugation():
         assert iso is not None
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert np.allclose(iso.apply(c), u @ c @ u.conj().T, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# product and adjoint tables
+
+
+def rebase(mult, star, t):
+    """Tables of the family t @ basis from those of the basis (t unitary)."""
+    return (
+        np.einsum("pa,qb,abc,rc->pqr", t, t, mult, t.conj()),
+        t.conj() @ star @ t.conj().T,
+    )
+
+
+def test_structure_tables_monomial_and_dense_paths_agree():
+    graded = character_grading(FinAbGroup((6,)))
+    homs = np.stack([m for _, m in graded.homogeneous_basis()])
+    rotated = graded.ambient.basis
+    mu_h, st_h, res_h, mono = structure_tables(homs)
+    mu_r, st_r, res_r, mono_r = structure_tables(rotated)
+    # the homogeneous basis multiplies monomially, its rotation does not
+    assert mono is not None and mono_r is None
+    index, phase = mono
+    i, j = np.indices(index.shape)
+    assert np.array_equal(mu_h[i, j, index], phase)
+    assert np.count_nonzero(mu_h) == index.size
+    assert max(res_h, res_r) < 1e-12
+    t = homs.reshape(6, -1) @ rotated.reshape(6, -1).conj().T
+    assert np.linalg.norm(t @ t.conj().T - np.eye(6)) < 1e-12
+    mu, st = rebase(mu_r, st_r, t)
+    assert np.max(np.abs(mu - mu_h)) <= 1e-12
+    assert np.max(np.abs(st - st_h)) <= 1e-12
+
+
+def test_structure_tables_unnormalised_rows_take_the_dense_path():
+    # clock and shift monomials divided by n: orthogonal rows of norm
+    # n^-1/2, whose products are single rows times phase / n
+    n = 4
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    shift = np.roll(np.eye(n), 1, axis=0).astype(np.complex128)
+    fam = np.stack(
+        [
+            np.linalg.matrix_power(clock, a) @ np.linalg.matrix_power(shift, b) / n
+            for a in range(n)
+            for b in range(n)
+        ]
+    )
+    m = n * n
+    mult, star, res, mono = structure_tables(fam)
+    assert mono is None
+    assert res < 1e-12
+    rows = fam.reshape(m, -1)
+    prods = np.einsum("iab,jbc->ijac", fam, fam).reshape(m * m, -1)
+    want_mult, _ = expand_in_rows(prods, rows)
+    want_star, _ = expand_in_rows(fam.conj().transpose(0, 2, 1).reshape(m, -1), rows)
+    assert np.max(np.abs(mult.reshape(m * m, m) - want_mult)) <= 1e-12
+    assert np.max(np.abs(star - want_star)) <= 1e-12
+
+
+def test_structure_tables_unclosed_span_reports_its_residual():
+    # SX SZ = -i SY lies outside span(1, SX, SZ)
+    _, _, res, mono = structure_tables(np.stack([I2, SX, SZ]) / np.sqrt(2))
+    assert mono is None
+    assert res > DEFAULT_TOL.eps_eq
+
+
+def test_table_defect_separates_homomorphisms_from_transposition():
+    basis = np.stack([I2, SX, SY, SZ]) / np.sqrt(2)
+    mult, star, _, _ = structure_tables(basis)
+
+    def defect(images):
+        return table_defect(
+            mult,
+            star,
+            images,
+            np.einsum("iab,jbc->ijac", images, images),
+            images.conj().transpose(0, 2, 1),
+        )
+
+    u = haar_unitary(2, np.random.default_rng(5))
+    hom, adj = defect(np.einsum("ab,ibc,cd->iad", u, basis, u.conj().T))
+    assert max(hom, adj) < 1e-12
+    # transposition keeps adjoints but reverses products
+    hom, adj = defect(basis.transpose(0, 2, 1))
+    assert adj < 1e-12
+    assert hom > 0.1
