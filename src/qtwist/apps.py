@@ -65,6 +65,7 @@ from .matspan import (
     hs_norm,
     multiplicative_closure,
     orthonormal_rows,
+    rank,
     residual_outside,
     structure_tables,
     table_defect,
@@ -210,27 +211,6 @@ def cocycle_twist_table(
     return TwistedProductTable(labels=labels, structure=mu, star=star, report=rep)
 
 
-def _monomial_tables(x: CrossedProduct) -> tuple[np.ndarray, np.ndarray, float]:
-    """(mult, star, residual) of x on the homogeneous monomial family c_i d_j.
-
-    That family is T x.family with T = kron(T_C, T_D), T_C the homogeneous
-    basis of C in ambient.basis coordinates; both bases are orthonormal, so
-    T is unitary and the tables are x.structure and x.star rebased by T.
-    """
-    if x.structure is None:
-        raise ValueError("monomial tables need the structure tensor (dimension law failed)")
-
-    def change(graded: GradedAlgebra) -> np.ndarray:
-        homs = np.stack([m.reshape(-1) for _, m in graded.homogeneous_basis()])
-        return homs @ graded.ambient.space.coords().conj().T
-
-    t = np.kron(change(x.c_graded), change(x.d_graded))
-    mult = np.einsum("pa,qb,abc,rc->pqr", t, t, x.structure, t.conj(), optimize=True)
-    star = t.conj() @ x.star @ t.conj().T
-    res = max(x.report["structure_residual"], x.report["adjoint_residual"])
-    return mult, star, res
-
-
 def tensor_structure_residual(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> float:
     """Distance of x's structure tensor from a plain tensor product.
 
@@ -269,12 +249,14 @@ def skew_tensor(
     chi = Bicharacter(c_graded.group, d_graded.group, ((1,),))
     table = cocycle_twist_table(c_graded, d_graded, chi, tol)
     x = build_via_heisenberg(c_graded, d_graded, chi, tol=tol)
-    mu, smat, res_mon = _monomial_tables(x)
+    if x.structure is None:
+        raise ValueError("monomial tables need the structure tensor (dimension law failed)")
+    res_mon = max(x.report["structure_residual"], x.report["adjoint_residual"])
 
     m = table.dim
     thr = tol.eps_eq * max(1.0, m)
-    diff_mu = float(np.max(np.abs(mu - table.structure)))
-    diff_star = float(np.max(np.abs(smat - table.star)))
+    diff_mu = float(np.max(np.abs(x.structure - table.structure)))
+    diff_star = float(np.max(np.abs(x.star - table.star)))
     # every nonzero table entry carries a Koszul sign, so the phases are +-1
     signs = table.structure[np.abs(table.structure) > 1e-12]
     phases = signs / np.abs(signs)
@@ -374,11 +356,11 @@ def finite_torus(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult
             ]
         )
         mu_t, smat_t, res_t, _ = structure_tables(target.reshape(m, n, n), tol)
-        mu_x, smat_x, res_x = _monomial_tables(x)
+        res_x = max(x.report["structure_residual"], x.report["adjoint_residual"])
         diff = float(
-            max(np.max(np.abs(mu_t - mu_x)), np.max(np.abs(smat_t - smat_x)))
+            max(np.max(np.abs(mu_t - x.structure)), np.max(np.abs(smat_t - x.star)))
         )
-        full_rank = orthonormal_rows(target, tol.eps_rank).shape[0] == m
+        full_rank = rank(target, tol.eps_rank) == m
         residuals["matrix_model"] = max(diff, res_t, res_x)
         verdicts["matrix_algebra_iso"] = diff <= thr and full_rank
 
@@ -424,11 +406,9 @@ def reduced_crossed_product(
         [list(c_graded.ambient.basis) + [np.eye(n_c)], leg2], tol
     )
 
-    def emb_c(b):
-        parts = c_graded.decompose(b, tol)
-        return sum(pure_coords(legs, [cg, lam[g]], tol) for g, cg in parts.items())
-
-    iota_c = np.stack([emb_c(b) for b in c_graded.ambient.basis])
+    iota_c = np.stack(
+        [pure_coords(legs, [b, lam[g]], tol) for g, b in c_graded.homogeneous_basis()]
+    )
     iota_d = np.stack(
         [pure_coords(legs, [np.eye(n_c), m], tol) for m in d.ambient.basis]
     )
@@ -492,11 +472,9 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
             "input must be a reduced crossed product (regular bicharacter over the dual group)"
         )
     ghat = x.d_graded.group
-    ac = [x.iota_c_apply(b, tol) for b in x.c_graded.ambient.basis]
     parts: dict = {}
-    for p, dm in x.d_graded.homogeneous_basis():
-        dc = x.iota_d_apply(dm, tol)
-        mats = [coords_to_matrix(coords_product(a, dc, x.legs), x.legs) for a in ac]
+    for (p, _), dc in zip(x.d_graded.homogeneous_basis(), x.iota_d):
+        mats = [coords_to_matrix(coords_product(a, dc, x.legs), x.legs) for a in x.iota_c]
         parts.setdefault(p, []).extend(mats)
     graded_hat = graded_algebra(ghat, parts, tol)
     gamma = grading_to_coaction(graded_hat, side="left", tol=tol)
@@ -505,7 +483,7 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     comp0 = graded_hat.component(ghat.zero())
     fix = float(
         max(
-            comp0.contains_residual(coords_to_matrix(a, x.legs)) for a in ac
+            comp0.contains_residual(coords_to_matrix(a, x.legs)) for a in x.iota_c
         )
     )
     verdicts = {
@@ -549,11 +527,13 @@ def rieffel_twist_compare(
     """
     table = cocycle_twist_table(c_graded, d_graded, chi, tol)
     x = build_via_heisenberg(c_graded, d_graded, chi, tol=tol)
-    mu, smat, res_mon = _monomial_tables(x)
+    if x.structure is None:
+        raise ValueError("monomial tables need the structure tensor (dimension law failed)")
+    res_mon = max(x.report["structure_residual"], x.report["adjoint_residual"])
     m = table.dim
     thr = tol.eps_eq * max(1.0, m)
-    diff_mu = float(np.max(np.abs(mu - table.structure)))
-    diff_star = float(np.max(np.abs(smat - table.star)))
+    diff_mu = float(np.max(np.abs(x.structure - table.structure)))
+    diff_star = float(np.max(np.abs(x.star - table.star)))
     verdicts = {
         "product_certified": x.report["passed"],
         "two_cocycle": table.report["associativity"] <= tol.eps_eq,
@@ -625,14 +605,12 @@ def embed_in_reduced(
     eye_c, eye_d = np.eye(n_c), np.eye(n_d)
     eye_g, eye_h = np.eye(G.order), np.eye(H.order)
 
-    def emb_c(b):
-        parts = c_graded.decompose(b, tol)
-        return sum(
-            pure_coords(legs, [cg, lam_g[g], eye_d, eye_h], tol)
-            for g, cg in parts.items()
-        )
-
-    iota_c = np.stack([emb_c(b) for b in c_graded.ambient.basis])
+    iota_c = np.stack(
+        [
+            pure_coords(legs, [b, lam_g[g], eye_d, eye_h], tol)
+            for g, b in c_graded.homogeneous_basis()
+        ]
+    )
 
     # kernel on legs (2,4); P_x, Q_y are the coordinate projections
     kern = np.zeros((legs.ambient_dim, legs.ambient_dim), dtype=np.complex128)
@@ -651,7 +629,7 @@ def embed_in_reduced(
     def emb_d(b):
         dense = np.kron(head, gamma_d.apply(b, tol))
         conj = kern.conj().T @ dense @ kern
-        coords, res = matrix_to_coords(conj, legs, tol)
+        coords, res = matrix_to_coords(conj, legs)
         if res > tol.eps_eq * max(1.0, hs_norm(conj)):
             raise RuntimeError("conjugated image escapes the leg frames")
         return coords
@@ -702,13 +680,10 @@ def embed_in_reduced(
 
 def _marked_coords(graded: GradedAlgebra, iota: np.ndarray, x, tol: Tolerance) -> np.ndarray:
     """Coordinates of the marked image of an element of the factor."""
-    n = graded.ambient_dim
-    xm = cmatrix(x, n)
-    coords = graded.ambient.space.coords()
-    row = coords.conj() @ xm.reshape(-1)
-    res = float(np.linalg.norm(xm.reshape(-1) - row @ coords))
-    if res > tol.eps_eq * max(1.0, hs_norm(xm)):
-        raise ValueError("element is not in the marked factor")
+    try:
+        row = graded.ambient.space.coords_of(x, tol)
+    except ValueError as exc:
+        raise ValueError("element is not in the marked factor") from exc
     return np.einsum("k,k...->...", row, iota)
 
 
@@ -848,9 +823,9 @@ def cocycle_conjugacy(
 
     t_mat, t_res = expand_in_rows(conj.reshape(m, -1), f2.reshape(m, -1))
     transport = float(np.max(t_res))
-    bijective = orthonormal_rows(t_mat, tol.eps_rank).shape[0] == m
-    rank1 = orthonormal_rows(f1.reshape(m, -1), tol.eps_rank).shape[0]
-    rank2 = orthonormal_rows(f2.reshape(m, -1), tol.eps_rank).shape[0]
+    bijective = rank(t_mat, tol.eps_rank) == m
+    rank1 = rank(f1.reshape(m, -1), tol.eps_rank)
+    rank2 = rank(f2.reshape(m, -1), tol.eps_rank)
 
     # the induced map on family coefficients must transport mu1 to mu2
     lhs = np.einsum("ijk,kl->ijl", x1.structure, t_mat)

@@ -17,11 +17,15 @@ table here (frames, factors, a crossed product's structure and star) comes
 from matspan.structure_tables / expand_table and is checked by table_defect.
 
 A leg whose generators are already orthonormal up to phase repeats (the
-group unitaries lambda_g, the Weyl monomials U_g V_h, the homogeneous
-basis of a graded algebra) keeps them as its frame, unrotated.  Its
-tables are then usually monomial, f_i f_j = c f_k, and are held exactly
-so; when every leg is monomial, products of sparse coordinate tensors
-are gathered entry by entry instead of contracted densely.
+group unitaries lambda_g, the Weyl monomials U_g V_h, the ambient basis
+of a graded algebra, which is its homogeneous basis) keeps them as its
+frame, unrotated.  Its tables are then usually monomial, f_i f_j = c f_k,
+and are held exactly so; when every leg is monomial, products of sparse
+coordinate tensors are gathered entry by entry instead of contracted
+densely.  Each factor basis element is marked by one pure tensor, so
+when the legs keep their generators the family iota_C(c_i) iota_D(d_j)
+is one-hot and a crossed product's structure and star tables are
+monomial too.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .matspan import (
     expand_table,
     left_null_rows,
     orthonormal_rows,
+    rank,
     relation_transport,
     residual_outside,
     structure_tables,
@@ -293,9 +298,7 @@ def coords_to_matrix(x: np.ndarray, legs: LegFrames) -> np.ndarray:
     return np.einsum(spec, x, *fs, optimize=True).reshape(n, n)
 
 
-def matrix_to_coords(
-    m: np.ndarray, legs: LegFrames, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
+def matrix_to_coords(m: np.ndarray, legs: LegFrames) -> tuple[np.ndarray, float]:
     """Project an ambient matrix onto frame coordinates; returns residual."""
     r = legs.legs
     n = legs.ambient_dim
@@ -312,7 +315,6 @@ def matrix_to_coords(
     mt = m.reshape(tuple(legs.sizes) * 2)
     coords = np.einsum(spec, *fs, mt, optimize=True)
     res = float(np.linalg.norm(m - coords_to_matrix(coords, legs)))
-    del tol
     return coords, res
 
 
@@ -360,12 +362,10 @@ class GradedMorphism:
     report: dict = field(default_factory=dict)
 
     def apply(self, c, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        c = cmatrix(c, self.source.ambient_dim)
-        coords = self.source.ambient.space.coords()
-        row = coords.conj() @ c.reshape(-1)
-        res = float(np.linalg.norm(c.reshape(-1) - row @ coords))
-        if res > tol.eps_eq * max(1.0, float(np.linalg.norm(c))):
-            raise ValueError("element is not in the source algebra")
+        try:
+            row = self.source.ambient.space.coords_of(c, tol)
+        except ValueError as exc:
+            raise ValueError("element is not in the source algebra") from exc
         return np.einsum("i,iab->ab", row, self.images)
 
 
@@ -404,9 +404,9 @@ def graded_morphism(
         for mat in source.component(g).basis:
             equi = max(equi, tc.contains_residual(mor.apply(mat, tol)))
     rep["equivariance"] = equi
-    rank = orthonormal_rows(images.reshape(m, -1), tol.eps_rank).shape[0]
-    rep["injective"] = rank == m
-    rep["surjective"] = rank == target.dim
+    r = rank(images.reshape(m, -1), tol.eps_rank)
+    rep["injective"] = r == m
+    rep["surjective"] = r == target.dim
     s = tol.eps_eq * max(1.0, m)
     rep["passed"] = (
         rep["in_target"] <= s
@@ -434,7 +434,7 @@ def morphism_from_pairs(
     scale = max(1.0, float(np.max(np.linalg.norm(xs, axis=1))))
     if float(np.max(res)) > tol.eps_eq * scale:
         raise ValueError("pair elements must lie in the source algebra")
-    if orthonormal_rows(coeffs, tol.eps_rank).shape[0] < coords.shape[0]:
+    if rank(coeffs, tol.eps_rank) < coords.shape[0]:
         raise ValueError("pairs must span the source algebra")
     sol, *_ = np.linalg.lstsq(coeffs, ys, rcond=None)
     defect = float(np.linalg.norm(coeffs @ sol - ys))
@@ -509,9 +509,10 @@ def z_commutation_residual(z: ZUnitary, pair: RepPair) -> float:
 class CrossedProduct:
     """A realized twisted product: one algebra with two marked embeddings.
 
-    family holds the marked spanning elements iota_C(c_i) iota_D(d_j)
-    (i-major over the factors' ambient.basis) as coordinate tensors; onb
-    is an orthonormal basis of their flattened span.  structure[i, j]
+    family holds the marked spanning elements iota_C(c_i) iota_D(d_j) as
+    coordinate tensors, i-major over the factors' homogeneous bases (which
+    are their ambient.basis, see GradedAlgebra); onb is an orthonormal
+    basis of their flattened span.  structure[i, j]
     expands f_i f_j and star[i] expands f_i* in the family (matspan's
     expand_table) when the family is a basis, else both are None.  algebra
     is a dense materialization when the ambient is small enough, else None.
@@ -539,23 +540,20 @@ class CrossedProduct:
     def ambient_dim(self) -> int:
         return self.legs.ambient_dim
 
-    def _expand_factor(self, graded: GradedAlgebra, c, tol: Tolerance) -> np.ndarray:
-        c = cmatrix(c, graded.ambient_dim)
-        coords = graded.ambient.space.coords()
-        row = coords.conj() @ c.reshape(-1)
-        res = float(np.linalg.norm(c.reshape(-1) - row @ coords))
-        if res > tol.eps_eq * max(1.0, float(np.linalg.norm(c))):
-            raise ValueError("element is not in the factor algebra")
-        return row
-
     def iota_c_apply(self, c, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Coordinates of iota_C(c) for c in the first factor."""
-        row = self._expand_factor(self.c_graded, c, tol)
+        try:
+            row = self.c_graded.ambient.space.coords_of(c, tol)
+        except ValueError as exc:
+            raise ValueError("element is not in the factor algebra") from exc
         return np.einsum("k,k...->...", row, self.iota_c)
 
     def iota_d_apply(self, d, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Coordinates of iota_D(d) for d in the second factor."""
-        row = self._expand_factor(self.d_graded, d, tol)
+        try:
+            row = self.d_graded.ambient.space.coords_of(d, tol)
+        except ValueError as exc:
+            raise ValueError("element is not in the factor algebra") from exc
         return np.einsum("k,k...->...", row, self.iota_d)
 
     def element_matrix(self, coords: np.ndarray) -> np.ndarray:
@@ -575,7 +573,7 @@ def _marking_report(
     adjs = np.stack([coords_star(v, legs) for v in iota])
     hom, star_res = table_defect(mult, star, iota, prods, adjs)
     m = iota.shape[0]
-    inj = orthonormal_rows(iota.reshape(m, -1), tol.eps_rank).shape[0] == m
+    inj = rank(iota.reshape(m, -1), tol.eps_rank) == m
     return hom, star_res, inj
 
 
@@ -628,7 +626,8 @@ def _assemble(
         structure = star = None
         rep["structure_residual"] = float("inf")
 
-    rev = coords_product_pairs(iota_d, iota_c, legs).reshape(m, -1)
+    rev_pairs = coords_product_pairs(iota_d, iota_c, legs)
+    rev = rev_pairs.reshape(m, -1)
     onb_rev = orthonormal_rows(rev, tol.eps_rank)
     rep["cstar_equality"] = float(
         max(
@@ -663,25 +662,21 @@ def _assemble(
         report=rep,
     )
 
-    # commutation law on homogeneous pairs, and its invariant special case
+    # commutation law on the homogeneous (= ambient) basis pairs, and its
+    # invariant special case
     zero_g, zero_h = chi.group_g.zero(), chi.group_h.zero()
-    homs_c = c_graded.homogeneous_basis()
-    homs_d = d_graded.homogeneous_basis()
-    a = np.stack([out.iota_c_apply(cm, tol) for _, cm in homs_c])
-    b = np.stack([out.iota_d_apply(dm, tol) for _, dm in homs_d])
-    ab = coords_product_pairs(a, b, legs)
-    ba = np.moveaxis(coords_product_pairs(b, a, legs), 0, 1)
+    deg_c = [g for g, _ in c_graded.homogeneous_basis()]
+    deg_d = [h for h, _ in d_graded.homogeneous_basis()]
+    ab = family.reshape(m_c, m_d, *dims)
+    ba = np.moveaxis(rev_pairs, 0, 1)
     phase = np.array(
-        [[np.conj(chi.value(g, h)) for h, _ in homs_d] for g, _ in homs_c]
-    ).reshape(len(homs_c), len(homs_d), *([1] * len(dims)))
-    flat = (len(homs_c) * len(homs_d), -1)
-    comm = float(np.max(np.linalg.norm((ba - phase * ab).reshape(flat), axis=1)))
-    plain = np.linalg.norm((ab - ba).reshape(flat), axis=1).reshape(
-        len(homs_c), len(homs_d)
-    )
+        [[np.conj(chi.value(g, h)) for h in deg_d] for g in deg_c]
+    ).reshape(m_c, m_d, *([1] * len(dims)))
+    comm = float(np.max(np.linalg.norm((ba - phase * ab).reshape(m, -1), axis=1)))
+    plain = np.linalg.norm((ab - ba).reshape(m, -1), axis=1).reshape(m_c, m_d)
     inv_mask = np.zeros(plain.shape, dtype=bool)
-    inv_mask[[g == zero_g for g, _ in homs_c], :] = True
-    inv_mask[:, [h == zero_h for h, _ in homs_d]] = True
+    inv_mask[[g == zero_g for g in deg_c], :] = True
+    inv_mask[:, [h == zero_h for h in deg_d]] = True
     inv_comm = float(np.max(plain[inv_mask], initial=0.0))
     rep["commutation_law"] = comm
     rep["invariant_commutators"] = inv_comm
@@ -740,27 +735,21 @@ def heisenberg_markings(
     G, H = chi.group_g, chi.group_h
     n_c, n_d = c_graded.ambient_dim, d_graded.ambient_dim
     t_mats = [pair.U[g] @ pair.V[h] for g in G.elements() for h in H.elements()]
-    # homogeneous bases are orthonormal, so these legs usually keep them
+    # the ambient bases are homogeneous and orthonormal, so these legs
+    # usually keep them
+    eye_c, eye_d = np.eye(n_c), np.eye(n_d)
     legs = leg_frames(
         [
-            [m for _, m in c_graded.homogeneous_basis()] + [np.eye(n_c)],
-            [m for _, m in d_graded.homogeneous_basis()] + [np.eye(n_d)],
+            list(c_graded.ambient.basis) + [eye_c],
+            list(d_graded.ambient.basis) + [eye_d],
             t_mats,
         ],
         tol,
     )
-    eye_c, eye_d = np.eye(n_c), np.eye(n_d)
-
-    def embed_c(b):
-        parts = c_graded.decompose(b, tol)
-        return sum(pure_coords(legs, [cg, eye_d, pair.U[g]], tol) for g, cg in parts.items())
-
-    def embed_d(b):
-        parts = d_graded.decompose(b, tol)
-        return sum(pure_coords(legs, [eye_c, dh, pair.V[h]], tol) for h, dh in parts.items())
-
-    iota_c = np.stack([embed_c(b) for b in c_graded.ambient.basis])
-    iota_d = np.stack([embed_d(b) for b in d_graded.ambient.basis])
+    # one pure tensor per ambient row, placed on the Weyl leg by its degree
+    homs_c, homs_d = c_graded.homogeneous_basis(), d_graded.homogeneous_basis()
+    iota_c = np.stack([pure_coords(legs, [b, eye_d, pair.U[g]], tol) for g, b in homs_c])
+    iota_d = np.stack([pure_coords(legs, [eye_c, b, pair.V[h]], tol) for h, b in homs_d])
     return legs, iota_c, iota_d, pair, res
 
 
@@ -880,7 +869,7 @@ def build_via_covariant(
     rows_d = []
     for img in cov_d.images:
         twisted = zm @ np.kron(eye_k, img) @ zm.conj().T
-        coords, res = matrix_to_coords(twisted, legs, tol)
+        coords, res = matrix_to_coords(twisted, legs)
         if res > tol.eps_eq * max(1.0, float(np.linalg.norm(twisted))):
             raise RuntimeError("conjugated image escapes the leg frames")
         rows_d.append(coords)
@@ -917,7 +906,7 @@ class ProductMap:
         return out.reshape(self.target.legs.dims)
 
     def apply_matrix(self, m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        coords, res = matrix_to_coords(m, self.source.legs, tol)
+        coords, res = matrix_to_coords(m, self.source.legs)
         if res > tol.eps_eq * max(1.0, float(np.linalg.norm(np.asarray(m)))):
             raise ValueError("matrix is not in the source ambient frame")
         return coords_to_matrix(self.apply_coords(coords), self.target.legs)
@@ -1057,19 +1046,10 @@ def symmetry(
     """
     chi_hat = dual_bicharacter(x.chi)
     y = build_via_heisenberg(x.d_graded, x.c_graded, chi_hat, tol=tol)
-    basis_c = x.c_graded.ambient.basis
-    basis_d = x.d_graded.ambient.basis
-    c_imgs = [y.iota_d_apply(c, tol) for c in basis_c]
-    d_imgs = [y.iota_c_apply(d, tol) for d in basis_d]
-    fam2 = np.stack(
-        [
-            coords_product(a, b, y.legs)
-            for a in c_imgs
-            for b in d_imgs
-        ]
-    )
-    markings = [(x.iota_c[i], c_imgs[i]) for i in range(len(basis_c))]
-    markings += [(x.iota_d[j], d_imgs[j]) for j in range(len(basis_d))]
+    # y marks the same factor bases, C second: y.iota_d[i] is C's b_i
+    fam2 = coords_product_pairs(y.iota_d, y.iota_c, y.legs)
+    fam2 = fam2.reshape(x.family.shape[0], *y.legs.dims)
+    markings = list(zip(x.iota_c, y.iota_d)) + list(zip(x.iota_d, y.iota_c))
     pm = _family_map(x, fam2, y, True, markings, tol)
     if pm is None or not pm.report["passed"]:
         raise RuntimeError("symmetry equivalence certification failed")
@@ -1095,8 +1075,7 @@ def podles_span_check(
     # right multiplication by E_pq selects column p and is free in q,
     # so the span factors as (span of columns) (x) C^k
     cols = y.transpose(0, 4, 1, 2, 3).reshape(-1, x.legs.dims[0] * x.legs.dims[1] * k)
-    r = orthonormal_rows(cols, tol.eps_rank).shape[0]
-    dim = r * k
+    dim = rank(cols, tol.eps_rank) * k
     expected = x.c_graded.dim * x.d_graded.dim * k * k
     return dim == expected, dim
 
@@ -1134,7 +1113,7 @@ def functor_map(
     d_imgs = [g.apply(d, tol) for d in x1.d_graded.ambient.basis]
     fam2 = _aligned_family(x2, c_imgs, d_imgs, tol)
     pm = _family_map(x1, fam2, x2, False, [], tol)
-    rank2 = orthonormal_rows(fam2.reshape(fam2.shape[0], -1), tol.eps_rank).shape[0]
+    rank2 = rank(fam2.reshape(fam2.shape[0], -1), tol.eps_rank)
     pm.report["injective"] = rank2 == x1.dim
     pm.report["surjective"] = rank2 == x2.dim
     pm.report["injectivity_matches"] = pm.report["injective"] == (

@@ -26,8 +26,7 @@ from .matspan import (
     hs_norm,
     internal_unit,
     multiplicative_closure,
-    orthonormal_rows,
-    residual_outside,
+    rank,
     span_basis,
 )
 from .qgroup import QuantumGroupModel, build_model, translations
@@ -71,6 +70,12 @@ class GradedAlgebra:
     components maps group elements to orthonormally based subspaces; only
     nonzero components are stored.  The validation report records the
     direct-sum, degree-additivity and adjoint-flip residuals.
+
+    When the components form an orthogonal direct sum (direct_sum_ok and
+    component_orthogonality <= eps_eq), ambient.basis is the homogeneous
+    basis itself: the component bases stacked in degrees() order, row k
+    of degree homogeneous_basis()[k][0].  Any other grading fails
+    validation and keeps an orthonormal basis of the span of its inputs.
     """
 
     group: FinAbGroup
@@ -133,7 +138,9 @@ def graded_algebra(
     """Build and validate a graded algebra from degree -> matrices.
 
     Never raises on a bad grading; the violations land in report and flip
-    report["passed"].
+    report["passed"].  The ambient basis is the homogeneous basis when the
+    components are an orthogonal direct sum, else the span_basis of all
+    inputs (see GradedAlgebra).
     """
     comps: dict[tuple[int, ...], Subspace] = {}
     mats_all = []
@@ -152,13 +159,14 @@ def graded_algebra(
     if not mats_all:
         raise ValueError("grading needs at least one nonzero component")
 
-    total = span_basis(mats_all, tol)
+    n = mats_all[0].shape[0]
+    total_dim = rank(np.stack([cmatrix(m, n).reshape(-1) for m in mats_all]), tol.eps_rank)
     closure = multiplicative_closure(mats_all, tol)
     rep: dict = {}
-    rep["total_dim"] = total.dim
+    rep["total_dim"] = total_dim
     rep["component_dims"] = {g: comps[g].dim for g in comps}
-    rep["direct_sum_ok"] = sum(s.dim for s in comps.values()) == total.dim
-    rep["closed_under_products"] = closure.dim == total.dim
+    rep["direct_sum_ok"] = sum(s.dim for s in comps.values()) == total_dim
+    rep["closed_under_products"] = closure.dim == total_dim
     rep["closure_residual"] = closure.closure_residual
 
     ortho = 0.0
@@ -201,6 +209,11 @@ def graded_algebra(
         and mult <= tol.eps_eq
         and adj <= tol.eps_eq
     )
+    if rep["direct_sum_ok"] and ortho <= tol.eps_eq:
+        homs = [comps[g].basis for g in group.elements() if g in comps]
+        total = Subspace(ambient_dim=n, basis=np.concatenate(homs))
+    else:
+        total = span_basis(mats_all, tol)
     ambient = AlgebraBasis(
         space=total,
         contains_identity=closure.contains_identity,
@@ -363,8 +376,7 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
     basis = graded.ambient.basis
     images = [gamma.apply(b, tol) for b in basis]
     stacked = np.stack([m.reshape(-1) for m in images])
-    rank = orthonormal_rows(stacked, tol.eps_rank).shape[0]
-    rep["injective"] = rank == graded.dim
+    rep["injective"] = rank(stacked, tol.eps_rank) == graded.dim
 
     if side == "right":
         prod_span = [np.kron(b, lam[g]) for b in basis for g in group.elements()]
@@ -406,7 +418,7 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
             pod = [m @ np.kron(unit, lam[g]) for m in images for g in group.elements()]
         else:
             pod = [np.kron(lam[g], unit) @ m for m in images for g in group.elements()]
-        pdim = span_basis(pod, tol).dim
+        pdim = rank(np.stack([m.reshape(-1) for m in pod]), tol.eps_rank)
         rep["podles_dim"] = pdim
         rep["podles_ok"] = pdim == graded.dim * group.order
 
@@ -533,13 +545,11 @@ class CovariantRep:
         return self.grading.dimension
 
     def apply(self, c, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        c = cmatrix(c, self.graded.ambient_dim)
-        coords = self.graded.ambient.space.coords()
-        row = c.reshape(1, -1) @ coords.conj().T
-        res = float(np.linalg.norm(c.reshape(-1) - (row @ coords)[0]))
-        if res > tol.eps_eq * max(1.0, hs_norm(c)):
-            raise ValueError("element is not in the represented algebra")
-        return np.einsum("i,iab->ab", row[0], self.images)
+        try:
+            row = self.graded.ambient.space.coords_of(c, tol)
+        except ValueError as exc:
+            raise ValueError("element is not in the represented algebra") from exc
+        return np.einsum("i,iab->ab", row, self.images)
 
 
 def verify_covariant(rep: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> dict:
@@ -558,7 +568,7 @@ def verify_covariant(rep: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> dict:
     out["homomorphism"] = hom
     out["star"] = star
     stacked = rep.images.reshape(len(basis), -1)
-    out["faithful"] = orthonormal_rows(stacked, tol.eps_rank).shape[0] == len(basis)
+    out["faithful"] = rank(stacked, tol.eps_rank) == len(basis)
 
     cov = 0.0
     projections = rep.grading.projections()
@@ -725,7 +735,7 @@ def validate_cocycle(
             for b in graded.ambient.basis
             for g in group.elements()
         ]
-        ddim = span_basis(pod, tol).dim
+        ddim = rank(np.stack([m.reshape(-1) for m in pod]), tol.eps_rank)
         rep["density_dim"] = ddim
         rep["density_ok"] = ddim == graded.dim * n
     rep["passed"] = (

@@ -25,6 +25,7 @@ __all__ = [
     "Subspace",
     "AlgebraBasis",
     "span_basis",
+    "rank",
     "subspace_equal",
     "structure_tables",
     "multiplicative_closure",
@@ -75,16 +76,37 @@ def hs_norm(x: np.ndarray) -> float:
 # row-coordinate core
 
 
+def _cut(s: np.ndarray, eps_rank: float) -> int:
+    """Number of singular values above eps_rank times the largest."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > eps_rank * s[0]))
+
+
 def orthonormal_rows(rows: np.ndarray, eps_rank: float) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space, cut at eps_rank."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
     if rows.size == 0:
         return np.zeros((0, rows.shape[-1]), dtype=np.complex128)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, rows.shape[-1]), dtype=np.complex128)
-    r = int(np.sum(s > eps_rank * s[0]))
-    return vh[:r]
+    return vh[: _cut(s, eps_rank)]
+
+
+def rank(rows: np.ndarray, eps_rank: float) -> int:
+    """Dimension of the row space, cut at eps_rank; singular values only.
+
+    Counts the rows orthonormal_rows would return without computing them.
+    Columns that are zero in every row leave the singular values unchanged
+    and are dropped first: the Kronecker rows of the coaction checks are
+    mostly such columns, and LAPACK is several times slower with them.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
+    live = np.any(rows != 0, axis=0)
+    if not live.all():
+        rows = rows[:, live]
+    if rows.size == 0:
+        return 0
+    return _cut(np.linalg.svd(rows, compute_uv=False), eps_rank)
 
 
 def residual_outside(rows: np.ndarray, onb: np.ndarray) -> np.ndarray:
@@ -103,11 +125,7 @@ def left_null_rows(rows: np.ndarray, eps_rank: float) -> np.ndarray:
     if m == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(rows, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.sum(s > eps_rank * s[0]))
-    return u.conj().T[r:]
+    return u.conj().T[_cut(s, eps_rank) :]
 
 
 def relation_transport(
@@ -157,17 +175,19 @@ def expand_table(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None, float]:
     """(table, monomial form or None, residual) of targets in the rows' span.
 
-    When every target is one unit row up to eps_eq, t ~ c f_k with
-    c = <f_k, t>, the table holds that one term exactly, the monomial form
-    is the pair of arrays (k, c) and the residual the worst ||t - c f_k||
-    (rows of another norm fail this test).  Otherwise the table is the
-    least-squares expansion of expand_in_rows with its worst residual.
+    When every target is one row up to eps_eq, t ~ c f_k with
+    c = <f_k, t> / ||f_k||^2 (rows of any nonzero norm), the table holds
+    that one term exactly, the monomial form is the pair of arrays (k, c)
+    and the residual the worst ||t - c f_k||.  Otherwise, and whenever a
+    row is zero, the table is the least-squares expansion of
+    expand_in_rows with its worst residual.
     """
     coeffs = targets @ rows.conj().T
-    if coeffs.size:
+    sq = np.einsum("ij,ij->i", rows.conj(), rows).real
+    if coeffs.size and np.all(sq > 0.0):
         r = np.arange(coeffs.shape[0])
-        k = np.argmax(np.abs(coeffs), axis=1)
-        c = coeffs[r, k]
+        k = np.argmax(np.abs(coeffs) / np.sqrt(sq), axis=1)
+        c = coeffs[r, k] / sq[k]
         one_term = float(np.max(np.linalg.norm(targets - c[:, None] * rows[k], axis=1)))
         if one_term <= tol.eps_eq:
             table = np.zeros_like(coeffs)
@@ -234,6 +254,19 @@ class Subspace:
 
     def contains(self, mat: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.contains_residual(mat) <= tol.eps_eq * max(1.0, hs_norm(mat))
+
+    def coords_of(self, mat: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """Coordinates of mat in the basis; raises outside the span.
+
+        The bound is eps_eq * max(1, ||mat||) on the distance from the span.
+        """
+        vec = cmatrix(mat, self.ambient_dim).reshape(-1)
+        coords = self.coords()
+        row = coords.conj() @ vec
+        res = float(np.linalg.norm(vec - row @ coords))
+        if res > tol.eps_eq * max(1.0, hs_norm(vec)):
+            raise ValueError(f"element lies outside the subspace (residual {res:.2e})")
+        return row
 
     def contains_residual(self, mat: np.ndarray) -> float:
         mat = cmatrix(mat, self.ambient_dim)
@@ -425,7 +458,7 @@ def _enrich_families(alg1, fam1, alg2, fam2, tol):
         adj2 = b2.conj().transpose(0, 2, 1).reshape(r, -1)
         x1 = np.vstack([x1, prod1, adj1])
         x2 = np.vstack([x2, prod2, adj2])
-        if orthonormal_rows(x1, tol.eps_rank).shape[0] == r:
+        if rank(x1, tol.eps_rank) == r:
             raise ValueError("marked family does not generate its algebra")
 
 
@@ -459,7 +492,7 @@ def find_generator_isomorphism(
     coeff, _ = expand_in_rows(onb1, x1)
     img = coeff @ x2
     d = onb1.shape[0]
-    if orthonormal_rows(img, tol.eps_rank).shape[0] != d:
+    if rank(img, tol.eps_rank) != d:
         return None
     b1 = onb1.reshape(d, n1, n1)
     b2 = img.reshape(d, n2, n2)

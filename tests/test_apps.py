@@ -29,16 +29,18 @@ from qtwist.boxtimes import (
     build_via_heisenberg,
     coords_product_pairs,
     coords_star,
+    graded_morphism,
     product_center_dim,
 )
 from qtwist.coact import (
     ad_grading,
+    canonical_covariant_rep,
     character_grading,
     delta_grading,
     grading_to_coaction,
     make_cocycle,
 )
-from qtwist.matspan import center, expand_in_rows
+from qtwist.matspan import DEFAULT_TOL, center, expand_in_rows
 from qtwist.qgroup import translations
 
 Z2 = FinAbGroup((2,))
@@ -292,12 +294,23 @@ def monomial_structure_oracle(x):
     ids=["torus-6-1", "skew", "rieffel-z3", "rieffel-z3-character"],
 )
 def test_monomial_tables_match_recomputed_products(make):
+    # the family is i-major over the homogeneous bases, so x's own tables
+    # are the monomial tables
     x = make().objects["product"]
-    mu, smat, res = apps._monomial_tables(x)
+    res = max(x.report["structure_residual"], x.report["adjoint_residual"])
     want_mu, want_smat, want_res = monomial_structure_oracle(x)
-    assert np.max(np.abs(mu - want_mu)) <= 1e-12
-    assert np.max(np.abs(smat - want_smat)) <= 1e-12
+    assert np.max(np.abs(x.structure - want_mu)) <= 1e-12
+    assert np.max(np.abs(x.star - want_smat)) <= 1e-12
     assert max(res, want_res) < 1e-12
+
+
+def test_torus_family_is_one_hot_and_matches_the_cocycle_table():
+    x = finite_torus(6, 1).objects["product"]
+    rows = x.family.reshape(x.family.shape[0], -1)
+    assert np.array_equal(np.count_nonzero(rows, axis=1), np.ones(len(rows)))
+    table = cocycle_twist_table(x.c_graded, x.d_graded, x.chi)
+    assert np.max(np.abs(x.structure - table.structure)) <= 1e-12
+    assert np.max(np.abs(x.star - table.star)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +455,30 @@ def test_scenario_reports_are_json_clean():
     dumped = json.dumps(res.report)
     assert "skew_tensor" in dumped
     assert res.report["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# membership in a factor
+
+
+def _factor_maps():
+    c = delta_grading(Z2)
+    x = build_via_heisenberg(c, c, CHI2)
+    return {
+        "factor algebra": x.iota_c_apply,
+        "source algebra": graded_morphism(c, c, list(c.ambient.basis)).apply,
+        "marked factor": lambda m: apps._marked_coords(c, x.iota_c, m, DEFAULT_TOL),
+        "represented algebra": canonical_covariant_rep(c).apply,
+    }
+
+
+@pytest.mark.parametrize(
+    "where", ["factor algebra", "source algebra", "marked factor", "represented algebra"]
+)
+def test_element_outside_the_factor_raises_through_every_caller(where):
+    maps = _factor_maps()
+    lam = translations(Z2)
+    maps[where](lam[(1,)])  # inside: sigma_x is lambda_1
+    sz = np.diag([1.0, -1.0]).astype(np.complex128)  # not a circulant
+    with pytest.raises(ValueError, match=f"not in the {where}"):
+        maps[where](sz)

@@ -79,6 +79,48 @@ def test_invalid_grading_reported_not_raised():
     assert graded.report["direct_sum_ok"]
 
 
+def _sample_gradings():
+    u = np.array([[1, 1j], [1j, 1]], dtype=np.complex128) / np.sqrt(2)
+    m2 = ad_grading(Z2, [(0,), (1,)])
+    return {
+        "delta": delta_grading(Z4),
+        "character": character_grading(FinAbGroup((2, 2))),
+        "ad": ad_grading(Z4, [(0,), (3,), (1,)]),
+        "trivial": trivial_grading(Z2, M2_BASIS),
+        "direct_sum": direct_sum_grading(delta_grading(Z2), m2),
+        "conjugate": conjugate_grading(m2, u),
+        "transported": transport_grading(delta_grading(Z4), GroupHom(Z4, Z2, ((1,),))),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["delta", "character", "ad", "trivial", "direct_sum", "conjugate", "transported"],
+)
+def test_valid_grading_ambient_basis_is_its_homogeneous_basis(kind):
+    graded = _sample_gradings()[kind]
+    assert graded.report["passed"]
+    homs = np.stack([m for _, m in graded.homogeneous_basis()])
+    assert np.array_equal(graded.ambient.basis, homs)
+    rows = graded.ambient.space.coords()
+    assert np.linalg.norm(rows @ rows.conj().T - np.eye(graded.dim)) < 1e-12
+
+
+def test_overlapping_components_keep_an_orthonormal_fallback_ambient():
+    # I and I + SX share a direction: a direct sum by dimension whose
+    # components are not orthogonal
+    graded = graded_algebra(Z2, {(0,): [I2], (1,): [I2 + SX]})
+    assert graded.report["direct_sum_ok"]
+    assert graded.report["component_orthogonality"] > 0.5
+    assert not graded.report["passed"]
+    rows = graded.ambient.space.coords()
+    assert graded.dim == 2
+    assert np.linalg.norm(rows @ rows.conj().T - np.eye(2)) < 1e-12
+    assert graded.ambient.space.contains(SX)
+    homs = np.stack([m.reshape(-1) for _, m in graded.homogeneous_basis()])
+    assert np.max(np.abs(rows - homs)) > 0.1
+
+
 def test_decompose_and_reassemble():
     graded = ad_grading(Z2, [(0,), (1,)])
     x = E11 + 2 * E12 - 1j * E21

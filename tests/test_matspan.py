@@ -16,6 +16,8 @@ from qtwist.matspan import (
     hs_norm,
     left_null_rows,
     multiplicative_closure,
+    orthonormal_rows,
+    rank,
     relation_transport,
     span_basis,
     structure_tables,
@@ -217,7 +219,7 @@ def rebase(mult, star, t):
 def test_structure_tables_monomial_and_dense_paths_agree():
     graded = character_grading(FinAbGroup((6,)))
     homs = np.stack([m for _, m in graded.homogeneous_basis()])
-    rotated = graded.ambient.basis
+    rotated = span_basis(list(homs)).basis
     mu_h, st_h, res_h, mono = structure_tables(homs)
     mu_r, st_r, res_r, mono_r = structure_tables(rotated)
     # the homogeneous basis multiplies monomially, its rotation does not
@@ -234,9 +236,10 @@ def test_structure_tables_monomial_and_dense_paths_agree():
     assert np.max(np.abs(st - st_h)) <= 1e-12
 
 
-def test_structure_tables_unnormalised_rows_take_the_dense_path():
+def test_structure_tables_unnormalised_rows_take_the_monomial_path():
     # clock and shift monomials divided by n: orthogonal rows of norm
-    # n^-1/2, whose products are single rows times phase / n
+    # n^-1/2, whose products are single rows times phase / n, so the
+    # one-term test divides by the squared row norm
     n = 4
     clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
     shift = np.roll(np.eye(n), 1, axis=0).astype(np.complex128)
@@ -249,7 +252,7 @@ def test_structure_tables_unnormalised_rows_take_the_dense_path():
     )
     m = n * n
     mult, star, res, mono = structure_tables(fam)
-    assert mono is None
+    assert mono is not None
     assert res < 1e-12
     rows = fam.reshape(m, -1)
     prods = np.einsum("iab,jbc->ijac", fam, fam).reshape(m * m, -1)
@@ -257,6 +260,18 @@ def test_structure_tables_unnormalised_rows_take_the_dense_path():
     want_star, _ = expand_in_rows(fam.conj().transpose(0, 2, 1).reshape(m, -1), rows)
     assert np.max(np.abs(mult.reshape(m * m, m) - want_mult)) <= 1e-12
     assert np.max(np.abs(star - want_star)) <= 1e-12
+
+
+def test_rank_counts_the_rows_orthonormal_rows_returns():
+    rng = np.random.default_rng(11)
+    full = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+    deficient = rng.standard_normal((6, 3)) @ full[:3]
+    # zero columns, as in Kronecker rows, are dropped before the SVD
+    sparse = np.hstack([deficient, np.zeros((6, 7))])[:, rng.permutation(16)]
+    for rows in (full, deficient, sparse, np.zeros((0, 9)), np.zeros((4, 9))):
+        want = orthonormal_rows(rows, DEFAULT_TOL.eps_rank).shape[0]
+        assert rank(rows, DEFAULT_TOL.eps_rank) == want
+    assert rank(deficient, DEFAULT_TOL.eps_rank) == rank(sparse, DEFAULT_TOL.eps_rank) == 3
 
 
 def test_structure_tables_unclosed_span_reports_its_residual():
