@@ -60,6 +60,7 @@ from .heis import RepPair, canonical_heisenberg, is_heisenberg
 from .matspan import (
     DEFAULT_TOL,
     Tolerance,
+    check_size,
     cmatrix,
     expand_in_rows,
     hs_norm,
@@ -304,6 +305,8 @@ def finite_torus(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult
     """
     if not (isinstance(n, int) and isinstance(k, int) and n >= 2 and 0 <= k < n):
         raise ValueError("torus parameters need n >= 2 and 0 <= k < n")
+    # the family's pair products: m = k = n^2 members, n^4 coordinates each
+    check_size(n**8, f"torus n={n} pair products")
     G = FinAbGroup((n,))
     chi = Bicharacter(G, G, ((k,),))
     c = delta_grading(G, tol)
@@ -477,7 +480,7 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
         mats = [coords_to_matrix(coords_product(a, dc, x.legs), x.legs) for a in x.iota_c]
         parts.setdefault(p, []).extend(mats)
     graded_hat = graded_algebra(ghat, parts, tol)
-    gamma = grading_to_coaction(graded_hat, side="left", tol=tol)
+    gamma = grading_to_coaction(graded_hat, side="left")
     co_rep = verify_coaction(gamma, tol)
 
     comp0 = graded_hat.component(ghat.zero())
@@ -623,7 +626,7 @@ def embed_in_reduced(
             kern += chi.value(gx, hy) * np.kron(
                 np.kron(eye_c, px), np.kron(eye_d, qy)
             )
-    gamma_d = grading_to_coaction(d_graded, side="right", tol=tol)
+    gamma_d = grading_to_coaction(d_graded, side="right")
     head = np.eye(n_c * G.order)
 
     def emb_d(b):
@@ -739,9 +742,9 @@ def cocycle_conjugacy(
     that is certified multiplicative, star-preserving and bijective.
     """
     if isinstance(gamma, GradedAlgebra):
-        gamma = grading_to_coaction(gamma, side="right", tol=tol)
+        gamma = grading_to_coaction(gamma, side="right")
     if isinstance(delta, GradedAlgebra):
-        delta = grading_to_coaction(delta, side="right", tol=tol)
+        delta = grading_to_coaction(delta, side="right")
     c_graded, d_graded = gamma.graded, delta.graded
 
     def cocycle_matrix(coaction, w, name):
@@ -1359,8 +1362,8 @@ def full_verify(
     routes, their equivalence, the dimension law, the dense-span check
     and the cocycle-table comparison.  An explicit Weyl pair replaces
     the canonical witness when given."""
-    co_c = verify_coaction(grading_to_coaction(c_graded, "right", tol), tol)
-    co_d = verify_coaction(grading_to_coaction(d_graded, "right", tol), tol)
+    co_c = verify_coaction(grading_to_coaction(c_graded, "right"), tol)
+    co_d = verify_coaction(grading_to_coaction(d_graded, "right"), tol)
     if pair is None:
         pair = canonical_heisenberg(chi, tol)
     pair_ok, pair_res = is_heisenberg(pair, chi, tol)

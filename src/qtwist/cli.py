@@ -42,7 +42,7 @@ from .heis import (
     composite_heisenberg,
     conjugate_pair,
 )
-from .matspan import DEFAULT_TOL, Tolerance
+from .matspan import DEFAULT_TOL, BudgetError, Tolerance
 from .qgroup import MAX_MODEL_ORDER, translations
 
 REPRODUCER_PATH = "qtwist_reproducer.json"
@@ -312,7 +312,11 @@ def cmd_verify(args) -> int:
         return 1
 
     pair = witness_pair(witness, chi, tol)
-    res = full_verify(c, d, chi, tol, pair=pair, witness=witness)
+    try:
+        res = full_verify(c, d, chi, tol, pair=pair, witness=witness)
+    except BudgetError as e:
+        emit_report({"error": "params", "message": str(e)}, "json", sys.stderr)
+        return 2
     report = dict(res.report)
     report["tolerance"] = tolerance_dict(tol)
     report["residuals"] = dict(report["residuals"])

@@ -21,12 +21,15 @@ from .matspan import (
     AlgebraBasis,
     Subspace,
     Tolerance,
+    check_size,
     cmatrix,
     expand_in_rows,
     hs_norm,
     internal_unit,
     multiplicative_closure,
+    orthonormal_rows,
     rank,
+    residual_outside,
     span_basis,
 )
 from .qgroup import QuantumGroupModel, build_model, translations
@@ -74,14 +77,16 @@ class GradedAlgebra:
     When the components form an orthogonal direct sum (direct_sum_ok and
     component_orthogonality <= eps_eq), ambient.basis is the homogeneous
     basis itself: the component bases stacked in degrees() order, row k
-    of degree homogeneous_basis()[k][0].  Any other grading fails
-    validation and keeps an orthonormal basis of the span of its inputs.
+    of degree homogeneous_basis()[k][0], and homogeneous_ambient is True.
+    Any other grading fails validation and keeps an orthonormal basis of
+    the span of its inputs.
     """
 
     group: FinAbGroup
     ambient: AlgebraBasis
     components: dict[tuple[int, ...], Subspace]
     report: dict = field(default_factory=dict)
+    homogeneous_ambient: bool = False
 
     @property
     def ambient_dim(self) -> int:
@@ -111,16 +116,30 @@ class GradedAlgebra:
         return out
 
     def decompose(self, x, tol: Tolerance = DEFAULT_TOL) -> dict:
-        """Degree components of an algebra element; raises outside the span."""
+        """Degree components of an algebra element; raises outside the span.
+
+        The coefficients on the homogeneous basis are ambient coordinates
+        when that basis is the ambient one, else a least-squares expansion;
+        either way the bound is eps_eq * max(1, ||x||) on the residual.
+        """
         x = cmatrix(x, self.ambient_dim)
-        labeled = self.homogeneous_basis()
-        rows = np.stack([m.reshape(-1) for _, m in labeled])
-        coeffs, res = expand_in_rows(x.reshape(1, -1), rows)
-        if res[0] > tol.eps_eq * max(1.0, hs_norm(x)):
-            raise ValueError("element is not in the graded algebra")
+        if self.homogeneous_ambient:
+            try:
+                coeffs = self.ambient.space.coords_of(x, tol)
+            except ValueError as exc:
+                raise ValueError("element is not in the graded algebra") from exc
+        else:
+            rows = np.stack([m.reshape(-1) for _, m in self.homogeneous_basis()])
+            coeffs, res = expand_in_rows(x.reshape(1, -1), rows)
+            if res[0] > tol.eps_eq * max(1.0, hs_norm(x)):
+                raise ValueError("element is not in the graded algebra")
+            coeffs = coeffs[0]
         parts: dict = {}
-        for c, (g, m) in zip(coeffs[0], labeled):
-            parts[g] = parts.get(g, 0) + c * m
+        k = 0
+        for g in self.degrees():
+            basis = self.components[g].basis
+            parts[g] = np.tensordot(coeffs[k : k + len(basis)], basis, 1)
+            k += len(basis)
         return parts
 
     def degree_of(self, x, tol: Tolerance = DEFAULT_TOL):
@@ -181,14 +200,13 @@ def graded_algebra(
     for g in keys:
         for h in keys:
             gh = group.add(g, h)
-            for a in comps[g].basis:
-                for b in comps[h].basis:
-                    p = a @ b
-                    if gh in comps:
-                        r = comps[gh].contains_residual(p)
-                    else:
-                        r = hs_norm(p)
-                    mult = max(mult, r)
+            prods = np.matmul(comps[g].basis[:, None], comps[h].basis[None, :])
+            prods = prods.reshape(-1, n * n)
+            if gh in comps:
+                r = residual_outside(prods, comps[gh].coords())
+            else:
+                r = np.linalg.norm(prods, axis=1)
+            mult = max(mult, float(np.max(r)))
     rep["multiplication_residual"] = mult
 
     adj = 0.0
@@ -209,7 +227,8 @@ def graded_algebra(
         and mult <= tol.eps_eq
         and adj <= tol.eps_eq
     )
-    if rep["direct_sum_ok"] and ortho <= tol.eps_eq:
+    homogeneous = rep["direct_sum_ok"] and ortho <= tol.eps_eq
+    if homogeneous:
         homs = [comps[g].basis for g in group.elements() if g in comps]
         total = Subspace(ambient_dim=n, basis=np.concatenate(homs))
     else:
@@ -219,7 +238,13 @@ def graded_algebra(
         contains_identity=closure.contains_identity,
         closure_residual=closure.closure_residual,
     )
-    return GradedAlgebra(group=group, ambient=ambient, components=comps, report=rep)
+    return GradedAlgebra(
+        group=group,
+        ambient=ambient,
+        components=comps,
+        report=rep,
+        homogeneous_ambient=homogeneous,
+    )
 
 
 def trivial_grading(
@@ -343,90 +368,135 @@ class CoactionMap:
     def apply(self, c, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         parts = self.graded.decompose(c, tol)
         lam = translations(self.model.group)
+        cs = np.stack(list(parts.values()))
+        ls = np.stack([lam[g] for g in parts])
+        # sum_g kron(c_g, lambda_g) (right) or kron(lambda_g, c_g) (left)
+        if self.side == "right":
+            out = np.tensordot(cs, ls, axes=(0, 0)).transpose(0, 2, 1, 3)
+        else:
+            out = np.tensordot(ls, cs, axes=(0, 0)).transpose(0, 2, 1, 3)
         n = self.target_dim
-        out = np.zeros((n, n), dtype=np.complex128)
-        for g, cg in parts.items():
-            if self.side == "right":
-                out += np.kron(cg, lam[g])
-            else:
-                out += np.kron(lam[g], cg)
-        return out
+        return out.reshape(n, n)
 
 
-def grading_to_coaction(
-    graded: GradedAlgebra, side: str = "right", tol: Tolerance = DEFAULT_TOL
-) -> CoactionMap:
+def grading_to_coaction(graded: GradedAlgebra, side: str = "right") -> CoactionMap:
     """The coaction attached to a grading, over the certified model of G."""
-    del tol
     return CoactionMap(graded=graded, model=build_model(graded.group), side=side)
 
 
 def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Check the coaction axioms; returns a report, never raises.
+    """Check the coaction axioms in leg coordinates; returns a report.
 
-    Covers the grading invariants, injectivity, image containment in
-    C (x) A, the comodule identity against the conjugation-form
-    comultiplication, and the Podles density with the algebra's own unit.
+    Raises BudgetError (a ValueError), before computing any image, only
+    when the dense images (dim * (n |G|)^2 entries) exceed
+    matspan.MAX_DENSE_ENTRIES.
+    Each basis image gamma(c_t) is computed densely and read as an
+    (A-entries x C-entries) matrix.  qa is an orthonormal basis of
+    span{lambda_g}, c_u the orthonormal ambient basis of C, and K[t, s, u]
+    the coefficients of gamma(c_t) on qa_s (x) c_u, so that
+    gamma(c_t) ~ sum K[t, s, u] c_u (x) qa_s (right side; qa_s (x) c_u on
+    the left).  Nothing assumes an image has the form c (x) lambda_g.
+
+    - image_in_c_tensor_a: worst Frobenius residual r_t of that
+      projection, which is the distance of gamma(c_t) from C (x) A.
+      Bound eps_eq.
+    - comodule_identity: the identity is applied to the grading's own
+      coaction of c_t, sum_g (c_t)_g (x) lambda_g, with coefficients
+      J[t, s, u], and gamma is the inner map, so a gamma that disagrees
+      with the grading fails it even when gamma alone is coassociative
+      (b -> lambda_{2 deg b} (x) b over Z/3).  The value is the
+      worst over t of the coefficient distance between
+      (gamma (x) id)(J[t]) = sum J[t, b, u] K[u, a, v] and
+      (id (x) Delta)(J[t]) = sum J[t, s, v] Delta[s, a, b] in the
+      orthonormal basis c_v (x) qa_a (x) qa_b (left side:
+      (id (x) gamma) and (Delta (x) id), in qa_a (x) qa_b (x) c_v), where
+      Delta(qa_s) = sum Delta[s, a, b] qa_a (x) qa_b up to a residual e_s;
+      plus ||J[t]|| (sqrt(sum_u r_u^2) + sqrt(sum_s e_s^2)), which bounds
+      what the coefficients leave out.  So the value is an upper bound of
+      the dense Frobenius residual of the identity.  Bound
+      eps_eq * max(1, dim).
+    - injective: the rank of the rows K[t] (cut eps_rank) equals dim.
+    - podles_ok: gamma(c_t) (unit (x) lambda_g) (left side:
+      (lambda_g (x) unit) gamma(c_t)) in coordinates, through the matrices
+      of multiplication by lambda_g on qa and by the algebra's unit on c_u;
+      the rank of these dim * |G| rows of length |G| * dim (cut eps_rank)
+      equals dim * |G|.  Singular values of the rows themselves, no Gram
+      matrix, so the relative cut is not squared.
     """
     graded, model, side = gamma.graded, gamma.model, gamma.side
     group = graded.group
     lam = translations(group)
+    els = group.elements()
+    na, n, d = group.order, graded.ambient_dim, graded.dim
+    check_size(d * (n * na) ** 2, "dense coaction images")
     rep: dict = {"side": side, "grading_passed": graded.report.get("passed", True)}
 
-    basis = graded.ambient.basis
-    images = [gamma.apply(b, tol) for b in basis]
-    stacked = np.stack([m.reshape(-1) for m in images])
-    rep["injective"] = rank(stacked, tol.eps_rank) == graded.dim
-
-    if side == "right":
-        prod_span = [np.kron(b, lam[g]) for b in basis for g in group.elements()]
-    else:
-        prod_span = [np.kron(lam[g], b) for b in basis for g in group.elements()]
-    ca = span_basis(prod_span, tol)
-    rep["image_in_c_tensor_a"] = float(
-        max(ca.contains_residual(m) for m in images)
-    )
-
-    big = 0.0
-    for b in basis:
-        parts = graded.decompose(b, tol)
+    qa = orthonormal_rows(np.stack([lam[g].reshape(-1) for g in els]), tol.eps_rank)
+    qc = graded.ambient.space.coords()
+    qa_h, qc_h = qa.conj(), qc.conj().T
+    coeffs = np.empty((d, qa.shape[0], d), dtype=np.complex128)
+    member = np.empty(d)
+    for t, b in enumerate(graded.ambient.basis):
+        m = gamma.apply(b, tol)
         if side == "right":
-            # (gamma (x) id) gamma(b)  vs  (id (x) Delta) gamma(b)
-            lhs = sum(
-                np.kron(gamma.apply(cg, tol), lam[g]) for g, cg in parts.items()
-            )
-            rhs = sum(
-                np.kron(cg, model.comultiplication(lam[g])) for g, cg in parts.items()
-            )
+            view = m.reshape(n, na, n, na).transpose(1, 3, 0, 2)
         else:
-            # (id (x) gamma) gamma(b)  vs  (Delta (x) id) gamma(b)
-            lhs = sum(
-                np.kron(lam[g], gamma.apply(cg, tol)) for g, cg in parts.items()
-            )
-            rhs = sum(
-                np.kron(model.comultiplication(lam[g]), cg) for g, cg in parts.items()
-            )
-        big = max(big, float(np.linalg.norm(lhs - rhs)))
-    rep["comodule_identity"] = big
+            view = m.reshape(na, n, na, n).transpose(0, 2, 1, 3)
+        view = view.reshape(na * na, n * n)
+        coeffs[t] = qa_h @ view @ qc_h
+        member[t] = np.linalg.norm(view - qa.T @ coeffs[t] @ qc)
+    rep["injective"] = rank(coeffs.reshape(d, -1), tol.eps_rank) == d
+    rep["image_in_c_tensor_a"] = float(np.max(member))
+
+    # J: c_t = sum_k in_hom[t, k] h_k over the homogeneous basis, as in decompose
+    labeled = graded.homogeneous_basis()
+    hom = np.stack([m.reshape(-1) for _, m in labeled])
+    in_hom, _ = expand_in_rows(qc, hom)
+    lam_qa = np.stack([qa.conj() @ lam[g].reshape(-1) for g, _ in labeled])
+    outer = np.einsum("tk,ks,ku->tsu", in_hom, lam_qa, hom @ qc.conj().T)
+    delta = np.stack([model.comultiplication(q.reshape(na, na)) for q in qa])
+    delta = delta.reshape(-1, na, na, na, na).transpose(0, 1, 3, 2, 4)
+    delta = delta.reshape(-1, na * na, na * na)
+    dco = qa.conj() @ delta @ qa.conj().T
+    d_res = np.linalg.norm(delta - qa.T @ dco @ qa, axis=(1, 2))
+    if side == "right":
+        # c_v (x) qa_a (x) qa_b: the inner gamma gives qa_a, the outer qa_b
+        lhs = np.einsum("tbu,uav->tvab", outer, coeffs)
+        rhs = np.einsum("tsv,sab->tvab", outer, dco)
+    else:
+        # qa_a (x) qa_b (x) c_v: the outer gamma gives qa_a, the inner qa_b
+        lhs = np.einsum("tau,ubv->tabv", outer, coeffs)
+        rhs = np.einsum("tsv,sab->tabv", outer, dco)
+    defect = np.linalg.norm((lhs - rhs).reshape(d, -1), axis=1)
+    slack = np.linalg.norm(outer.reshape(d, -1), axis=1) * (
+        np.linalg.norm(member) + np.linalg.norm(d_res)
+    )
+    rep["comodule_identity"] = float(np.max(defect + slack))
 
     unit = internal_unit(graded.ambient, tol)
     if unit is None:
         rep["podles_dim"] = -1
         rep["podles_ok"] = False
     else:
+        qa3, qc3 = qa.reshape(-1, na, na), qc.reshape(-1, n, n)
         if side == "right":
-            pod = [m @ np.kron(unit, lam[g]) for m in images for g in group.elements()]
+            by_g = np.stack([qa3 @ lam[g] for g in els])
+            by_unit = qc3 @ unit
         else:
-            pod = [np.kron(lam[g], unit) @ m for m in images for g in group.elements()]
-        pdim = rank(np.stack([m.reshape(-1) for m in pod]), tol.eps_rank)
+            by_g = np.stack([lam[g] @ qa3 for g in els])
+            by_unit = unit @ qc3
+        mult_a = by_g.reshape(na, -1, na * na) @ qa.conj().T
+        mult_c = by_unit.reshape(d, n * n) @ qc.conj().T
+        pod = np.einsum("tsu,gsa,uc->tgac", coeffs, mult_a, mult_c, optimize=True)
+        pdim = rank(pod.reshape(d * na, -1), tol.eps_rank)
         rep["podles_dim"] = pdim
-        rep["podles_ok"] = pdim == graded.dim * group.order
+        rep["podles_ok"] = pdim == d * na
 
     rep["passed"] = (
         rep["grading_passed"]
         and rep["injective"]
         and rep["image_in_c_tensor_a"] <= tol.eps_eq
-        and rep["comodule_identity"] <= tol.eps_eq * max(1.0, graded.dim)
+        and rep["comodule_identity"] <= tol.eps_eq * max(1.0, d)
         and rep["podles_ok"]
     )
     return rep
@@ -475,7 +545,7 @@ def coaction_from_map(
         raise ValueError(f"raw map does not define a grading: {graded.report}")
     if graded.dim != algebra.dim:
         raise ValueError("recovered grading does not span the algebra")
-    gamma = grading_to_coaction(graded, side, tol)
+    gamma = grading_to_coaction(graded, side)
 
     recon = max(
         float(np.linalg.norm(gamma.apply(b, tol) - img))
@@ -598,7 +668,7 @@ def canonical_covariant_rep(
     reread as a representation.
     """
     group = graded.group
-    gamma = grading_to_coaction(graded, "right", tol)
+    gamma = grading_to_coaction(graded, "right")
     images = np.stack([gamma.apply(b, tol) for b in graded.ambient.basis])
     degrees = tuple(
         k for _ in range(graded.ambient_dim) for k in group.elements()

@@ -19,6 +19,9 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
+    "MAX_DENSE_ENTRIES",
+    "BudgetError",
+    "check_size",
     "cmatrix",
     "hs_inner",
     "hs_norm",
@@ -51,6 +54,24 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# Most complex entries (2 GiB) that one dense array may hold.  A fixed
+# constant, not a reading of free memory, so a verdict does not depend on
+# the machine; callers estimate their largest array before allocating it.
+MAX_DENSE_ENTRIES = 2**27
+
+
+class BudgetError(ValueError):
+    """An estimated dense array above MAX_DENSE_ENTRIES."""
+
+
+def check_size(entries: int, what: str) -> None:
+    """Raise BudgetError stating the estimate when it exceeds the budget."""
+    if entries > MAX_DENSE_ENTRIES:
+        raise BudgetError(
+            f"{what}: {entries} complex entries ({entries * 16 / 2**30:.3g} GiB) exceed"
+            f" the budget of {MAX_DENSE_ENTRIES} ({MAX_DENSE_ENTRIES * 16 / 2**30:.3g} GiB)"
+        )
 
 
 def cmatrix(a, dim: int | None = None) -> np.ndarray:
@@ -97,8 +118,9 @@ def rank(rows: np.ndarray, eps_rank: float) -> int:
 
     Counts the rows orthonormal_rows would return without computing them.
     Columns that are zero in every row leave the singular values unchanged
-    and are dropped first: the Kronecker rows of the coaction checks are
-    mostly such columns, and LAPACK is several times slower with them.
+    and are dropped first, since LAPACK is several times slower with them;
+    a wide array is passed transposed, which has the same singular values
+    and which LAPACK factors about twice as fast.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
     live = np.any(rows != 0, axis=0)
@@ -106,6 +128,8 @@ def rank(rows: np.ndarray, eps_rank: float) -> int:
         rows = rows[:, live]
     if rows.size == 0:
         return 0
+    if rows.shape[0] < rows.shape[1]:
+        rows = rows.T
     return _cut(np.linalg.svd(rows, compute_uv=False), eps_rank)
 
 
@@ -330,31 +354,54 @@ def multiplicative_closure(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraB
 
     Alternates span extension with pairwise products (lexicographic order)
     and adjoints until the dimension stabilizes.  Deterministic for a fixed
-    generator order.
+    generator order.  The span is closed when the products and adjoints
+    of its basis add no rank: certain when their residual outside the
+    span is below eps_rank, else decided by `rank` of the extended stack.
+    The first basis is the normalised generators when they are exactly
+    orthogonal, else their orthonormal_rows; each extension is the
+    orthonormal_rows of the stack, and the last basis is returned.
     """
     gens = [cmatrix(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
     gens = [cmatrix(g, n) for g in gens]
-    coords = orthonormal_rows(np.stack([g.reshape(-1) for g in gens]), tol.eps_rank)
+    rows = np.stack([g.reshape(-1) for g in gens])
+    gram = rows @ rows.conj().T
+    norms = np.sqrt(np.diag(gram).real)
+    if not np.any(gram - np.diag(np.diag(gram))):
+        # exactly orthogonal generators (disjoint supports, say) have their
+        # norms as singular values: normalised, they already are a basis
+        keep = norms > tol.eps_rank * np.max(norms)
+        coords = rows[keep] / norms[keep, None]
+    else:
+        coords = orthonormal_rows(rows, tol.eps_rank)
     while True:
         basis = coords.reshape(-1, n, n)
         k = basis.shape[0]
-        prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(k * k, n * n)
         adjs = basis.conj().transpose(0, 2, 1).reshape(k, n * n)
-        stacked = np.vstack([coords, prods, adjs])
-        new = orthonormal_rows(stacked, tol.eps_rank)
-        if new.shape[0] == k:
-            worst = float(np.max(residual_outside(np.vstack([prods, adjs]), new)))
+        # residuals of the products b_i b_j, one block of k per i, then adjoints
+        outside = np.concatenate(
+            [residual_outside((b @ basis).reshape(k, n * n), coords) for b in basis]
+            + [residual_outside(adjs, coords)]
+        )
+        # [coords; products; adjoints] has s_k >= 1 (orthonormal coords, words
+        # of norm <= 1) and s_{k+1} <= ||outside||, so a residual below
+        # eps_rank already means rank k; otherwise the singular values decide.
+        closed = np.linalg.norm(outside) <= tol.eps_rank
+        if not closed:
+            prods = np.matmul(basis[:, None], basis[None, :]).reshape(k * k, n * n)
+            stacked = np.vstack([coords, prods, adjs])
+            closed = rank(stacked, tol.eps_rank) == k
+        if closed:
             ident = np.eye(n, dtype=np.complex128).reshape(1, -1)
-            id_res = float(residual_outside(ident, new)[0])
+            id_res = float(residual_outside(ident, coords)[0])
             return AlgebraBasis(
-                space=Subspace(ambient_dim=n, basis=new.reshape(-1, n, n)),
+                space=Subspace(ambient_dim=n, basis=basis),
                 contains_identity=id_res <= tol.eps_eq * np.sqrt(n),
-                closure_residual=worst,
+                closure_residual=float(np.max(outside, initial=0.0)),
             )
-        coords = new
+        coords = orthonormal_rows(stacked, tol.eps_rank)
 
 
 def internal_unit(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:

@@ -44,11 +44,14 @@ _FULL_CHECK_ORDER = 8  # dense three-leg identities only up to this order
 def translations(group: FinAbGroup) -> dict[tuple[int, ...], np.ndarray]:
     """Left regular representation g -> lambda_g on l2(G)."""
     n = group.order
+    cycles = np.array(group.cycles)[:, None]
+    # residue digits of every element, in elements() (row-major) order
+    digits = np.array(np.unravel_index(np.arange(n), group.cycles))
     out = {}
     for g in group.elements():
         m = np.zeros((n, n), dtype=np.complex128)
-        for k in group.elements():
-            m[group.index(group.add(g, k)), group.index(k)] = 1.0
+        shifted = (digits + np.array(g)[:, None]) % cycles
+        m[np.ravel_multi_index(tuple(shifted), group.cycles), np.arange(n)] = 1.0
         out[g] = m
     return out
 

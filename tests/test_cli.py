@@ -120,6 +120,16 @@ def test_verify_huge_group_exits_2_without_enumerating(tmp_path, capsys, monkeyp
     assert "group_h" in diag["message"]
 
 
+def test_verify_over_size_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # a budget below the M2 instance's coaction images stands in for a large spec
+    monkeypatch.setattr("qtwist.matspan.MAX_DENSE_ENTRIES", 10)
+    code, _, err = run_cli(capsys, ["verify", write_spec(tmp_path, M2_SPEC)])
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "params"
+    assert "dense coaction images" in diag["message"]
+
+
 def test_verify_invalid_matrix_grading_exits_2(tmp_path, capsys):
     spec = dict(M2_SPEC)
     spec["algebra_c"] = {
@@ -187,6 +197,20 @@ def test_example_torus_bad_params_exit_2(capsys):
     code, _, err = run_cli(capsys, ["example", "torus", "--n", "1", "--k", "0"])
     assert code == 2
     assert json.loads(err)["error"] == "params"
+
+
+@pytest.mark.parametrize("n", [12, 10**6])
+def test_example_torus_over_size_budget_exits_2(capsys, monkeypatch, n):
+    # the estimate must refuse the torus before any pair product is formed
+    def reached(*args):
+        raise AssertionError("pair products were allocated")
+
+    monkeypatch.setattr("qtwist.boxtimes._gathered_pairs", reached)
+    code, _, err = run_cli(capsys, ["example", "torus", "--n", str(n), "--k", "1"])
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "params"
+    assert f"torus n={n}" in diag["message"] and "complex entries" in diag["message"]
 
 
 def test_example_skew_prints_generators(capsys):

@@ -26,7 +26,12 @@ from qtwist.coact import (
     verify_coaction,
     verify_covariant,
 )
-from qtwist.matspan import internal_unit, multiplicative_closure, subspace_equal
+from qtwist.matspan import (
+    expand_in_rows,
+    internal_unit,
+    multiplicative_closure,
+    subspace_equal,
+)
 from qtwist.qgroup import build_model, translations
 
 Z2 = FinAbGroup((2,))
@@ -152,6 +157,37 @@ def test_delta_coaction_passes_both_sides():
     assert np.allclose(gamma.apply(lam[(1,)]), np.kron(lam[(1,)], lam[(1,)]))
     left = grading_to_coaction(graded, "left")
     assert np.allclose(left.apply(lam[(1,)]), np.kron(lam[(1,)], lam[(1,)]))
+
+
+def test_decompose_coordinates_match_least_squares():
+    # a validated grading decomposes through its ambient coordinates; the
+    # reference is the least-squares expansion in the homogeneous basis
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    u, _ = np.linalg.qr(z)
+    cases = [
+        delta_grading(Z4),
+        ad_grading(Z2, [(0,), (1,)]),
+        character_grading(FinAbGroup((3,))),
+        conjugate_grading(ad_grading(Z2, [(0,), (1,)]), u),
+        direct_sum_grading(delta_grading(Z2), ad_grading(Z2, [(0,), (1,)])),
+    ]
+    for graded in cases:
+        assert graded.homogeneous_ambient
+        x = np.einsum("i,iab->ab", rng.standard_normal(graded.dim), graded.ambient.basis)
+        labeled = graded.homogeneous_basis()
+        rows = np.stack([m.reshape(-1) for _, m in labeled])
+        coeffs, _ = expand_in_rows(x.reshape(1, -1), rows)
+        want: dict = {}
+        for c, (g, m) in zip(coeffs[0], labeled):
+            want[g] = want.get(g, 0) + c * m
+        got = graded.decompose(x)
+        assert list(got) == list(want)
+        assert max(np.max(np.abs(got[g] - want[g])) for g in want) <= 1e-12
+    overlapping = graded_algebra(Z2, {(0,): [E11], (1,): [E11, E22]})
+    assert not overlapping.homogeneous_ambient
+    parts = overlapping.decompose(E11 + 2 * E22)
+    assert np.allclose(sum(parts.values()), E11 + 2 * E22)
 
 
 def test_verify_coaction_catches_broken_grading():

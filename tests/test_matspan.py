@@ -139,6 +139,24 @@ def test_multiplicative_closure_off_diagonal_generates_m2():
     assert alg.contains_identity
 
 
+def test_multiplicative_closure_orthogonal_and_rotated_generators_agree():
+    # exactly orthogonal generators are normalised, not rotated; a mixed
+    # family with the same span starts from the SVD; the algebras agree
+    from qtwist.qgroup import translations
+
+    lam = list(translations(FinAbGroup((2, 2))).values())
+    direct = multiplicative_closure(lam)
+    mixed = multiplicative_closure([lam[0] + lam[1], lam[1], lam[2] - 1j * lam[3], lam[3]])
+    assert np.array_equal(direct.basis, np.stack(lam) / 2)
+    assert direct.dim == mixed.dim == 4
+    assert subspace_equal(direct.space, mixed.space)
+    for alg in (direct, mixed):
+        assert alg.contains_identity
+        assert alg.closure_residual < 1e-12
+    # a zero generator is orthogonal to everything and is dropped
+    assert multiplicative_closure([SX, 0 * SZ]).dim == 2
+
+
 def test_center_of_full_matrix_algebra():
     alg = multiplicative_closure([SX, SZ])
     z = center(alg)

@@ -54,6 +54,20 @@ def test_translations_compose_exactly():
     assert np.array_equal(lam[KLEIN.zero()], np.eye(4))
 
 
+def test_translations_match_elementwise_definition():
+    # lambda_g delta_k = delta_{g+k}, entry by entry through the group's own index
+    for cycles in [(2,), (5,), (2, 2), (2, 3), (3, 4), (2, 2, 2)]:
+        group = FinAbGroup(cycles)
+        lam = translations(group)
+        assert list(lam) == group.elements()
+        for g in group.elements():
+            want = np.zeros((group.order, group.order), dtype=np.complex128)
+            for k in group.elements():
+                want[group.index(group.add(g, k)), group.index(k)] = 1.0
+            assert lam[g].dtype == np.complex128
+            assert np.array_equal(lam[g], want)
+
+
 def test_indicators_resolve_identity():
     ind = indicators(Z4)
     total = sum(ind.values())
