@@ -21,8 +21,6 @@ from .matspan import (
     AlgebraBasis,
     Subspace,
     Tolerance,
-    center,
-    find_generator_isomorphism,
     multiplicative_closure,
     span_basis,
     subspace_equal,

@@ -305,7 +305,9 @@ def finite_torus(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult
     """
     if not (isinstance(n, int) and isinstance(k, int) and n >= 2 and 0 <= k < n):
         raise ValueError("torus parameters need n >= 2 and 0 <= k < n")
-    # the family's pair products: m = k = n^2 members, n^4 coordinates each
+    # all m^2 products of the family's m = n^2 members, n^4 coordinates
+    # each; _assemble forms them m at a time, never as one array, but the
+    # estimate counts them all
     check_size(n**8, f"torus n={n} pair products")
     G = FinAbGroup((n,))
     chi = Bicharacter(G, G, ((k,),))

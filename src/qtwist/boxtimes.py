@@ -26,6 +26,12 @@ densely.  Each factor basis element is marked by one pure tensor, so
 when the legs keep their generators the family iota_C(c_i) iota_D(d_j)
 is one-hot and a crossed product's structure and star tables are
 monomial too.
+
+A crossed product is held only in these coordinates: its marked family,
+an orthonormal basis of the family's span and the two tables, with no
+dense copy of the algebra.  Its closure is certified one left factor at a
+time, the m products f_i f_j of each f_i against the span, so no array
+of all m^2 products is formed.
 """
 
 from __future__ import annotations
@@ -45,8 +51,6 @@ from .coact import (
 from .heis import RepPair, canonical_heisenberg, is_heisenberg
 from .matspan import (
     DEFAULT_TOL,
-    AlgebraBasis,
-    Subspace,
     Tolerance,
     cmatrix,
     expand_in_rows,
@@ -62,7 +66,6 @@ from .matspan import (
 )
 
 __all__ = [
-    "DENSE_LIMIT",
     "LegFrames",
     "leg_frames",
     "coords_product",
@@ -90,9 +93,6 @@ __all__ = [
     "functor_map",
     "qgr_morphism_reparametrize",
 ]
-
-# largest ambient for which the dense algebra basis is materialized
-DENSE_LIMIT = 300
 
 # a gathered entry of a monomial product costs about this many
 # multiply-adds of the dense contraction (the break-even measured 5 to 200
@@ -514,8 +514,9 @@ class CrossedProduct:
     are their ambient.basis, see GradedAlgebra); onb is an orthonormal
     basis of their flattened span.  structure[i, j]
     expands f_i f_j and star[i] expands f_i* in the family (matspan's
-    expand_table) when the family is a basis, else both are None.  algebra
-    is a dense materialization when the ambient is small enough, else None.
+    expand_table) when the family is a basis, else both are None.  The
+    algebra is held only in these family coordinates; element_matrix
+    materializes one element when a dense matrix is wanted.
     """
 
     c_graded: GradedAlgebra
@@ -528,7 +529,6 @@ class CrossedProduct:
     onb: np.ndarray
     structure: np.ndarray | None
     star: np.ndarray | None
-    algebra: AlgebraBasis | None
     provenance: dict
     report: dict
 
@@ -614,13 +614,24 @@ def _assemble(
     rep["dim_expected"] = m
     rep["dim_law_ok"] = dim == m
 
-    prods = coords_product_pairs(family, family, legs).reshape(m * m, -1)
-    rep["closure_residual"] = float(np.max(residual_outside(prods, onb)))
+    # the products f_i f_j for one left factor f_i at a time, so no
+    # (m^2, size) array is held; each block of structure rows takes
+    # expand_table's exact or least-squares path on its own
+    closure = structure_res = 0.0
+    blocks = []
+    for i in range(m):
+        prods = coords_product_pairs(family[i : i + 1], family, legs).reshape(m, -1)
+        closure = max(closure, float(np.max(residual_outside(prods, onb))))
+        if rep["dim_law_ok"]:
+            block, _, res = expand_table(prods, rows, tol)
+            blocks.append(block)
+            structure_res = max(structure_res, res)
+    rep["closure_residual"] = closure
     star_rows = np.stack([coords_star(f, legs).reshape(-1) for f in family])
     rep["adjoint_residual"] = float(np.max(residual_outside(star_rows, onb)))
     if rep["dim_law_ok"]:
-        structure, _, rep["structure_residual"] = expand_table(prods, rows, tol)
-        structure = structure.reshape(m, m, m)
+        structure = np.concatenate(blocks).reshape(m, m, m)
+        rep["structure_residual"] = structure_res
         star, _, _ = expand_table(star_rows, rows, tol)
     else:
         structure = star = None
@@ -646,22 +657,6 @@ def _assemble(
     rep["iota_c_hom"], rep["iota_c_star"], rep["iota_c_injective"] = hom_c, star_c, inj_c
     rep["iota_d_hom"], rep["iota_d_star"], rep["iota_d_injective"] = hom_d, star_d, inj_d
 
-    out = CrossedProduct(
-        c_graded=c_graded,
-        d_graded=d_graded,
-        chi=chi,
-        legs=legs,
-        iota_c=iota_c,
-        iota_d=iota_d,
-        family=family,
-        onb=onb,
-        structure=structure,
-        star=star,
-        algebra=None,
-        provenance=provenance,
-        report=rep,
-    )
-
     # commutation law on the homogeneous (= ambient) basis pairs, and its
     # invariant special case
     zero_g, zero_h = chi.group_g.zero(), chi.group_h.zero()
@@ -681,18 +676,6 @@ def _assemble(
     rep["commutation_law"] = comm
     rep["invariant_commutators"] = inv_comm
 
-    if legs.ambient_dim <= DENSE_LIMIT:
-        n = legs.ambient_dim
-        mats = np.stack(
-            [coords_to_matrix(v.reshape(dims), legs) for v in onb]
-        )
-        space = Subspace(ambient_dim=n, basis=mats)
-        out.algebra = AlgebraBasis(
-            space=space,
-            contains_identity=rep["identity_residual"] <= tol.eps_eq,
-            closure_residual=rep["closure_residual"],
-        )
-
     scale = tol.eps_eq * max(1.0, m)
     rep["passed"] = (
         rep["dim_law_ok"]
@@ -707,7 +690,20 @@ def _assemble(
         and comm <= scale
         and inv_comm <= scale
     )
-    return out
+    return CrossedProduct(
+        c_graded=c_graded,
+        d_graded=d_graded,
+        chi=chi,
+        legs=legs,
+        iota_c=iota_c,
+        iota_d=iota_d,
+        family=family,
+        onb=onb,
+        structure=structure,
+        star=star,
+        provenance=provenance,
+        report=rep,
+    )
 
 
 def heisenberg_markings(

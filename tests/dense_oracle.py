@@ -1,0 +1,208 @@
+"""Dense test oracles for crossed products and matrix algebras.
+
+The library certifies a crossed product in family coordinates only.  The
+routines here work on dense matrices instead and serve as independent
+checks: `dense_algebra` materializes a crossed product's span as an
+`AlgebraBasis`, `center` and `find_generator_isomorphism` read it as
+matrices, and `all_pairs_closure` recomputes the closure certificate from
+one array holding all m^2 family products.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from qtwist.boxtimes import (
+    CrossedProduct,
+    coords_product_pairs,
+    coords_star,
+    coords_to_matrix,
+)
+from qtwist.matspan import (
+    DEFAULT_TOL,
+    AlgebraBasis,
+    Subspace,
+    Tolerance,
+    cmatrix,
+    expand_in_rows,
+    expand_table,
+    orthonormal_rows,
+    rank,
+    relation_transport,
+    residual_outside,
+)
+
+
+def dense_algebra(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
+    """The crossed product's span as dense ambient matrices, one per onb row."""
+    mats = np.stack([coords_to_matrix(v.reshape(x.legs.dims), x.legs) for v in x.onb])
+    return AlgebraBasis(
+        space=Subspace(ambient_dim=x.ambient_dim, basis=mats),
+        contains_identity=x.report["identity_residual"] <= tol.eps_eq,
+        closure_residual=x.report["closure_residual"],
+    )
+
+
+def all_pairs_closure(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """Closure certificate and tables from all m^2 family products at once.
+
+    Returns closure_residual, structure, structure_residual and star as the
+    crossed product's report and fields should hold them; structure and
+    star are None when the family is not a basis.
+    """
+    m = x.family.shape[0]
+    rows = x.family.reshape(m, -1)
+    prods = coords_product_pairs(x.family, x.family, x.legs).reshape(m * m, -1)
+    out = {"closure_residual": float(np.max(residual_outside(prods, x.onb)))}
+    if x.dim == m:
+        structure, _, out["structure_residual"] = expand_table(prods, rows, tol)
+        out["structure"] = structure.reshape(m, m, m)
+        star_rows = np.stack([coords_star(f, x.legs).reshape(-1) for f in x.family])
+        out["star"], _, _ = expand_table(star_rows, rows, tol)
+    else:
+        out["structure"] = out["star"] = None
+        out["structure_residual"] = float("inf")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# centers
+
+
+def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    """Commutant-within: null space of the stacked commutator map on alg."""
+    basis = alg.basis
+    d, n = alg.dim, alg.ambient_dim
+    if d == 0:
+        return Subspace(ambient_dim=n, basis=np.zeros((0, n, n), dtype=np.complex128))
+    # column i holds all commutators [basis_i, basis_k], stacked
+    comms = np.einsum("iab,kbc->ikac", basis, basis) - np.einsum(
+        "kab,ibc->ikac", basis, basis
+    )
+    mat = comms.reshape(d, d * n * n).T  # (d*n*n, d)
+    # mat is tall, so the reduced vh already spans all d coefficient
+    # directions; the full left factor would be d*n*n square
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    # basis rows are HS-orthonormal, so singular values are O(1); the floor
+    # keeps a numerically-zero commutator stack from inflating the rank
+    cutoff = tol.eps_rank * max(1.0, s[0] if s.size else 0.0)
+    r = int(np.sum(s > cutoff))
+    null_coeffs = vh.conj()[r:]  # rows: coefficient vectors in the basis
+    if null_coeffs.shape[0] == 0:
+        return Subspace(ambient_dim=n, basis=np.zeros((0, n, n), dtype=np.complex128))
+    mats = np.einsum("ci,iab->cab", null_coeffs, basis)
+    onb = orthonormal_rows(mats.reshape(-1, n * n), tol.eps_rank)
+    return Subspace(ambient_dim=n, basis=onb.reshape(-1, n, n))
+
+
+# ---------------------------------------------------------------------------
+# generator-transport isomorphisms
+
+
+@dataclass
+class LinearMap:
+    """Linear map between matrix subspaces, with certification residuals."""
+
+    source_dim: int
+    target_dim: int
+    _pinv: np.ndarray = field(repr=False)
+    _images: np.ndarray = field(repr=False)
+    report: dict = field(default_factory=dict)
+
+    def apply(self, mat: np.ndarray) -> np.ndarray:
+        mat = cmatrix(mat, self.source_dim)
+        row = mat.reshape(1, -1) @ self._pinv @ self._images
+        return row.reshape(self.target_dim, self.target_dim)
+
+
+def _enrich_families(alg1, fam1, alg2, fam2, tol):
+    """Extend index-aligned generating families by forced words.
+
+    Products and adjoints of the current span basis are appended on both
+    sides in lockstep until family 1 linearly spans alg1.
+    """
+    n1, n2 = alg1.ambient_dim, alg2.ambient_dim
+    x1 = np.stack([cmatrix(m, n1).reshape(-1) for m in fam1])
+    x2 = np.stack([cmatrix(m, n2).reshape(-1) for m in fam2])
+    target = alg1.dim
+    while True:
+        onb1 = orthonormal_rows(x1, tol.eps_rank)
+        r = onb1.shape[0]
+        if r >= target:
+            return x1, x2
+        coeff, _ = expand_in_rows(onb1, x1)
+        forced2 = coeff @ x2
+        b1 = onb1.reshape(r, n1, n1)
+        b2 = forced2.reshape(r, n2, n2)
+        prod1 = np.einsum("iab,jbc->ijac", b1, b1).reshape(r * r, -1)
+        prod2 = np.einsum("iab,jbc->ijac", b2, b2).reshape(r * r, -1)
+        adj1 = b1.conj().transpose(0, 2, 1).reshape(r, -1)
+        adj2 = b2.conj().transpose(0, 2, 1).reshape(r, -1)
+        x1 = np.vstack([x1, prod1, adj1])
+        x2 = np.vstack([x2, prod2, adj2])
+        if rank(x1, tol.eps_rank) == r:
+            raise ValueError("marked family does not generate its algebra")
+
+
+def find_generator_isomorphism(
+    alg1: AlgebraBasis,
+    family1,
+    alg2: AlgebraBasis,
+    family2,
+    tol: Tolerance = DEFAULT_TOL,
+) -> LinearMap | None:
+    """Search for a *-isomorphism sending one marked family to the other.
+
+    The families are extended by forced words until they span, the linear
+    relations are transported both ways, and the induced map is certified
+    multiplicative, adjoint-preserving and bijective.  Returns None when
+    any of these obstructions fires.
+    """
+    if alg1.dim != alg2.dim or alg1.dim == 0:
+        return None
+    if len(family1) != len(family2):
+        raise ValueError("families must be index-aligned")
+    x1, x2 = _enrich_families(alg1, family1, alg2, family2, tol)
+    if relation_transport(x1, x2, tol) is None:
+        return None
+
+    n1, n2 = alg1.ambient_dim, alg2.ambient_dim
+    pinv = np.linalg.pinv(x1, rcond=tol.eps_rank)
+    images = x2
+    # certify on an orthonormal basis of the source span
+    onb1 = orthonormal_rows(x1, tol.eps_rank)
+    coeff, _ = expand_in_rows(onb1, x1)
+    img = coeff @ x2
+    d = onb1.shape[0]
+    if rank(img, tol.eps_rank) != d:
+        return None
+    b1 = onb1.reshape(d, n1, n1)
+    b2 = img.reshape(d, n2, n2)
+    scale = max(1.0, float(np.max(np.abs(img))))
+
+    def map_rows(rows):
+        return rows @ pinv @ images
+
+    prod1 = np.einsum("iab,jbc->ijac", b1, b1).reshape(d * d, -1)
+    prod2 = np.einsum("iab,jbc->ijac", b2, b2).reshape(d * d, -1)
+    mult_res = float(np.max(np.linalg.norm(map_rows(prod1) - prod2, axis=1)))
+    adj1 = b1.conj().transpose(0, 2, 1).reshape(d, -1)
+    adj2 = b2.conj().transpose(0, 2, 1).reshape(d, -1)
+    star_res = float(np.max(np.linalg.norm(map_rows(adj1) - adj2, axis=1)))
+    transport_res = float(np.max(np.linalg.norm(map_rows(x1) - x2, axis=1)))
+    if max(mult_res, star_res, transport_res) > tol.eps_eq * max(scale, 1.0) * d:
+        return None
+    return LinearMap(
+        source_dim=n1,
+        target_dim=n2,
+        _pinv=pinv,
+        _images=images,
+        report={
+            "multiplicativity": mult_res,
+            "star": star_res,
+            "family_transport": transport_res,
+            "dim": d,
+        },
+    )

@@ -1,5 +1,6 @@
 """Tests for twisted products: frames, builders, equivalences, functor."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from qtwist.boxtimes import (
     equivalent,
     functor_map,
     graded_morphism,
+    heisenberg_markings,
     leg_frames,
     matrix_to_coords,
     morphism_from_pairs,
@@ -55,14 +57,19 @@ from qtwist.heis import (
     conjugate_pair,
 )
 from qtwist.matspan import (
-    center,
     expand_in_rows,
-    find_generator_isomorphism,
     internal_unit,
     multiplicative_closure,
     orthonormal_rows,
 )
 from qtwist.qgroup import translations
+
+from dense_oracle import (
+    all_pairs_closure,
+    center,
+    dense_algebra,
+    find_generator_isomorphism,
+)
 
 Z2 = FinAbGroup((2,))
 Z3 = FinAbGroup((3,))
@@ -189,6 +196,52 @@ def test_star_table_expands_family_adjoints():
     assert np.max(np.abs(x.star - want)) <= 1e-12
 
 
+def covariant_z3():
+    c = canonical_covariant_rep(delta_grading(Z3))
+    x = build_via_covariant(c, c, CHI3)
+    # iota_D is not one-hot: each family row has several non-zero coordinates
+    assert all(np.count_nonzero(v) > 1 for v in x.iota_d)
+    return x
+
+
+def repeated_marking():
+    # the golden markings with iota_D's second row replaced by its first:
+    # the family spans only 2 of its 4 members
+    c = delta_grading(Z2)
+    legs, iota_c, iota_d, _, _ = heisenberg_markings(c, c, CHI2)
+    return build_from_markings(c, c, CHI2, legs, iota_c, iota_d[[0, 0]])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: finite_torus(6, 1).objects["product"], covariant_z3, repeated_marking],
+    ids=["torus-6-1", "covariant-z3", "repeated-marking"],
+)
+def test_closure_by_left_factor_matches_all_pairs(make):
+    x = make()
+    want = all_pairs_closure(x)
+    assert abs(x.report["closure_residual"] - want["closure_residual"]) <= 1e-12
+    if want["structure"] is None:
+        assert not x.report["dim_law_ok"]
+        assert x.structure is None and x.star is None
+        assert x.report["structure_residual"] == want["structure_residual"]
+        return
+    assert abs(x.report["structure_residual"] - want["structure_residual"]) <= 1e-12
+    assert np.max(np.abs(x.structure - want["structure"])) <= 1e-12
+    assert np.max(np.abs(x.star - want["star"])) <= 1e-12
+
+
+def test_torus_assembly_peak_memory():
+    # all 1296 products of the family as one array would be 27 MB
+    tracemalloc.start()
+    try:
+        finite_torus(6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_unclosed_leg_fails_certification():
     # orthogonal generators whose span misses SZ SX: the leg keeps them,
     # but its table is not snapped to monomial and its residual stays large
@@ -239,16 +292,17 @@ def test_golden_m2_generators_anticommute():
 
 def test_golden_m2_is_full_matrix_algebra():
     x = golden_m2()
-    assert x.algebra is not None
-    assert center(x.algebra).dim == 1
-    assert np.linalg.norm(internal_unit(x.algebra) - np.eye(x.ambient_dim)) < 1e-12
+    alg = dense_algebra(x)
+    assert alg is not None
+    assert center(alg).dim == 1
+    assert np.linalg.norm(internal_unit(alg) - np.eye(x.ambient_dim)) < 1e-12
     lam = translations(Z2)
     gens = [
         coords_to_matrix(x.iota_c_apply(lam[(1,)]), x.legs),
         coords_to_matrix(x.iota_d_apply(lam[(1,)]), x.legs),
     ]
     m2 = multiplicative_closure([I2, SX, SZ])
-    iso = find_generator_isomorphism(x.algebra, gens, m2, [SZ, SX])
+    iso = find_generator_isomorphism(alg, gens, m2, [SZ, SX])
     assert iso is not None
 
 
@@ -282,9 +336,9 @@ def test_trivial_twist_is_plain_tensor():
 
 def test_untwisted_center_is_full_for_abelian_factors():
     x = build_via_heisenberg(delta_grading(Z2), delta_grading(Z2), Bicharacter.trivial(Z2, Z2))
-    assert center(x.algebra).dim == 4  # abelian
+    assert center(dense_algebra(x)).dim == 4  # abelian
     y = golden_m2()
-    assert center(y.algebra).dim == 1  # twisting kills the center
+    assert center(dense_algebra(y)).dim == 1  # twisting kills the center
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,8 @@ from qtwist.coact import character_grading
 from qtwist.matspan import (
     DEFAULT_TOL,
     Tolerance,
-    center,
     cmatrix,
     expand_in_rows,
-    find_generator_isomorphism,
     hs_inner,
     hs_norm,
     left_null_rows,
@@ -19,11 +17,14 @@ from qtwist.matspan import (
     orthonormal_rows,
     rank,
     relation_transport,
+    residual_outside,
     span_basis,
     structure_tables,
     subspace_equal,
     table_defect,
 )
+
+from dense_oracle import center, find_generator_isomorphism
 
 I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -91,6 +92,37 @@ def test_left_null_rows():
     null = left_null_rows(rows, 1e-9)
     assert null.shape[0] == 1
     assert np.linalg.norm(null @ rows) < 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(3, 8), (8, 3), (5, 5)])
+def test_left_null_rows_wide_and_tall(m, n):
+    # rank 2 rows: the relations are the m - 2 rows orthogonal to them
+    rng = np.random.default_rng(m * n)
+    rows = (rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))) @ (
+        rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    )
+    null = left_null_rows(rows, 1e-9)
+    assert null.shape == (m - 2, m)
+    assert np.linalg.norm(null @ rows) < 1e-12
+    assert np.linalg.norm(null @ null.conj().T - np.eye(m - 2)) < 1e-12
+
+
+def test_residual_outside_matches_dense_norms():
+    rng = np.random.default_rng(5)
+    onb = orthonormal_rows(rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)), 1e-9)
+    for rows in (
+        rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)),
+        rng.standard_normal((4, 6)),
+    ):
+        want = np.linalg.norm(rows - (rows @ onb.conj().T) @ onb, axis=1)
+        assert np.max(np.abs(residual_outside(rows, onb) - want)) < 1e-12
+    assert np.max(residual_outside(onb, onb)) < 1e-12
+    real_onb = orthonormal_rows(rng.standard_normal((2, 6)), 1e-9).real
+    rows = rng.standard_normal((4, 6))
+    want = np.linalg.norm(rows - (rows @ real_onb.T) @ real_onb, axis=1)
+    assert np.max(np.abs(residual_outside(rows, real_onb) - want)) < 1e-12
+    empty = np.zeros((0, 6), dtype=np.complex128)
+    assert np.array_equal(residual_outside(rows, empty), np.linalg.norm(rows, axis=1))
 
 
 def test_relation_transport_accepts_matching_relations():
