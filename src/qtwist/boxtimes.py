@@ -29,9 +29,14 @@ monomial too.
 
 A crossed product is held only in these coordinates: its marked family,
 an orthonormal basis of the family's span and the two tables, with no
-dense copy of the algebra.  Its closure is certified one left factor at a
-time, the m products f_i f_j of each f_i against the span, so no array
-of all m^2 products is formed.
+dense copy of the algebra.  When every leg table is monomial and the
+family rows are one-hot with distinct supports, f_i = v_i e_{s_i} (the
+torus and the crossed products of delta gradings), every product f_i f_j
+and adjoint f_i* is one (index, value) pair, so the closure certificate
+is index arithmetic on the leg tables and the basis of the span is the
+unit rows e_{s_i}.  Any other family is certified densely, one left
+factor at a time: the m products f_i f_j of each f_i against the span,
+so no array of all m^2 products is formed.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .heis import RepPair, canonical_heisenberg, is_heisenberg
 from .matspan import (
     DEFAULT_TOL,
     Tolerance,
+    check_size,
     cmatrix,
     expand_in_rows,
     expand_table,
@@ -512,7 +518,10 @@ class CrossedProduct:
     family holds the marked spanning elements iota_C(c_i) iota_D(d_j) as
     coordinate tensors, i-major over the factors' homogeneous bases (which
     are their ambient.basis, see GradedAlgebra); onb is an orthonormal
-    basis of their flattened span.  structure[i, j]
+    basis of their flattened span: for a one-hot family f_i = v_i e_{s_i}
+    on monomial legs the unit rows e_{s_i} in family order (those with
+    |v_i| above the eps_rank cut), else the SVD basis of orthonormal_rows.
+    structure[i, j]
     expands f_i f_j and star[i] expands f_i* in the family (matspan's
     expand_table) when the family is a basis, else both are None.  The
     algebra is held only in these family coordinates; element_matrix
@@ -586,6 +595,151 @@ def _require_factor(graded: GradedAlgebra, group: FinAbGroup, name: str) -> None
         raise ValueError(f"factor {name} must contain its ambient identity")
 
 
+def _one_hot(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(column, value) of each row's single non-zero entry, or None.
+
+    None unless every row has exactly one non-zero entry and no two rows
+    share its column.
+    """
+    if not np.all(np.count_nonzero(rows, axis=1) == 1):
+        return None
+    cols = np.argmax(rows != 0, axis=1)
+    if np.any(np.bincount(cols) > 1):
+        return None
+    return cols, rows[np.arange(rows.shape[0]), cols]
+
+
+def _kept_units(
+    cols: np.ndarray, vals: np.ndarray, size: int, tol: Tolerance
+) -> np.ndarray:
+    """Which of the size columns the span of the rows vals[i] e_{cols[i]} keeps.
+
+    The rows are orthogonal, so their singular values are the |vals|; a
+    column is kept when orthonormal_rows' eps_rank cut would keep its row.
+    """
+    mags = np.abs(vals)
+    kept = np.zeros(size, dtype=bool)
+    kept[cols[mags > tol.eps_rank * np.max(mags)]] = True
+    return kept
+
+
+def _outside(cols: np.ndarray, vals: np.ndarray, kept: np.ndarray) -> float:
+    """Worst distance of the rows vals[i] e_{cols[i]} from the kept units."""
+    return float(np.max(np.abs(vals[~kept[cols]]), initial=0.0))
+
+
+def _index_certificate(
+    rows: np.ndarray, rev: np.ndarray, legs: LegFrames, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict] | None:
+    """(onb, structure, star, residuals) of a one-hot family, or None.
+
+    Applies when every leg table is monomial, the family rows
+    f_i = v_i e_{s_i} and the reversed products are one-hot with distinct
+    supports, and every leg's star table is one term a row.  Then each
+    product f_i f_j and adjoint f_i* is one (index, value) pair, found
+    leg by leg as _gathered_pairs would, and onb is the unit rows
+    e_{s_i} (the family's span, cut at eps_rank on |v_i|).  A product or
+    adjoint at an index outside onb is at distance |value| from the span,
+    else at distance 0 and expanded exactly: structure[i, j, k] =
+    value / v_k where s_k is its index.
+    """
+    if any(t is None for t in legs.monomial):
+        return None
+    fam, back = _one_hot(rows), _one_hot(rev)
+    stars = [_one_hot(t) for t in legs.stars]
+    if fam is None or back is None or any(t is None for t in stars):
+        return None
+    dims = legs.dims
+    m, size = rows.shape
+    s, v = fam
+    prod_idx = np.zeros((m, m), dtype=np.intp)
+    prod_val = np.multiply.outer(v, v)
+    star_idx = np.zeros(m, dtype=np.intp)
+    star_val = v.conj()
+    for l, a in enumerate(np.unravel_index(s, dims)):
+        index, phase = legs.monomial[l]
+        i, j = a[:, None], a[None, :]
+        prod_idx = prod_idx * dims[l] + index[i, j]
+        prod_val = prod_val * phase[i, j]
+        star_idx = star_idx * dims[l] + stars[l][0][a]
+        star_val = star_val * stars[l][1][a]
+
+    kept = _kept_units(s, v, size, tol)
+    onb = np.zeros((np.count_nonzero(kept), size), dtype=np.complex128)
+    onb[np.arange(onb.shape[0]), np.flatnonzero(kept)] = 1.0
+    basis = onb.shape[0] == m
+    closure = _outside(prod_idx, prod_val, kept)
+    residuals = {
+        "closure_residual": closure,
+        "adjoint_residual": _outside(star_idx, star_val, kept),
+        # a basis spans what onb spans, so a product's one-term defect is
+        # its distance from onb
+        "structure_residual": closure if basis else float("inf"),
+        "cstar_equality": max(
+            _outside(*back, kept),
+            _outside(s, v, _kept_units(*back, size, tol)),
+        ),
+    }
+    if not basis:
+        return onb, None, None, residuals
+    member = np.full(size, -1, dtype=np.intp)
+    member[s] = np.arange(m)
+
+    def expand(idx: np.ndarray, val: np.ndarray) -> np.ndarray:
+        # the rows val e_idx in the family: val / v_k at the member k on idx
+        k = member[idx]
+        r = np.flatnonzero(k >= 0)
+        table = np.zeros((idx.size, m), dtype=np.complex128)
+        table[r, k[r]] = val[r] / v[k[r]]
+        return table
+
+    structure = expand(prod_idx.ravel(), prod_val.ravel()).reshape(m, m, m)
+    return onb, structure, expand(star_idx, star_val), residuals
+
+
+def _dense_certificate(
+    family: np.ndarray, rev: np.ndarray, legs: LegFrames, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict]:
+    """(onb, structure, star, residuals) of any family, from dense rows.
+
+    onb is the SVD basis of the family's span.  The products f_i f_j are
+    formed for one left factor f_i at a time, so no (m^2, size) array is
+    held; each block of structure rows takes expand_table's exact or
+    least-squares path on its own.
+    """
+    m = family.shape[0]
+    rows = family.reshape(m, -1)
+    onb = orthonormal_rows(rows, tol.eps_rank)
+    basis = onb.shape[0] == m
+    closure = structure_res = 0.0
+    blocks = []
+    for i in range(m):
+        prods = coords_product_pairs(family[i : i + 1], family, legs).reshape(m, -1)
+        closure = max(closure, float(np.max(residual_outside(prods, onb))))
+        if basis:
+            block, _, res = expand_table(prods, rows, tol)
+            blocks.append(block)
+            structure_res = max(structure_res, res)
+    star_rows = np.stack([coords_star(f, legs).reshape(-1) for f in family])
+    onb_rev = orthonormal_rows(rev, tol.eps_rank)
+    residuals = {
+        "closure_residual": closure,
+        "adjoint_residual": float(np.max(residual_outside(star_rows, onb))),
+        "structure_residual": structure_res if basis else float("inf"),
+        "cstar_equality": float(
+            max(
+                np.max(residual_outside(rev, onb), initial=0.0),
+                np.max(residual_outside(rows, onb_rev), initial=0.0),
+            )
+        ),
+    }
+    if not basis:
+        return onb, None, None, residuals
+    structure = np.concatenate(blocks).reshape(m, m, m)
+    star, _, _ = expand_table(star_rows, rows, tol)
+    return onb, structure, star, residuals
+
+
 def _assemble(
     c_graded: GradedAlgebra,
     d_graded: GradedAlgebra,
@@ -597,13 +751,23 @@ def _assemble(
     extra_report: dict,
     tol: Tolerance,
 ) -> CrossedProduct:
-    """Shared certification and packaging for both construction routes."""
+    """Shared certification and packaging for both construction routes.
+
+    The closure certificate (onb, the structure and star tables, and the
+    closure, adjoint, structure and C*-equality residuals) comes from
+    _index_certificate when the family is one-hot on monomial legs, else
+    from _dense_certificate.
+    """
     m_c, m_d = iota_c.shape[0], iota_d.shape[0]
     m = m_c * m_d
     dims = legs.dims
     family = coords_product_pairs(iota_c, iota_d, legs).reshape(m, *dims)
-    rows = family.reshape(m, -1)
-    onb = orthonormal_rows(rows, tol.eps_rank)
+    rev_pairs = coords_product_pairs(iota_d, iota_c, legs)
+    rev = rev_pairs.reshape(m, -1)
+    cert = _index_certificate(family.reshape(m, -1), rev, legs, tol)
+    if cert is None:
+        cert = _dense_certificate(family, rev, legs, tol)
+    onb, structure, star, residuals = cert
     dim = onb.shape[0]
 
     rep: dict = dict(extra_report)
@@ -613,39 +777,7 @@ def _assemble(
     rep["dim"] = dim
     rep["dim_expected"] = m
     rep["dim_law_ok"] = dim == m
-
-    # the products f_i f_j for one left factor f_i at a time, so no
-    # (m^2, size) array is held; each block of structure rows takes
-    # expand_table's exact or least-squares path on its own
-    closure = structure_res = 0.0
-    blocks = []
-    for i in range(m):
-        prods = coords_product_pairs(family[i : i + 1], family, legs).reshape(m, -1)
-        closure = max(closure, float(np.max(residual_outside(prods, onb))))
-        if rep["dim_law_ok"]:
-            block, _, res = expand_table(prods, rows, tol)
-            blocks.append(block)
-            structure_res = max(structure_res, res)
-    rep["closure_residual"] = closure
-    star_rows = np.stack([coords_star(f, legs).reshape(-1) for f in family])
-    rep["adjoint_residual"] = float(np.max(residual_outside(star_rows, onb)))
-    if rep["dim_law_ok"]:
-        structure = np.concatenate(blocks).reshape(m, m, m)
-        rep["structure_residual"] = structure_res
-        star, _, _ = expand_table(star_rows, rows, tol)
-    else:
-        structure = star = None
-        rep["structure_residual"] = float("inf")
-
-    rev_pairs = coords_product_pairs(iota_d, iota_c, legs)
-    rev = rev_pairs.reshape(m, -1)
-    onb_rev = orthonormal_rows(rev, tol.eps_rank)
-    rep["cstar_equality"] = float(
-        max(
-            np.max(residual_outside(rev, onb), initial=0.0),
-            np.max(residual_outside(rows, onb_rev), initial=0.0),
-        )
-    )
+    rep.update(residuals)
 
     eye_coords = pure_coords(legs, [np.eye(n) for n in legs.sizes], tol)
     rep["identity_residual"] = float(
@@ -845,6 +977,8 @@ def build_via_covariant(
 
     G, H = chi.group_g, chi.group_h
     nk, nl = cov_c.carrier_dim, cov_d.carrier_dim
+    # Z and each conjugated image are dense matrices on the carrier K (x) L
+    check_size((nk * nl) ** 2, f"covariant carrier {nk}x{nl}")
     z = z_unitary(cov_c.grading, cov_d.grading, chi)
     zm = z.matrix
     eye_k, eye_l = np.eye(nk), np.eye(nl)

@@ -405,6 +405,8 @@ def cmd_example(args) -> int:
 
 
 def group_catalog(max_order: int) -> list[tuple[int, ...]]:
+    if max_order > MAX_MODEL_ORDER:
+        raise SpecError(f"suite: --max-order {max_order} exceeds {MAX_MODEL_ORDER}")
     cycles = [(n,) for n in range(2, max_order + 1)]
     if max_order >= 4:
         cycles.append((2, 2))

@@ -1,5 +1,6 @@
 """Tests for twisted products: frames, builders, equivalences, functor."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from qtwist.abgroup import (
     pullback,
     regular_bicharacter,
 )
-from qtwist.apps import finite_torus
+from qtwist.apps import finite_torus, reduced_crossed_product
 from qtwist.boxtimes import (
     CrossedProduct,
     build_from_markings,
@@ -47,6 +48,7 @@ from qtwist.coact import (
     canonical_covariant_rep,
     delta_grading,
     direct_sum_grading,
+    graded_algebra,
     hilbert_grading,
     trivial_grading,
 )
@@ -57,10 +59,12 @@ from qtwist.heis import (
     conjugate_pair,
 )
 from qtwist.matspan import (
+    BudgetError,
     expand_in_rows,
     internal_unit,
     multiplicative_closure,
     orthonormal_rows,
+    residual_outside,
 )
 from qtwist.qgroup import translations
 
@@ -240,6 +244,181 @@ def test_torus_assembly_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+# ---------------------------------------------------------------------------
+# the closure certificate by index arithmetic
+
+
+def _dense_is_refused(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the dense certificate was formed")
+
+    monkeypatch.setattr(boxtimes, "_dense_certificate", refused)
+
+
+def _count_dense(monkeypatch) -> list:
+    calls = []
+    dense = boxtimes._dense_certificate
+
+    def counted(*args):
+        calls.append(1)
+        return dense(*args)
+
+    monkeypatch.setattr(boxtimes, "_dense_certificate", counted)
+    return calls
+
+
+def _reassembled(x: CrossedProduct) -> CrossedProduct:
+    extra = {k: x.report[k] for k in ("pair_residual", "z_unitary") if k in x.report}
+    return build_from_markings(
+        x.c_graded, x.d_graded, x.chi, x.legs, x.iota_c, x.iota_d, x.provenance, extra
+    )
+
+
+def _crossed(cycles, part):
+    return reduced_crossed_product(delta_grading(FinAbGroup(cycles))).objects[part]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda k=k: finite_torus(6, k).objects["product"] for k in range(6)]
+    + [
+        lambda c=c, part=part: _crossed(c, part)
+        for c in ((2,), (3,), (2, 2))
+        for part in ("boxtimes", "direct")
+    ],
+    ids=[f"torus-6-{k}" for k in range(6)]
+    + [f"crossed-{c}-{part}" for c in ("z2", "z3", "z2xz2") for part in ("box", "direct")],
+)
+def _index_against_dense(make, monkeypatch) -> CrossedProduct:
+    """Build on the index path; its certificate must match the dense path's
+    and the all-pairs oracle's within 1e-12."""
+    with monkeypatch.context() as mp:
+        _dense_is_refused(mp)
+        x = make()
+    with monkeypatch.context() as mp:
+        mp.setattr(boxtimes, "_index_certificate", lambda *args: None)
+        y = _reassembled(x)
+    want = all_pairs_closure(x)
+    assert x.dim == y.dim
+    assert x.report.keys() == y.report.keys()
+    for key, value in x.report.items():
+        if isinstance(value, float) and value != y.report[key]:
+            assert abs(value - y.report[key]) <= 1e-12, key
+        else:
+            assert value == y.report[key], key
+    for key in ("closure_residual", "structure_residual"):
+        assert x.report[key] == want[key] or abs(x.report[key] - want[key]) <= 1e-12
+    if x.structure is None:
+        assert y.structure is None and want["structure"] is None
+        assert x.star is None and y.star is None
+    else:
+        for structure, star in ((y.structure, y.star), (want["structure"], want["star"])):
+            assert np.max(np.abs(x.structure - structure)) <= 1e-12
+            assert np.max(np.abs(x.star - star)) <= 1e-12
+    # onb is the family's kept unit rows: orthonormal, with the dense span
+    assert np.allclose(x.onb @ x.onb.conj().T, np.eye(x.dim), atol=1e-12)
+    assert np.max(residual_outside(y.onb, x.onb), initial=0.0) <= 1e-12
+    return x
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda k=k: finite_torus(6, k).objects["product"] for k in range(6)]
+    + [
+        lambda c=c, part=part: _crossed(c, part)
+        for c in ((2,), (3,), (2, 2))
+        for part in ("boxtimes", "direct")
+    ],
+    ids=[f"torus-6-{k}" for k in range(6)]
+    + [f"crossed-{c}-{part}" for c in ("z2", "z3", "z2xz2") for part in ("box", "direct")],
+)
+def test_index_certificate_matches_dense_path_and_oracle(make, monkeypatch):
+    x = _index_against_dense(make, monkeypatch)
+    assert x.report["passed"] and x.dim == x.family.shape[0]
+
+
+def test_covariant_family_takes_the_dense_loop(monkeypatch):
+    calls = _count_dense(monkeypatch)
+    covariant_z3()
+    assert calls == [1]
+
+
+def unclosed_subset():
+    # lambda_0 and lambda_1 of the Z/4 torus markings, read as a
+    # two-dimensional factor: lambda_1 lambda_1 = lambda_2 leaves the span
+    c = delta_grading(Z4)
+    legs, iota_c, iota_d, _, _ = heisenberg_markings(c, c, CHI4)
+    d = graded_algebra(Z4, {(0,): [I2], (2,): [SX]})
+    return build_from_markings(c, d, CHI4, legs, iota_c, iota_d[[0, 1]])
+
+
+def noncommuting_markings():
+    # one leg, the regular representation of S3: the marked transposition s
+    # and 3-cycle r give the family {1, r, s, sr} but the reversed products
+    # {1, s, r, rs}, so the two spans differ (and r r leaves the first)
+    perms = list(itertools.permutations(range(3)))
+
+    def lam(a):
+        m = np.zeros((6, 6), dtype=np.complex128)
+        for col, b in enumerate(perms):
+            m[perms.index(tuple(a[i] for i in b)), col] = 1.0
+        return m
+
+    legs = leg_frames([[lam(a) for a in perms]])
+    e, s, r = (0, 1, 2), (1, 0, 2), (1, 2, 0)
+    iota_c = np.stack([pure_coords(legs, [lam(a)]) for a in (e, s)])
+    iota_d = np.stack([pure_coords(legs, [lam(a)]) for a in (e, r)])
+    c = delta_grading(Z2)
+    return build_from_markings(c, c, CHI2, legs, iota_c, iota_d)
+
+
+def tiny_marking():
+    # a Z/3 torus marking scaled by 1e-12: its three family members fall
+    # below the eps_rank cut, so the span has dimension 6 of 9
+    c = delta_grading(Z3)
+    legs, iota_c, iota_d, _, _ = heisenberg_markings(c, c, CHI3)
+    iota_d = iota_d.copy()
+    iota_d[2] *= 1e-12
+    return build_from_markings(c, c, CHI3, legs, iota_c, iota_d)
+
+
+@pytest.mark.parametrize(
+    "make, dim, failing",
+    [
+        (unclosed_subset, 8, "closure_residual"),
+        (noncommuting_markings, 4, "cstar_equality"),
+        (tiny_marking, 6, "closure_residual"),
+    ],
+    ids=["unclosed-subset", "noncommuting", "below-rank-cut"],
+)
+def test_one_hot_negative_controls_fail_on_the_index_path(make, dim, failing, monkeypatch):
+    x = _index_against_dense(make, monkeypatch)
+    assert x.dim == dim
+    assert x.report[failing] > 1e-6
+    assert not x.report["passed"]
+
+
+def test_repeated_support_takes_the_dense_loop_and_fails_the_dim_law(monkeypatch):
+    calls = _count_dense(monkeypatch)
+    x = repeated_marking()
+    assert calls == [1]
+    assert not x.report["dim_law_ok"] and not x.report["passed"]
+    assert x.structure is None and x.star is None
+
+
+def test_covariant_carrier_over_budget_stops_before_z(monkeypatch):
+    rep = canonical_covariant_rep(delta_grading(Z2))
+
+    def reached(*args):
+        raise AssertionError("Z was allocated")
+
+    monkeypatch.setattr(boxtimes, "z_unitary", reached)
+    # the Z/2 carriers are 4 x 4, so Z has (4 * 4)^2 = 256 entries
+    monkeypatch.setattr("qtwist.matspan.MAX_DENSE_ENTRIES", 255)
+    with pytest.raises(BudgetError, match="covariant carrier 4x4: 256 complex entries"):
+        build_via_covariant(rep, rep, CHI2)
 
 
 def test_unclosed_leg_fails_certification():

@@ -8,6 +8,7 @@ import pytest
 from qtwist import cli
 from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist.coact import ad_grading
+from qtwist.qgroup import MAX_MODEL_ORDER
 
 Z2 = FinAbGroup((2,))
 
@@ -128,6 +129,21 @@ def test_verify_over_size_budget_exits_2(tmp_path, capsys, monkeypatch):
     diag = json.loads(err)
     assert diag["error"] == "params"
     assert "dense coaction images" in diag["message"]
+
+
+def test_verify_covariant_carrier_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # between the M2 instance's coaction images (32 entries) and its
+    # covariant carrier (256): the carrier estimate refuses Z
+    def reached(*args):
+        raise AssertionError("Z was allocated")
+
+    monkeypatch.setattr("qtwist.boxtimes.z_unitary", reached)
+    monkeypatch.setattr("qtwist.matspan.MAX_DENSE_ENTRIES", 100)
+    code, _, err = run_cli(capsys, ["verify", write_spec(tmp_path, M2_SPEC)])
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "params"
+    assert "covariant carrier" in diag["message"]
 
 
 def test_verify_invalid_matrix_grading_exits_2(tmp_path, capsys):
@@ -262,6 +278,20 @@ def test_suite_cli_exit_zero(capsys):
     code, out, _ = run_cli(capsys, ["suite", "--seed", "1"])
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("max_order", [MAX_MODEL_ORDER + 1, 10**9])
+def test_suite_max_order_above_model_bound_exits_2(capsys, monkeypatch, max_order):
+    # refused before the group catalog or any instance is built
+    def reached(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "full_verify", reached)
+    code, out, err = run_cli(capsys, ["suite", "--max-order", str(max_order)])
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "params"
+    assert f"--max-order {max_order} exceeds {MAX_MODEL_ORDER}" in diag["message"]
 
 
 def test_suite_writes_reproducer_on_failure(tmp_path, capsys, monkeypatch):
