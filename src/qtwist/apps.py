@@ -248,28 +248,15 @@ def skew_tensor(
         if graded.group.order != 2:
             raise ValueError(f"factor {name} must be graded over Z/2")
     chi = Bicharacter(c_graded.group, d_graded.group, ((1,),))
-    table = cocycle_twist_table(c_graded, d_graded, chi, tol)
     x = build_via_heisenberg(c_graded, d_graded, chi, tol=tol)
-    if x.structure is None:
-        raise ValueError("monomial tables need the structure tensor (dimension law failed)")
-    res_mon = max(x.report["structure_residual"], x.report["adjoint_residual"])
-
+    table, residuals, verdicts = _table_match(x, tol)
     m = table.dim
-    thr = tol.eps_eq * max(1.0, m)
-    diff_mu = float(np.max(np.abs(x.structure - table.structure)))
-    diff_star = float(np.max(np.abs(x.star - table.star)))
     # every nonzero table entry carries a Koszul sign, so the phases are +-1
     signs = table.structure[np.abs(table.structure) > 1e-12]
     phases = signs / np.abs(signs)
-    sign_dev = float(np.max(np.abs(phases.imag)))
-
-    verdicts = {
-        "product_certified": x.report["passed"],
-        "table_associative": table.report["passed"],
-        "structure_match": diff_mu <= thr,
-        "star_match": diff_star <= thr,
-        "signs_real": sign_dev <= thr,
-    }
+    residuals["sign_imag"] = float(np.max(np.abs(phases.imag)))
+    verdicts["table_associative"] = table.report["passed"]
+    verdicts["signs_real"] = residuals["sign_imag"] <= tol.eps_eq * max(1.0, m)
     rep = _report(
         "skew_tensor",
         {
@@ -278,13 +265,7 @@ def skew_tensor(
             "dim_d": d_graded.dim,
         },
         {"c": c_graded.dim, "d": d_graded.dim, "product": x.dim, "expected": m},
-        {
-            "structure_diff": diff_mu,
-            "star_diff": diff_star,
-            "associativity": table.report["associativity"],
-            "monomial_expand": res_mon,
-            "sign_imag": sign_dev,
-        },
+        residuals,
         verdicts,
         structure_constants=sparse_triplets(table.structure) if m <= 16 else None,
     )
@@ -517,6 +498,51 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
 # cocycle twist comparison
 
 
+def _table_match(x: CrossedProduct, tol: Tolerance) -> tuple[TwistedProductTable, dict, dict]:
+    """(table, residuals, verdicts): x's structure and star tables against
+    cocycle_twist_table of its factors, entrywise within eps_eq * max(1, dim)."""
+    if x.structure is None:
+        raise ValueError("monomial tables need the structure tensor (dimension law failed)")
+    table = cocycle_twist_table(x.c_graded, x.d_graded, x.chi, tol)
+    thr = tol.eps_eq * max(1.0, table.dim)
+    diff_mu = float(np.max(np.abs(x.structure - table.structure)))
+    diff_star = float(np.max(np.abs(x.star - table.star)))
+    residuals = {
+        "structure_diff": diff_mu,
+        "star_diff": diff_star,
+        "associativity": table.report["associativity"],
+        "monomial_expand": max(x.report["structure_residual"], x.report["adjoint_residual"]),
+    }
+    verdicts = {
+        "product_certified": x.report["passed"],
+        "structure_match": diff_mu <= thr,
+        "star_match": diff_star <= thr,
+    }
+    return table, residuals, verdicts
+
+
+def _rieffel_result(x: CrossedProduct, tol: Tolerance) -> ScenarioResult:
+    """The rieffel_twist_compare scenario on an already built product."""
+    table, residuals, verdicts = _table_match(x, tol)
+    verdicts["two_cocycle"] = table.report["associativity"] <= tol.eps_eq
+    chi, m = x.chi, table.dim
+    rep = _report(
+        "rieffel_twist_compare",
+        {
+            "group_g": list(chi.group_g.cycles),
+            "group_h": list(chi.group_h.cycles),
+            "bicharacter": [list(r) for r in chi.exponents],
+        },
+        {"dim": x.dim, "expected": m},
+        residuals,
+        verdicts,
+        structure_constants=sparse_triplets(table.structure) if m <= 36 else None,
+    )
+    return ScenarioResult(
+        "rieffel_twist_compare", {"product": x, "table": table}, rep
+    )
+
+
 def rieffel_twist_compare(
     c_graded: GradedAlgebra,
     d_graded: GradedAlgebra,
@@ -530,41 +556,7 @@ def rieffel_twist_compare(
     operator product has exactly these constants on the monomial family
     c_i d_j, i.e. that c (x) d -> iota_C(c) iota_D(d) is an isomorphism.
     """
-    table = cocycle_twist_table(c_graded, d_graded, chi, tol)
-    x = build_via_heisenberg(c_graded, d_graded, chi, tol=tol)
-    if x.structure is None:
-        raise ValueError("monomial tables need the structure tensor (dimension law failed)")
-    res_mon = max(x.report["structure_residual"], x.report["adjoint_residual"])
-    m = table.dim
-    thr = tol.eps_eq * max(1.0, m)
-    diff_mu = float(np.max(np.abs(x.structure - table.structure)))
-    diff_star = float(np.max(np.abs(x.star - table.star)))
-    verdicts = {
-        "product_certified": x.report["passed"],
-        "two_cocycle": table.report["associativity"] <= tol.eps_eq,
-        "structure_match": diff_mu <= thr,
-        "star_match": diff_star <= thr,
-    }
-    rep = _report(
-        "rieffel_twist_compare",
-        {
-            "group_g": list(chi.group_g.cycles),
-            "group_h": list(chi.group_h.cycles),
-            "bicharacter": [list(r) for r in chi.exponents],
-        },
-        {"dim": x.dim, "expected": m},
-        {
-            "structure_diff": diff_mu,
-            "star_diff": diff_star,
-            "associativity": table.report["associativity"],
-            "monomial_expand": res_mon,
-        },
-        verdicts,
-        structure_constants=sparse_triplets(table.structure) if m <= 36 else None,
-    )
-    return ScenarioResult(
-        "rieffel_twist_compare", {"product": x, "table": table}, rep
-    )
+    return _rieffel_result(build_via_heisenberg(c_graded, d_graded, chi, tol=tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1144,7 +1136,8 @@ def module_boxtimes(
 
     ef, me, mf = fams(e_mod.module_basis(), f_mod.module_basis())
     cd, _, _ = fams(e_mod.coeff_basis(), f_mod.coeff_basis())
-    kk, _, _ = fams(e_mod.compact_basis(), f_mod.compact_basis())
+    k_e, k_f = e_mod.compact_basis(), f_mod.compact_basis()
+    kk, _, _ = fams(k_e, k_f)
 
     def rows(t):
         return t.reshape(t.shape[0], -1)
@@ -1194,8 +1187,8 @@ def module_boxtimes(
             "f": f_mod.dim,
             "ef": dim_ef,
             "expected": expected,
-            "k_e": len(e_mod.compact_basis()),
-            "k_f": len(f_mod.compact_basis()),
+            "k_e": len(k_e),
+            "k_f": len(k_f),
             "k_ef": onb_prod.shape[0],
             "cd": onb_cd.shape[0],
         },
@@ -1363,7 +1356,8 @@ def full_verify(
     """Run every certification on one instance: coactions, both product
     routes, their equivalence, the dimension law, the dense-span check
     and the cocycle-table comparison.  An explicit Weyl pair replaces
-    the canonical witness when given."""
+    the canonical witness when given; the cocycle table is compared with
+    the Weyl-pair product built for that witness, the only one built."""
     co_c = verify_coaction(grading_to_coaction(c_graded, "right"), tol)
     co_d = verify_coaction(grading_to_coaction(d_graded, "right"), tol)
     if pair is None:
@@ -1376,8 +1370,7 @@ def full_verify(
     x2 = build_via_covariant(rep_c, rep_d, chi, tol)
     pm = equivalent(x1, x2, tol)
     pod_ok, pod_dim = podles_span_check(x1, tol)
-
-    rieffel = rieffel_twist_compare(c_graded, d_graded, chi, tol)
+    rieffel = _rieffel_result(x1, tol)
 
     expected = c_graded.dim * d_graded.dim
     verdicts = {

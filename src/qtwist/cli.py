@@ -42,7 +42,7 @@ from .heis import (
     composite_heisenberg,
     conjugate_pair,
 )
-from .matspan import DEFAULT_TOL, BudgetError, Tolerance
+from .matspan import DEFAULT_TOL, Tolerance
 from .qgroup import MAX_MODEL_ORDER, translations
 
 REPRODUCER_PATH = "qtwist_reproducer.json"
@@ -312,11 +312,7 @@ def cmd_verify(args) -> int:
         return 1
 
     pair = witness_pair(witness, chi, tol)
-    try:
-        res = full_verify(c, d, chi, tol, pair=pair, witness=witness)
-    except BudgetError as e:
-        emit_report({"error": "params", "message": str(e)}, "json", sys.stderr)
-        return 2
+    res = full_verify(c, d, chi, tol, pair=pair, witness=witness)
     report = dict(res.report)
     report["tolerance"] = tolerance_dict(tol)
     report["residuals"] = dict(report["residuals"])
@@ -390,11 +386,7 @@ EXAMPLES = {
 
 def cmd_example(args) -> int:
     tol = DEFAULT_TOL if args.tolerance is None else Tolerance(eps_eq=args.tolerance)
-    try:
-        report = EXAMPLES[args.name](args, tol)
-    except ValueError as e:
-        emit_report({"error": "params", "message": str(e)}, "json", sys.stderr)
-        return 2
+    report = EXAMPLES[args.name](args, tol)
     report["tolerance"] = tolerance_dict(tol)
     emit_report(report, args.emit)
     return 0 if report.get("passed") else 1
@@ -550,11 +542,7 @@ def run_suite(seed: int, max_order: int, count: int = 24, tol: Tolerance = DEFAU
 
 
 def cmd_suite(args) -> int:
-    try:
-        report = run_suite(args.seed, args.max_order)
-    except SpecError as e:
-        emit_report({"error": "params", "message": str(e)}, "json", sys.stderr)
-        return 2
+    report = run_suite(args.seed, args.max_order)
     emit_report(report, "json")
     if report["passed"]:
         return 0

@@ -25,12 +25,14 @@ from .matspan import (
     cmatrix,
     expand_in_rows,
     hs_norm,
+    _closure_round,
     internal_unit,
     multiplicative_closure,
     orthonormal_rows,
     rank,
-    residual_outside,
     span_basis,
+    structure_tables,
+    table_defect,
 )
 from .qgroup import QuantumGroupModel, build_model, translations
 
@@ -72,7 +74,8 @@ class GradedAlgebra:
 
     components maps group elements to orthonormally based subspaces; only
     nonzero components are stored.  The validation report records the
-    direct-sum, degree-additivity and adjoint-flip residuals.
+    direct-sum, closure, degree-additivity and adjoint-flip residuals of
+    one set of products of the homogeneous basis (see graded_algebra).
 
     When the components form an orthogonal direct sum (direct_sum_ok and
     component_orthogonality <= eps_eq), ambient.basis is the homogeneous
@@ -160,6 +163,13 @@ def graded_algebra(
     report["passed"].  The ambient basis is the homogeneous basis when the
     components are an orthogonal direct sum, else the span_basis of all
     inputs (see GradedAlgebra).
+
+    The homogeneous rows are multiplied once, by matspan's closure round:
+    each product and adjoint is measured against the whole span (the
+    closure test) and against the component its degree names (the
+    multiplication and adjoint residuals).  multiplicative_closure of the
+    inputs runs only for rows that fail the closure test or are no
+    orthonormal basis; such gradings fail.
     """
     comps: dict[tuple[int, ...], Subspace] = {}
     mats_all = []
@@ -180,57 +190,44 @@ def graded_algebra(
 
     n = mats_all[0].shape[0]
     total_dim = rank(np.stack([cmatrix(m, n).reshape(-1) for m in mats_all]), tol.eps_rank)
-    closure = multiplicative_closure(mats_all, tol)
+    # deg[l]: the component of homogeneous row l; add, neg: that of g + h, -g
+    order = [g for g in group.elements() if g in comps]
+    where = {g: i for i, g in enumerate(order)}
+    hom = np.concatenate([comps[g].basis for g in order])
+    rows = hom.reshape(len(hom), n * n)
+    deg = np.repeat(np.arange(len(order)), [comps[g].dim for g in order])
+    add = np.array([[where.get(group.add(g, h), -1) for h in order] for g in order])
+    neg = np.array([where.get(group.neg(g), -1) for g in order])
+
     rep: dict = {}
     rep["total_dim"] = total_dim
     rep["component_dims"] = {g: comps[g].dim for g in comps}
-    rep["direct_sum_ok"] = sum(s.dim for s in comps.values()) == total_dim
+    rep["direct_sum_ok"] = len(rows) == total_dim
+    overlap = np.abs(rows @ rows.conj().T)[deg[:, None] != deg[None, :]]
+    ortho = float(np.max(overlap, initial=0.0))
+    homogeneous = rep["direct_sum_ok"] and ortho <= tol.eps_eq
+
+    keep = (
+        add[deg[:, None], deg[None, :]][:, :, None] == deg,
+        neg[deg][:, None] == deg,
+    )
+    closure, _, (mult, adj) = _closure_round(rows, n, tol, keep)
+    if closure is None or not homogeneous:
+        closure = multiplicative_closure(mats_all, tol)
     rep["closed_under_products"] = closure.dim == total_dim
     rep["closure_residual"] = closure.closure_residual
-
-    ortho = 0.0
-    keys = sorted(comps)
-    for i, g in enumerate(keys):
-        for h in keys[i + 1 :]:
-            overlap = comps[g].coords() @ comps[h].coords().conj().T
-            ortho = max(ortho, float(np.max(np.abs(overlap))))
     rep["component_orthogonality"] = ortho
-
-    mult = 0.0
-    for g in keys:
-        for h in keys:
-            gh = group.add(g, h)
-            prods = np.matmul(comps[g].basis[:, None], comps[h].basis[None, :])
-            prods = prods.reshape(-1, n * n)
-            if gh in comps:
-                r = residual_outside(prods, comps[gh].coords())
-            else:
-                r = np.linalg.norm(prods, axis=1)
-            mult = max(mult, float(np.max(r)))
     rep["multiplication_residual"] = mult
-
-    adj = 0.0
-    for g in keys:
-        ng = group.neg(g)
-        for a in comps[g].basis:
-            s = a.conj().T
-            if ng in comps:
-                adj = max(adj, comps[ng].contains_residual(s))
-            else:
-                adj = max(adj, hs_norm(s))
     rep["adjoint_residual"] = adj
 
     rep["passed"] = (
-        rep["direct_sum_ok"]
+        homogeneous
         and rep["closed_under_products"]
-        and ortho <= tol.eps_eq
         and mult <= tol.eps_eq
         and adj <= tol.eps_eq
     )
-    homogeneous = rep["direct_sum_ok"] and ortho <= tol.eps_eq
     if homogeneous:
-        homs = [comps[g].basis for g in group.elements() if g in comps]
-        total = Subspace(ambient_dim=n, basis=np.concatenate(homs))
+        total = Subspace(ambient_dim=n, basis=hom)
     else:
         total = span_basis(mats_all, tol)
     ambient = AlgebraBasis(
@@ -623,36 +620,34 @@ class CovariantRep:
 
 
 def verify_covariant(rep: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Certify *-homomorphism, faithfulness and the covariance condition."""
-    basis = rep.graded.ambient.basis
+    """Certify *-homomorphism, faithfulness and the covariance condition.
+
+    homomorphism and star are the table_defect of the images against the
+    structure_tables of the ambient basis, as in graded_morphism.
+    """
+    graded = rep.graded
+    basis = graded.ambient.basis
+    d = len(basis)
     out: dict = {}
-    hom = 0.0
-    star = 0.0
-    for i, a in enumerate(basis):
-        fa = rep.images[i]
-        star = max(star, float(np.linalg.norm(rep.apply(a.conj().T) - fa.conj().T)))
-        for j, b in enumerate(basis):
-            hom = max(
-                hom, float(np.linalg.norm(rep.apply(a @ b) - fa @ rep.images[j]))
-            )
-    out["homomorphism"] = hom
-    out["star"] = star
-    stacked = rep.images.reshape(len(basis), -1)
-    out["faithful"] = rank(stacked, tol.eps_rank) == len(basis)
+    mult, star, _, _ = structure_tables(basis, tol)
+    prods = np.einsum("iab,jbc->ijac", rep.images, rep.images)
+    adjs = rep.images.conj().transpose(0, 2, 1)
+    out["homomorphism"], out["star"] = table_defect(mult, star, rep.images, prods, adjs)
+    out["faithful"] = rank(rep.images.reshape(d, -1), tol.eps_rank) == d
 
     cov = 0.0
     projections = rep.grading.projections()
-    for g in rep.graded.degrees():
-        for m in rep.graded.component(g).basis:
+    for g in graded.degrees():
+        for m in graded.component(g).basis:
             fm = rep.apply(m)
             for h, eh in projections.items():
-                target = projections[rep.graded.group.add(g, h)]
+                target = projections[graded.group.add(g, h)]
                 cov = max(cov, float(np.linalg.norm(target @ fm @ eh - fm @ eh)))
     out["covariance"] = cov
     out["passed"] = (
         out["faithful"]
-        and hom <= tol.eps_eq * max(1.0, len(basis))
-        and star <= tol.eps_eq
+        and out["homomorphism"] <= tol.eps_eq * max(1.0, d)
+        and out["star"] <= tol.eps_eq
         and cov <= tol.eps_eq
     )
     return out
@@ -692,8 +687,9 @@ def action_from_bicharacter(
 
     Returns (thetas, report): thetas[h] is the spectral form of theta_h,
     a dict degree -> scalar, since the map acts by a scalar on each
-    component.  The report certifies that each theta_h is a *-automorphism
-    on the graded basis and that h |-> theta_h is additive.
+    component.  theta_h is diagonal on the homogeneous basis: the report
+    holds the table_defect of its images chi(deg b, h) b against the
+    basis's structure_tables, and additive_in_h reads chi's values.
     """
     if chi.group_g != graded.group:
         raise ValueError("bicharacter first leg must match the grading group")
@@ -702,42 +698,33 @@ def action_from_bicharacter(
         h: {g: chi.value(g, h) for g in graded.degrees()} for h in H.elements()
     }
 
-    def apply_theta(h, x):
-        parts = graded.decompose(x, tol)
-        return sum(thetas[h][g] * cg for g, cg in parts.items())
-
-    rep: dict = {}
     labeled = graded.homogeneous_basis()
-    mult = 0.0
+    basis = np.stack([m for _, m in labeled])
+    mult, star, _, _ = structure_tables(basis, tol)
+    prods = np.einsum("iab,jbc->ijac", basis, basis)
+    adjs = basis.conj().transpose(0, 2, 1)
+    rep: dict = {"multiplicative": 0.0}
+    star_res = 0.0
     for h in H.elements():
-        for _, a in labeled:
-            for _, b in labeled:
-                lhs = apply_theta(h, a @ b)
-                rhs = apply_theta(h, a) @ apply_theta(h, b)
-                mult = max(mult, float(np.linalg.norm(lhs - rhs)))
-    rep["multiplicative"] = mult
-    add = 0.0
-    for h1 in H.elements():
-        for h2 in H.elements():
-            h12 = H.add(h1, h2)
-            for _, m in labeled:
-                lhs = apply_theta(h12, m)
-                rhs = apply_theta(h1, apply_theta(h2, m))
-                add = max(add, float(np.linalg.norm(lhs - rhs)))
-    rep["additive_in_h"] = add
-    star = 0.0
-    for h in H.elements():
-        for _, m in labeled:
-            star = max(
-                star,
-                float(
-                    np.linalg.norm(
-                        apply_theta(h, m.conj().T) - apply_theta(h, m).conj().T
-                    )
-                ),
-            )
-    rep["star"] = star
-    rep["passed"] = max(mult, add, star) <= tol.eps_eq
+        phase = np.array([thetas[h][g] for g, _ in labeled])
+        images = phase[:, None, None] * basis
+        hom, adj = table_defect(
+            mult,
+            star,
+            images,
+            np.multiply.outer(phase, phase)[:, :, None, None] * prods,
+            phase.conj()[:, None, None] * adjs,
+        )
+        rep["multiplicative"] = max(rep["multiplicative"], hom)
+        star_res = max(star_res, adj)
+    rep["additive_in_h"] = max(
+        abs(thetas[H.add(h1, h2)][g] - thetas[h1][g] * thetas[h2][g])
+        for h1 in H.elements()
+        for h2 in H.elements()
+        for g in graded.degrees()
+    )
+    rep["star"] = star_res
+    rep["passed"] = max(rep["multiplicative"], rep["additive_in_h"], star_res) <= tol.eps_eq
     return thetas, rep
 
 

@@ -135,9 +135,13 @@ def residual_outside(rows: np.ndarray, onb: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(rows)
     if onb.shape[0] == 0:
         return np.linalg.norm(rows, axis=1)
-    # besides onb.conj(), one rows-sized array: the remainder overwrites
-    # the projection, and its row norms are read in place through a float view
-    rem = (rows @ onb.conj().T) @ onb
+    return _remainder_norms(rows, rows @ onb.conj().T, onb)
+
+
+def _remainder_norms(rows, coeffs, onb, out=None) -> np.ndarray:
+    """Row norms of rows - coeffs @ onb, formed in one rows-sized array
+    (out when given) and read in place through a float view."""
+    rem = np.matmul(coeffs, onb, out=out)
     np.subtract(rows, rem, out=rem)
     if rem.dtype == np.complex128:
         rem = rem.view(np.float64)
@@ -353,17 +357,62 @@ def subspace_equal(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bo
     return max(ra, rb) <= tol.eps_eq
 
 
+def _closure_round(
+    coords: np.ndarray, n: int, tol: Tolerance, keep=None
+) -> tuple[AlgebraBasis | None, np.ndarray | None, tuple[float, float] | None]:
+    """(algebra, stack, own): one multiplicative_closure round on coords.
+
+    The products b_i b_j of the orthonormal rows are formed one left
+    factor at a time, then the adjoints.  They add no rank when their
+    residual outside the span is below eps_rank, else `rank` of the stack
+    [coords; products; adjoints] decides.  algebra is the AlgebraBasis on
+    coords when closed, else None and stack is returned to grow from.
+    keep = ((k, k, k), (k, k)) boolean arrays names the rows each product
+    and adjoint should lie on; own is their worst distance from those.
+    """
+    k = coords.shape[0]
+    basis = coords.reshape(k, n, n)
+    coords_h = coords.conj().T
+    adjs = basis.conj().transpose(0, 2, 1).reshape(k, n * n)
+    # row i < k: the products b_i b_j, formed in a reused buffer; row k: adjoints
+    outside = np.empty((k + 1, k))
+    mine = np.empty((k + 1, k))
+    block = np.empty((k, n, n), dtype=np.complex128)
+    rem = np.empty((k, n * n), dtype=np.complex128)
+    for i in range(k + 1):
+        vecs = np.matmul(basis[i], basis, out=block).reshape(k, n * n) if i < k else adjs
+        coeffs = vecs @ coords_h
+        outside[i] = _remainder_norms(vecs, coeffs, coords, rem)
+        if keep is not None:
+            mask = keep[0][i] if i < k else keep[1]
+            mine[i] = _remainder_norms(vecs, coeffs * mask, coords, rem)
+    own = None if keep is None else (float(np.max(mine[:k])), float(np.max(mine[k])))
+    # [coords; products; adjoints] has s_k >= 1 (orthonormal coords, words
+    # of norm <= 1) and s_{k+1} <= ||outside||, so a residual below
+    # eps_rank already means rank k; otherwise the singular values decide.
+    if np.linalg.norm(outside) > tol.eps_rank:
+        prods = np.matmul(basis[:, None], basis[None, :]).reshape(k * k, n * n)
+        stack = np.vstack([coords, prods, adjs])
+        if rank(stack, tol.eps_rank) != k:
+            return None, stack, own
+    id_res = float(residual_outside(np.eye(n, dtype=np.complex128).reshape(1, -1), coords)[0])
+    algebra = AlgebraBasis(
+        space=Subspace(ambient_dim=n, basis=basis),
+        contains_identity=id_res <= tol.eps_eq * np.sqrt(n),
+        closure_residual=float(np.max(outside)),
+    )
+    return algebra, None, own
+
+
 def multiplicative_closure(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Smallest *-subalgebra span containing the generators.
 
     Alternates span extension with pairwise products (lexicographic order)
-    and adjoints until the dimension stabilizes.  Deterministic for a fixed
-    generator order.  The span is closed when the products and adjoints
-    of its basis add no rank: certain when their residual outside the
-    span is below eps_rank, else decided by `rank` of the extended stack.
-    The first basis is the normalised generators when they are exactly
-    orthogonal, else their orthonormal_rows; each extension is the
-    orthonormal_rows of the stack, and the last basis is returned.
+    and adjoints until the dimension stabilizes, each round decided by
+    _closure_round.  Deterministic for a fixed generator order.  The first
+    basis is the normalised generators when they are exactly orthogonal,
+    else their orthonormal_rows; each extension is the orthonormal_rows
+    of the stack, and the last basis is returned.
     """
     gens = [cmatrix(g) for g in generators]
     if not gens:
@@ -381,31 +430,10 @@ def multiplicative_closure(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraB
     else:
         coords = orthonormal_rows(rows, tol.eps_rank)
     while True:
-        basis = coords.reshape(-1, n, n)
-        k = basis.shape[0]
-        adjs = basis.conj().transpose(0, 2, 1).reshape(k, n * n)
-        # residuals of the products b_i b_j, one block of k per i, then adjoints
-        outside = np.concatenate(
-            [residual_outside((b @ basis).reshape(k, n * n), coords) for b in basis]
-            + [residual_outside(adjs, coords)]
-        )
-        # [coords; products; adjoints] has s_k >= 1 (orthonormal coords, words
-        # of norm <= 1) and s_{k+1} <= ||outside||, so a residual below
-        # eps_rank already means rank k; otherwise the singular values decide.
-        closed = np.linalg.norm(outside) <= tol.eps_rank
-        if not closed:
-            prods = np.matmul(basis[:, None], basis[None, :]).reshape(k * k, n * n)
-            stacked = np.vstack([coords, prods, adjs])
-            closed = rank(stacked, tol.eps_rank) == k
-        if closed:
-            ident = np.eye(n, dtype=np.complex128).reshape(1, -1)
-            id_res = float(residual_outside(ident, coords)[0])
-            return AlgebraBasis(
-                space=Subspace(ambient_dim=n, basis=basis),
-                contains_identity=id_res <= tol.eps_eq * np.sqrt(n),
-                closure_residual=float(np.max(outside, initial=0.0)),
-            )
-        coords = orthonormal_rows(stacked, tol.eps_rank)
+        algebra, stack, _ = _closure_round(coords, n, tol)
+        if algebra is not None:
+            return algebra
+        coords = orthonormal_rows(stack, tol.eps_rank)
 
 
 def internal_unit(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:

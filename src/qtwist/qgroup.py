@@ -31,8 +31,6 @@ __all__ = [
     "build_model",
     "translations",
     "indicators",
-    "comultiplication",
-    "unitary_antipode",
     "dual_model",
     "verify_bicharacter_equations",
 ]
@@ -317,18 +315,12 @@ def _build_cached(cycles: tuple[int, ...]) -> QuantumGroupModel:
     return model
 
 
-def build_model(group: FinAbGroup, tol: Tolerance = DEFAULT_TOL) -> QuantumGroupModel:
-    """Build and certify the multiplicative-unitary model for a group."""
-    del tol  # certification always runs at the default thresholds
+def build_model(group: FinAbGroup) -> QuantumGroupModel:
+    """Build and certify the multiplicative-unitary model for a group.
+
+    Certification always runs at the default thresholds.
+    """
     return _build_cached(group.cycles)
-
-
-def comultiplication(model: QuantumGroupModel, x: np.ndarray) -> np.ndarray:
-    return model.comultiplication(x)
-
-
-def unitary_antipode(model: QuantumGroupModel, x: np.ndarray) -> np.ndarray:
-    return model.unitary_antipode(x)
 
 
 def dual_model(model: QuantumGroupModel) -> QuantumGroupModel:

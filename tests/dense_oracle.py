@@ -5,7 +5,11 @@ routines here work on dense matrices instead and serve as independent
 checks: `dense_algebra` materializes a crossed product's span as an
 `AlgebraBasis`, `center` and `find_generator_isomorphism` read it as
 matrices, and `all_pairs_closure` recomputes the closure certificate from
-one array holding all m^2 family products.
+one array holding all m^2 family products.  `graded_algebra`,
+`verify_covariant` and `action_from_bicharacter` validate gradings,
+covariant representations and bicharacter actions pair by pair, through
+`multiplicative_closure`, `CovariantRep.apply` and
+`GradedAlgebra.decompose`.
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist.boxtimes import (
     CrossedProduct,
     coords_product_pairs,
     coords_star,
     coords_to_matrix,
 )
+from qtwist.coact import CovariantRep, GradedAlgebra
 from qtwist.matspan import (
     DEFAULT_TOL,
     AlgebraBasis,
@@ -28,10 +34,13 @@ from qtwist.matspan import (
     cmatrix,
     expand_in_rows,
     expand_table,
+    hs_norm,
+    multiplicative_closure,
     orthonormal_rows,
     rank,
     relation_transport,
     residual_outside,
+    span_basis,
 )
 
 
@@ -206,3 +215,183 @@ def find_generator_isomorphism(
             "dim": d,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# gradings, covariant representations and bicharacter actions, pair by pair
+
+
+def graded_algebra(group: FinAbGroup, parts, tol: Tolerance = DEFAULT_TOL) -> GradedAlgebra:
+    """Validate a grading through multiplicative_closure of its inputs and
+    one residual_outside per pair of components and per adjoint."""
+    comps: dict = {}
+    mats_all = []
+    for g, mats in parts.items():
+        g = group.reduce(g)
+        mats = [cmatrix(m) for m in mats]
+        if not mats:
+            continue
+        sp = span_basis(mats, tol)
+        if sp.dim == 0:
+            continue
+        if g in comps:
+            sp = span_basis(list(comps[g].basis) + list(sp.basis), tol)
+        comps[g] = sp
+        mats_all.extend(mats)
+    if not mats_all:
+        raise ValueError("grading needs at least one nonzero component")
+
+    n = mats_all[0].shape[0]
+    total_dim = rank(np.stack([cmatrix(m, n).reshape(-1) for m in mats_all]), tol.eps_rank)
+    closure = multiplicative_closure(mats_all, tol)
+    rep: dict = {}
+    rep["total_dim"] = total_dim
+    rep["component_dims"] = {g: comps[g].dim for g in comps}
+    rep["direct_sum_ok"] = sum(s.dim for s in comps.values()) == total_dim
+    rep["closed_under_products"] = closure.dim == total_dim
+    rep["closure_residual"] = closure.closure_residual
+
+    ortho = 0.0
+    keys = sorted(comps)
+    for i, g in enumerate(keys):
+        for h in keys[i + 1 :]:
+            overlap = comps[g].coords() @ comps[h].coords().conj().T
+            ortho = max(ortho, float(np.max(np.abs(overlap))))
+    rep["component_orthogonality"] = ortho
+
+    mult = 0.0
+    for g in keys:
+        for h in keys:
+            gh = group.add(g, h)
+            prods = np.matmul(comps[g].basis[:, None], comps[h].basis[None, :])
+            prods = prods.reshape(-1, n * n)
+            if gh in comps:
+                r = residual_outside(prods, comps[gh].coords())
+            else:
+                r = np.linalg.norm(prods, axis=1)
+            mult = max(mult, float(np.max(r)))
+    rep["multiplication_residual"] = mult
+
+    adj = 0.0
+    for g in keys:
+        ng = group.neg(g)
+        for a in comps[g].basis:
+            s = a.conj().T
+            if ng in comps:
+                adj = max(adj, comps[ng].contains_residual(s))
+            else:
+                adj = max(adj, hs_norm(s))
+    rep["adjoint_residual"] = adj
+
+    rep["passed"] = (
+        rep["direct_sum_ok"]
+        and rep["closed_under_products"]
+        and ortho <= tol.eps_eq
+        and mult <= tol.eps_eq
+        and adj <= tol.eps_eq
+    )
+    homogeneous = rep["direct_sum_ok"] and ortho <= tol.eps_eq
+    if homogeneous:
+        homs = [comps[g].basis for g in group.elements() if g in comps]
+        total = Subspace(ambient_dim=n, basis=np.concatenate(homs))
+    else:
+        total = span_basis(mats_all, tol)
+    ambient = AlgebraBasis(
+        space=total,
+        contains_identity=closure.contains_identity,
+        closure_residual=closure.closure_residual,
+    )
+    return GradedAlgebra(
+        group=group,
+        ambient=ambient,
+        components=comps,
+        report=rep,
+        homogeneous_ambient=homogeneous,
+    )
+
+
+def verify_covariant(rep: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """*-homomorphism, faithfulness and covariance through rep.apply on
+    every product and adjoint of the ambient basis."""
+    basis = rep.graded.ambient.basis
+    out: dict = {}
+    hom = 0.0
+    star = 0.0
+    for i, a in enumerate(basis):
+        fa = rep.images[i]
+        star = max(star, float(np.linalg.norm(rep.apply(a.conj().T) - fa.conj().T)))
+        for j, b in enumerate(basis):
+            hom = max(
+                hom, float(np.linalg.norm(rep.apply(a @ b) - fa @ rep.images[j]))
+            )
+    out["homomorphism"] = hom
+    out["star"] = star
+    stacked = rep.images.reshape(len(basis), -1)
+    out["faithful"] = rank(stacked, tol.eps_rank) == len(basis)
+
+    cov = 0.0
+    projections = rep.grading.projections()
+    for g in rep.graded.degrees():
+        for m in rep.graded.component(g).basis:
+            fm = rep.apply(m)
+            for h, eh in projections.items():
+                target = projections[rep.graded.group.add(g, h)]
+                cov = max(cov, float(np.linalg.norm(target @ fm @ eh - fm @ eh)))
+    out["covariance"] = cov
+    out["passed"] = (
+        out["faithful"]
+        and hom <= tol.eps_eq * max(1.0, len(basis))
+        and star <= tol.eps_eq
+        and cov <= tol.eps_eq
+    )
+    return out
+
+
+def action_from_bicharacter(
+    graded: GradedAlgebra, chi: Bicharacter, tol: Tolerance = DEFAULT_TOL
+) -> tuple[dict, dict]:
+    """The bicharacter action, certified through decompose on every pair."""
+    if chi.group_g != graded.group:
+        raise ValueError("bicharacter first leg must match the grading group")
+    H = chi.group_h
+    thetas = {
+        h: {g: chi.value(g, h) for g in graded.degrees()} for h in H.elements()
+    }
+
+    def apply_theta(h, x):
+        parts = graded.decompose(x, tol)
+        return sum(thetas[h][g] * cg for g, cg in parts.items())
+
+    rep: dict = {}
+    labeled = graded.homogeneous_basis()
+    mult = 0.0
+    for h in H.elements():
+        for _, a in labeled:
+            for _, b in labeled:
+                lhs = apply_theta(h, a @ b)
+                rhs = apply_theta(h, a) @ apply_theta(h, b)
+                mult = max(mult, float(np.linalg.norm(lhs - rhs)))
+    rep["multiplicative"] = mult
+    add = 0.0
+    for h1 in H.elements():
+        for h2 in H.elements():
+            h12 = H.add(h1, h2)
+            for _, m in labeled:
+                lhs = apply_theta(h12, m)
+                rhs = apply_theta(h1, apply_theta(h2, m))
+                add = max(add, float(np.linalg.norm(lhs - rhs)))
+    rep["additive_in_h"] = add
+    star = 0.0
+    for h in H.elements():
+        for _, m in labeled:
+            star = max(
+                star,
+                float(
+                    np.linalg.norm(
+                        apply_theta(h, m.conj().T) - apply_theta(h, m).conj().T
+                    )
+                ),
+            )
+    rep["star"] = star
+    rep["passed"] = max(mult, add, star) <= tol.eps_eq
+    return thetas, rep

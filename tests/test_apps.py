@@ -437,6 +437,23 @@ def test_full_verify_mixed_groups():
     assert all(res.report["verdicts"].values())
 
 
+def test_full_verify_builds_one_heisenberg_product(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(build_via_heisenberg(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(apps, "build_via_heisenberg", counted)
+    res = full_verify(delta_grading(Z3), character_grading(Z3), CHI3)
+    assert res.passed
+    assert len(built) == 1
+    assert res.objects["rieffel"].objects["product"] is built[0]
+    # the comparison is the one rieffel_twist_compare makes on its own product
+    alone = rieffel_twist_compare(delta_grading(Z3), character_grading(Z3), CHI3)
+    assert res.objects["rieffel"].report == alone.report
+
+
 def test_sparse_triplets_roundtrip():
     t = np.zeros((2, 2, 2), dtype=np.complex128)
     t[0, 1, 1] = 1.5
