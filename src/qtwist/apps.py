@@ -193,9 +193,12 @@ def cocycle_twist_table(
     star = star * spin[:, :, None, None]
     star = star.reshape(m, m)
 
-    t1 = np.einsum("xyu,uzw->xyzw", mu, mu)
-    t2 = np.einsum("yzu,xuw->xyzw", mu, mu)
-    assoc = float(np.max(np.abs(t1 - t2)))
+    # (xy)z - x(yz), one left factor x at a time, so m^3 entries are held
+    wide, tall = mu.reshape(m, m * m), mu.reshape(m * m, m)
+    assoc = max(
+        float(np.max(np.abs(mu[x] @ wide - (tall @ mu[x]).reshape(m, m * m))))
+        for x in range(m)
+    )
 
     # star is involutive for the twisted product: s(conj(s)) = 1
     invol = float(np.max(np.abs(star @ star.conj() - np.eye(m))))
@@ -599,8 +602,7 @@ def embed_in_reduced(
         ],
         tol,
     )
-    eye_c, eye_d = np.eye(n_c), np.eye(n_d)
-    eye_g, eye_h = np.eye(G.order), np.eye(H.order)
+    eye_d, eye_h = np.eye(n_d), np.eye(H.order)
 
     iota_c = np.stack(
         [
@@ -609,23 +611,17 @@ def embed_in_reduced(
         ]
     )
 
-    # kernel on legs (2,4); P_x, Q_y are the coordinate projections
-    kern = np.zeros((legs.ambient_dim, legs.ambient_dim), dtype=np.complex128)
-    for gx in G.elements():
-        px = np.zeros((G.order, G.order), dtype=np.complex128)
-        px[G.index(gx), G.index(gx)] = 1.0
-        for hy in H.elements():
-            qy = np.zeros((H.order, H.order), dtype=np.complex128)
-            qy[H.index(hy), H.index(hy)] = 1.0
-            kern += chi.value(gx, hy) * np.kron(
-                np.kron(eye_c, px), np.kron(eye_d, qy)
-            )
+    # the kernel is diagonal: chi(x, y) on every basis vector whose leg 2
+    # index is x and leg 4 index is y
+    kd = np.broadcast_to(
+        chi.value_table()[None, :, None, :], (n_c, G.order, n_d, H.order)
+    ).reshape(-1)
     gamma_d = grading_to_coaction(d_graded, side="right")
     head = np.eye(n_c * G.order)
 
     def emb_d(b):
         dense = np.kron(head, gamma_d.apply(b, tol))
-        conj = kern.conj().T @ dense @ kern
+        conj = dense * np.outer(kd.conj(), kd)
         coords, res = matrix_to_coords(conj, legs)
         if res > tol.eps_eq * max(1.0, hs_norm(conj)):
             raise RuntimeError("conjugated image escapes the leg frames")

@@ -4,9 +4,10 @@ The twisted product of C and D along a bicharacter chi is the span of
 iota_C(C) iota_D(D), where the two embeddings commute up to chi on
 homogeneous elements.  Two constructions are provided: through a
 certified Weyl pair on a third tensor leg, and through covariant
-representations conjugated by the block-scalar unitary Z.  Both are
-certified numerically: spanning, closure, the exchange law, the
-commutation law, and injectivity of the markings.
+representations conjugated by the block-scalar unitary Z, which is held
+as its diagonal and applied leg by leg.  Both are certified numerically:
+spanning, closure, the exchange law, the commutation law, and
+injectivity of the markings.
 
 Operators live on tensor-product carriers and are stored as coordinate
 tensors over one orthonormal frame per leg.  Every frame carries
@@ -57,7 +58,6 @@ from .heis import RepPair, canonical_heisenberg, is_heisenberg
 from .matspan import (
     DEFAULT_TOL,
     Tolerance,
-    check_size,
     cmatrix,
     expand_in_rows,
     expand_table,
@@ -456,31 +456,34 @@ def morphism_from_pairs(
 
 @dataclass
 class ZUnitary:
-    """Block-scalar unitary on K (x) L: conj(chi(g,h)) on K_g (x) L_h."""
+    """Block-scalar unitary on K (x) L, held as its diagonal: phases[a, b] =
+    conj(chi(deg a, deg b)) on e_a (x) f_b; matrix is the dense Z."""
 
-    matrix: np.ndarray
+    phases: np.ndarray  # (nk, nl)
     grading_k: GradedHilbertSpace
     grading_l: GradedHilbertSpace
     chi: Bicharacter
     report: dict = field(default_factory=dict)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.diag(self.phases.reshape(-1))
+
+
+def _degree_indices(grading: GradedHilbertSpace) -> np.ndarray:
+    return np.array([grading.group.index(g) for g in grading.degrees], dtype=np.intp)
+
 
 def z_unitary(
     grading_k: GradedHilbertSpace, grading_l: GradedHilbertSpace, chi: Bicharacter
 ) -> ZUnitary:
+    """Z's phases from chi.value_table(); unitary is || |phases|^2 - 1 ||."""
     if grading_k.group != chi.group_g or grading_l.group != chi.group_h:
         raise ValueError("space gradings must match the bicharacter groups")
-    nk, nl = grading_k.dimension, grading_l.dimension
-    z = np.zeros((nk * nl, nk * nl), dtype=np.complex128)
-    for g in chi.group_g.elements():
-        for h in chi.group_h.elements():
-            z += np.conj(chi.value(g, h)) * np.kron(
-                grading_k.projection(g), grading_l.projection(h)
-            )
-    rep = {"unitary": float(np.linalg.norm(z @ z.conj().T - np.eye(nk * nl)))}
-    return ZUnitary(
-        matrix=z, grading_k=grading_k, grading_l=grading_l, chi=chi, report=rep
-    )
+    table = chi.value_table().conj()
+    phases = table[np.ix_(_degree_indices(grading_k), _degree_indices(grading_l))]
+    rep = {"unitary": float(np.linalg.norm(np.abs(phases) ** 2 - 1.0))}
+    return ZUnitary(phases, grading_k, grading_l, chi, rep)
 
 
 def z_commutation_residual(z: ZUnitary, pair: RepPair) -> float:
@@ -967,7 +970,12 @@ def build_via_covariant(
 
     The first factor acts as phi(c) (x) 1; the second is conjugated,
     d |-> Z (1 (x) psi(d)) Z*, with Z the block-scalar unitary attached
-    to the space gradings and chi.
+    to the space gradings and chi.  Z is diagonal, so for any y on L
+    Z (1 (x) y) Z* = sum_k Phi_k (x) y_k, Phi_k = sum_g conj(chi(g,k)) E_g,
+    with y_k the entries of y of row degree minus column degree k.  Terms
+    with equal Phi_k are summed; each non-zero term is projected leg by leg
+    by pure_coords, which certifies its leg membership.  No dense Z or
+    conjugated image is formed.
     """
     for cov, name in ((cov_c, "C"), (cov_d, "D")):
         if not cov.report.get("passed", False) or not cov.report.get("faithful", False):
@@ -975,35 +983,28 @@ def build_via_covariant(
     _require_factor(cov_c.graded, chi.group_g, "C")
     _require_factor(cov_d.graded, chi.group_h, "D")
 
-    G, H = chi.group_g, chi.group_h
-    nk, nl = cov_c.carrier_dim, cov_d.carrier_dim
-    # Z and each conjugated image are dense matrices on the carrier K (x) L
-    check_size((nk * nl) ** 2, f"covariant carrier {nk}x{nl}")
+    H = chi.group_h
     z = z_unitary(cov_c.grading, cov_d.grading, chi)
-    zm = z.matrix
-    eye_k, eye_l = np.eye(nk), np.eye(nl)
-    # first-leg phases: psi-tilde(d_h) = (sum_g conj(chi(g,h)) E_g) (x) psi(d_h)
-    phases = {
-        h: sum(
-            np.conj(chi.value(g, h)) * cov_c.grading.projection(g)
-            for g in G.elements()
-        )
-        for h in H.elements()
-    }
-    leg1 = [img @ phases[h] for img in cov_c.images for h in H.elements()]
+    eye_k, eye_l = np.eye(cov_c.carrier_dim), np.eye(cov_d.carrier_dim)
+    # first-leg phases Phi_k, diagonal over K: conj(chi(deg a, k))
+    table = chi.value_table().conj()[_degree_indices(cov_c.grading)]
+    phases = [np.diag(t) for t in table.T]
+    leg1 = [img @ phi for img in cov_c.images for phi in phases]
     legs = leg_frames([leg1 + [eye_k], list(cov_d.images) + [eye_l]], tol)
 
     iota_c = np.stack(
         [pure_coords(legs, [img, eye_l], tol) for img in cov_c.images]
     )
-    rows_d = []
-    for img in cov_d.images:
-        twisted = zm @ np.kron(eye_k, img) @ zm.conj().T
-        coords, res = matrix_to_coords(twisted, legs)
-        if res > tol.eps_eq * max(1.0, float(np.linalg.norm(twisted))):
-            raise RuntimeError("conjugated image escapes the leg frames")
-        rows_d.append(coords)
-    iota_d = np.stack(rows_d)
+    # shift[b, b'] is the first k in H.elements() whose Phi_k equals that of
+    # deg b - deg b'
+    _, first, same = np.unique(table, axis=1, return_index=True, return_inverse=True)
+    els, deg_l = H.elements(), _degree_indices(cov_d.grading)
+    diff = np.array([[H.index(H.add(h, H.neg(h2))) for h2 in els] for h in els])
+    shift = first[same][diff[np.ix_(deg_l, deg_l)]]
+    iota_d = np.zeros((len(cov_d.images),) + legs.dims, dtype=np.complex128)
+    for j, img in enumerate(cov_d.images):
+        for k in np.unique(shift[img != 0]):
+            iota_d[j] += pure_coords(legs, [phases[k], np.where(shift == k, img, 0.0)], tol)
     provenance = {"route": "covariant", "witness": "Z-conjugated"}
     return _assemble(
         cov_c.graded,
@@ -1282,12 +1283,7 @@ def qgr_morphism_reparametrize(
     fam2 = _aligned_family(
         xb, c_graded.ambient.basis, d_graded.ambient.basis, tol
     )
-    markings = []
-    for i, c in enumerate(c_graded.ambient.basis):
-        markings.append((xa.iota_c[i], xb.iota_c_apply(c, tol)))
-    for j, d in enumerate(d_graded.ambient.basis):
-        markings.append((xa.iota_d[j], xb.iota_d_apply(d, tol)))
-    pm = _family_map(xa, fam2, xb, True, markings, tol)
+    pm = _family_map(xa, fam2, xb, True, _marking_pairs(xa, xb, tol), tol)
     if pm is not None and not pm.report["passed"]:
         pm = None
     return xa, xb, pm

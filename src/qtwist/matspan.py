@@ -194,8 +194,7 @@ def expand_in_rows(
     gram = family @ family.conj().T
     rhs = rows @ family.conj().T
     coeffs = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
-    res = np.linalg.norm(rows - coeffs @ family, axis=1)
-    return coeffs, res
+    return coeffs, _remainder_norms(rows, coeffs, family)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,12 @@ def expand_table(
         r = np.arange(coeffs.shape[0])
         k = np.argmax(np.abs(coeffs) / np.sqrt(sq), axis=1)
         c = coeffs[r, k] / sq[k]
-        one_term = float(np.max(np.linalg.norm(targets - c[:, None] * rows[k], axis=1)))
+        # t - c f_k formed in the gathered array and read through a float
+        # view, so no further targets-sized copy is held
+        rem = rows[k]
+        rem *= c[:, None]
+        v = np.subtract(targets, rem, out=rem).view(np.float64)
+        one_term = float(np.sqrt(np.max(np.einsum("ij,ij->i", v, v))))
         if one_term <= tol.eps_eq:
             table = np.zeros_like(coeffs)
             table[r, k] = c
@@ -238,9 +242,12 @@ def structure_tables(
     both through expand_table; residual is the worst defect of either
     table.  monomial is None unless the product table is monomial, then
     (index, phase) arrays of shape (d, d): b_i b_j ~ phase[i, j] b_index[i, j].
+    Raises BudgetError before forming the d^2 n^2 product stack when that
+    exceeds MAX_DENSE_ENTRIES.
     """
     basis = np.asarray(basis, dtype=np.complex128)
     d, n = basis.shape[0], basis.shape[-1]
+    check_size(d * d * n * n, f"product table of {d} {n}x{n} matrices")
     rows = basis.reshape(d, n * n)
     prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(d * d, n * n)
     mult, mono, res = expand_table(prods, rows, tol)

@@ -5,7 +5,9 @@ routines here work on dense matrices instead and serve as independent
 checks: `dense_algebra` materializes a crossed product's span as an
 `AlgebraBasis`, `center` and `find_generator_isomorphism` read it as
 matrices, and `all_pairs_closure` recomputes the closure certificate from
-one array holding all m^2 family products.  `graded_algebra`,
+one array holding all m^2 family products.  `dense_z_matrix` sums Z
+from Kronecker products and `dense_build_via_covariant` conjugates each
+psi-image by that dense Z.  `graded_algebra`,
 `verify_covariant` and `action_from_bicharacter` validate gradings,
 covariant representations and bicharacter actions pair by pair, through
 `multiplicative_closure`, `CovariantRep.apply` and
@@ -21,11 +23,15 @@ import numpy as np
 from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist.boxtimes import (
     CrossedProduct,
+    build_from_markings,
     coords_product_pairs,
     coords_star,
     coords_to_matrix,
+    leg_frames,
+    matrix_to_coords,
+    pure_coords,
 )
-from qtwist.coact import CovariantRep, GradedAlgebra
+from qtwist.coact import CovariantRep, GradedAlgebra, GradedHilbertSpace
 from qtwist.matspan import (
     DEFAULT_TOL,
     AlgebraBasis,
@@ -74,6 +80,72 @@ def all_pairs_closure(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> dict:
         out["structure"] = out["star"] = None
         out["structure_residual"] = float("inf")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the covariant route through a dense Z
+
+
+def dense_z_matrix(
+    grading_k: GradedHilbertSpace, grading_l: GradedHilbertSpace, chi: Bicharacter
+) -> np.ndarray:
+    """Z = sum_{g,h} conj(chi(g,h)) E_g (x) F_h as a dense (nk nl)^2 matrix."""
+    nk, nl = grading_k.dimension, grading_l.dimension
+    z = np.zeros((nk * nl, nk * nl), dtype=np.complex128)
+    for g in chi.group_g.elements():
+        for h in chi.group_h.elements():
+            z += np.conj(chi.value(g, h)) * np.kron(
+                grading_k.projection(g), grading_l.projection(h)
+            )
+    return z
+
+
+def dense_build_via_covariant(
+    cov_c: CovariantRep,
+    cov_d: CovariantRep,
+    chi: Bicharacter,
+    tol: Tolerance = DEFAULT_TOL,
+) -> CrossedProduct:
+    """The covariant route with each psi-image conjugated by the dense Z.
+
+    Same legs and iota_C as boxtimes.build_via_covariant; iota_D[j] is the
+    projection of Z (1 (x) psi(d_j)) Z* onto the leg frames by
+    matrix_to_coords, which raises RuntimeError when the image escapes
+    them.  Z's unitary residual is read from Z Z*.  Nothing is validated
+    beyond what the assembly certifies.
+    """
+    nk, nl = cov_c.carrier_dim, cov_d.carrier_dim
+    zm = dense_z_matrix(cov_c.grading, cov_d.grading, chi)
+    eye_k, eye_l = np.eye(nk), np.eye(nl)
+    phases = [
+        sum(
+            np.conj(chi.value(g, h)) * cov_c.grading.projection(g)
+            for g in chi.group_g.elements()
+        )
+        for h in chi.group_h.elements()
+    ]
+    leg1 = [img @ phi for img in cov_c.images for phi in phases]
+    legs = leg_frames([leg1 + [eye_k], list(cov_d.images) + [eye_l]], tol)
+    iota_c = np.stack([pure_coords(legs, [img, eye_l], tol) for img in cov_c.images])
+    rows_d = []
+    for img in cov_d.images:
+        twisted = zm @ np.kron(eye_k, img) @ zm.conj().T
+        coords, res = matrix_to_coords(twisted, legs)
+        if res > tol.eps_eq * max(1.0, float(np.linalg.norm(twisted))):
+            raise RuntimeError("conjugated image escapes the leg frames")
+        rows_d.append(coords)
+    unitary = float(np.linalg.norm(zm @ zm.conj().T - np.eye(nk * nl)))
+    return build_from_markings(
+        cov_c.graded,
+        cov_d.graded,
+        chi,
+        legs,
+        iota_c,
+        np.stack(rows_d),
+        {"route": "covariant", "witness": "Z-conjugated"},
+        {"z_unitary": unitary},
+        tol,
+    )
 
 
 # ---------------------------------------------------------------------------

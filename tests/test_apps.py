@@ -40,7 +40,7 @@ from qtwist.coact import (
     grading_to_coaction,
     make_cocycle,
 )
-from qtwist.matspan import DEFAULT_TOL, expand_in_rows
+from qtwist.matspan import DEFAULT_TOL, expand_in_rows, structure_tables
 from qtwist.qgroup import translations
 
 from dense_oracle import center, dense_algebra
@@ -51,6 +51,7 @@ Z4 = FinAbGroup((4,))
 
 CHI2 = Bicharacter(Z2, Z2, ((1,),))
 CHI3 = Bicharacter(Z3, Z3, ((1,),))
+CHI4 = Bicharacter(Z4, Z4, ((1,),))
 
 
 def hs_table(basis):
@@ -120,6 +121,53 @@ def test_cocycle_twist_table_labels_are_degree_pairs():
     assert table.labels[0] == ((0,), (0,))
     assert table.labels[1] == ((0,), (1,))
     assert table.labels[3] == ((1,), (0,))
+
+
+def einsum_associativity(mu):
+    """max |(xy)z - x(yz)| from the two m^4 tensors at once (oracle)."""
+    t1 = np.einsum("xyu,uzw->xyzw", mu, mu)
+    t2 = np.einsum("yzu,xuw->xyzw", mu, mu)
+    return float(np.max(np.abs(t1 - t2)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: skew_tensor(delta_grading(Z2), delta_grading(Z2)),
+        lambda: skew_tensor(character_grading(Z2), ad_grading(Z2, [(0,), (1,)])),
+        lambda: rieffel_twist_compare(delta_grading(Z3), delta_grading(Z3), CHI3),
+        lambda: rieffel_twist_compare(delta_grading(Z4), character_grading(Z4), CHI4),
+    ],
+    ids=["skew", "skew-character-ad", "rieffel-z3", "rieffel-z4-character"],
+)
+def test_blocked_associativity_matches_einsum(build):
+    table = build().objects["table"]
+    want = einsum_associativity(table.structure)
+    assert abs(table.report["associativity"] - want) <= 1e-15
+    assert table.report["associativity"] < 1e-12
+
+
+def test_non_associative_table_fails_two_cocycle(monkeypatch):
+    # b_1 b_1 gains 0.1 b_0 in the first factor's table (b_k the normalised
+    # lambda_k), so (b_1 b_1) b_2 and b_1 (b_1 b_2) differ
+    calls = []
+
+    def perturbed(basis, tol=DEFAULT_TOL):
+        mult, star, res, mono = structure_tables(basis, tol)
+        if not calls:
+            mult = mult.copy()
+            mult[1, 1, 0] += 0.1
+        calls.append(1)
+        return mult, star, res, mono
+
+    monkeypatch.setattr(apps, "structure_tables", perturbed)
+    res = rieffel_twist_compare(delta_grading(Z3), delta_grading(Z3), CHI3)
+    table = res.objects["table"]
+    want = einsum_associativity(table.structure)
+    assert want > 1e-3
+    assert abs(table.report["associativity"] - want) <= 1e-15
+    assert not res.report["verdicts"]["two_cocycle"]
+    assert not res.passed
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ from qtwist.matspan import (
     multiplicative_closure,
     orthonormal_rows,
     residual_outside,
+    structure_tables,
 )
 from qtwist.qgroup import translations
 
@@ -72,6 +73,7 @@ from dense_oracle import (
     all_pairs_closure,
     center,
     dense_algebra,
+    dense_build_via_covariant,
     find_generator_isomorphism,
 )
 
@@ -201,8 +203,9 @@ def test_star_table_expands_family_adjoints():
 
 
 def covariant_z3():
+    # the dense-Z route's markings carry rounding in every coordinate
     c = canonical_covariant_rep(delta_grading(Z3))
-    x = build_via_covariant(c, c, CHI3)
+    x = dense_build_via_covariant(c, c, CHI3)
     # iota_D is not one-hot: each family row has several non-zero coordinates
     assert all(np.count_nonzero(v) > 1 for v in x.iota_d)
     return x
@@ -408,16 +411,20 @@ def test_repeated_support_takes_the_dense_loop_and_fails_the_dim_law(monkeypatch
     assert x.structure is None and x.star is None
 
 
-def test_covariant_carrier_over_budget_stops_before_z(monkeypatch):
+def test_product_table_over_budget_stops_before_the_tables(monkeypatch):
     rep = canonical_covariant_rep(delta_grading(Z2))
 
     def reached(*args):
-        raise AssertionError("Z was allocated")
+        raise AssertionError("the product stack was expanded")
 
-    monkeypatch.setattr(boxtimes, "z_unitary", reached)
-    # the Z/2 carriers are 4 x 4, so Z has (4 * 4)^2 = 256 entries
+    monkeypatch.setattr("qtwist.matspan.expand_table", reached)
+    # the covariant first leg keeps 4 generators of 4 x 4, so its product
+    # stack has 4^2 * 4^2 = 256 entries
     monkeypatch.setattr("qtwist.matspan.MAX_DENSE_ENTRIES", 255)
-    with pytest.raises(BudgetError, match="covariant carrier 4x4: 256 complex entries"):
+    message = "product table of 4 4x4 matrices: 256 complex entries"
+    with pytest.raises(BudgetError, match=message):
+        structure_tables(np.zeros((4, 4, 4)))
+    with pytest.raises(BudgetError, match=message):
         build_via_covariant(rep, rep, CHI2)
 
 

@@ -131,19 +131,15 @@ def test_verify_over_size_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert "dense coaction images" in diag["message"]
 
 
-def test_verify_covariant_carrier_over_budget_exits_2(tmp_path, capsys, monkeypatch):
-    # between the M2 instance's coaction images (32 entries) and its
-    # covariant carrier (256): the carrier estimate refuses Z
-    def reached(*args):
-        raise AssertionError("Z was allocated")
-
-    monkeypatch.setattr("qtwist.boxtimes.z_unitary", reached)
+def test_verify_product_table_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # between the M2 instance's largest Weyl-leg product table (64 entries)
+    # and its covariant first leg's (4 generators of 4 x 4: 256)
     monkeypatch.setattr("qtwist.matspan.MAX_DENSE_ENTRIES", 100)
     code, _, err = run_cli(capsys, ["verify", write_spec(tmp_path, M2_SPEC)])
     assert code == 2
     diag = json.loads(err)
     assert diag["error"] == "params"
-    assert "covariant carrier" in diag["message"]
+    assert "product table of 4 4x4 matrices: 256 complex entries" in diag["message"]
 
 
 def test_verify_invalid_matrix_grading_exits_2(tmp_path, capsys):
