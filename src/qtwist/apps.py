@@ -29,7 +29,6 @@ from .boxtimes import (
     coords_product,
     coords_product_pairs,
     coords_star,
-    coords_to_matrix,
     equivalent,
     heisenberg_markings,
     leg_frames,
@@ -42,6 +41,7 @@ from .coact import (
     CoactionMap,
     Cocycle,
     GradedAlgebra,
+    TableCoaction,
     ad_grading,
     canonical_covariant_rep,
     character_grading,
@@ -51,10 +51,12 @@ from .coact import (
     graded_algebra,
     grading_to_coaction,
     hilbert_grading,
+    table_grading,
     trivial_grading,
     twist_by_cocycle,
     validate_cocycle,
     verify_coaction,
+    verify_table_coaction,
 )
 from .heis import RepPair, canonical_heisenberg, is_heisenberg
 from .matspan import (
@@ -445,11 +447,16 @@ def reduced_crossed_product(
 
 
 def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult:
-    """Regrade a reduced crossed product over the dual group.
+    """Regrade a reduced crossed product over the dual group, on its tables.
 
-    Degree p collects iota_C(C) . iota_D(character of degree p); the
-    embedded copy of C is exactly the degree-zero part and the resulting
-    left coaction passes the comodule axioms.
+    Family member iota_C(c_i) iota_D(chi_j) has the degree of the
+    character chi_j, so degree p is the set of family indices with
+    deg chi_j = p.  coact.table_grading validates that grading on
+    x.structure and x.star, with the closure certificate x already holds;
+    the left coaction lambda_p (x) c_p is applied to coordinate tensors
+    and checked by verify_table_coaction; the embedded copy of C must be
+    exactly the degree-zero part.  No dense matrix is formed.  Raises
+    ValueError when x has no structure table (the dimension law failed).
     """
     G = x.c_graded.group
     reg = regular_bicharacter(G)
@@ -460,31 +467,42 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
         raise ValueError(
             "input must be a reduced crossed product (regular bicharacter over the dual group)"
         )
+    if x.structure is None:
+        raise ValueError("the dual grading needs the structure tensor (dimension law failed)")
     ghat = x.d_graded.group
-    parts: dict = {}
-    for (p, _), dc in zip(x.d_graded.homogeneous_basis(), x.iota_d):
-        mats = [coords_to_matrix(coords_product(a, dc, x.legs), x.legs) for a in x.iota_c]
-        parts.setdefault(p, []).extend(mats)
-    graded_hat = graded_algebra(ghat, parts, tol)
-    gamma = grading_to_coaction(graded_hat, side="left")
-    co_rep = verify_coaction(gamma, tol)
-
-    comp0 = graded_hat.component(ghat.zero())
-    fix = float(
-        max(
-            comp0.contains_residual(coords_to_matrix(a, x.legs)) for a in x.iota_c
-        )
+    where = {p: k for k, p in enumerate(ghat.elements())}
+    deg_d = [where[p] for p, _ in x.d_graded.homogeneous_basis()]
+    # the family is i-major: member i * m_d + j has the degree of chi_j
+    deg = np.tile(deg_d, x.iota_c.shape[0])
+    identity = pure_coords(x.legs, [np.eye(n) for n in x.legs.sizes], tol)
+    graded_hat = table_grading(
+        ghat,
+        deg,
+        x.family.reshape(deg.size, -1),
+        x.structure,
+        x.star,
+        max(x.report["closure_residual"], x.report["adjoint_residual"]),
+        identity,
+        tol,
     )
+    gamma = TableCoaction(graded=graded_hat, model=build_model(ghat), side="left")
+    co_rep = verify_table_coaction(gamma, tol)
+
+    degree_zero = graded_hat.basis[deg == where[ghat.zero()]]
+    fix = float(
+        np.max(residual_outside(x.iota_c.reshape(x.iota_c.shape[0], -1), degree_zero))
+    )
+    dims = graded_hat.report["component_dims"]
     verdicts = {
         "grading_passed": graded_hat.report["passed"],
         "coaction_passed": co_rep["passed"],
-        "fixed_points_match": comp0.dim == x.c_graded.dim
+        "fixed_points_match": dims.get(ghat.zero(), 0) == x.c_graded.dim
         and fix <= tol.eps_eq * max(1.0, x.dim),
     }
     rep = _report(
         "dual_coaction",
         {"group": list(G.cycles), "dim": x.dim},
-        {_deg(p): graded_hat.component(p).dim for p in graded_hat.degrees()},
+        {_deg(p): k for p, k in dims.items()},
         {
             "fixed_point": fix,
             "comodule": co_rep["comodule_identity"],
@@ -493,7 +511,9 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
         verdicts,
     )
     return ScenarioResult(
-        "dual_coaction", {"coaction": gamma, "grading": graded_hat}, rep
+        "dual_coaction",
+        {"grading": graded_hat, "coaction": gamma, "coaction_report": co_rep},
+        rep,
     )
 
 

@@ -1087,11 +1087,14 @@ def _family_map(
     mat = pinv @ rows2
 
     rep: dict = {}
-    p1 = coords_product_pairs(src.family, src.family, src.legs).reshape(m * m, -1)
-    p2 = coords_product_pairs(fam2, fam2, target.legs).reshape(m * m, -1)
-    rep["multiplicative"] = float(
-        np.max(np.linalg.norm(p1 @ mat - p2, axis=1))
-    )
+    # products for one left factor at a time, so no (m^2, size) array is
+    # held; p1 @ mat is applied as (p1 @ pinv) @ rows2, through m columns
+    mult = 0.0
+    for i in range(m):
+        p1 = coords_product_pairs(src.family[i : i + 1], src.family, src.legs).reshape(m, -1)
+        p2 = coords_product_pairs(fam2[i : i + 1], fam2, target.legs).reshape(m, -1)
+        mult = max(mult, float(np.max(np.linalg.norm((p1 @ pinv) @ rows2 - p2, axis=1))))
+    rep["multiplicative"] = mult
     s1 = np.stack([coords_star(f, src.legs).reshape(-1) for f in src.family])
     s2 = np.stack([coords_star(f, target.legs).reshape(-1) for f in fam2])
     rep["star"] = float(np.max(np.linalg.norm(s1 @ mat - s2, axis=1)))

@@ -30,6 +30,7 @@ from .matspan import (
     multiplicative_closure,
     orthonormal_rows,
     rank,
+    residual_outside,
     span_basis,
     structure_tables,
     table_defect,
@@ -49,7 +50,12 @@ __all__ = [
     "CoactionMap",
     "grading_to_coaction",
     "verify_coaction",
+    "coaction_checks",
     "coaction_from_map",
+    "TableGrading",
+    "table_grading",
+    "TableCoaction",
+    "verify_table_coaction",
     "GradedHilbertSpace",
     "hilbert_grading",
     "corep_unitary",
@@ -382,7 +388,7 @@ def grading_to_coaction(graded: GradedAlgebra, side: str = "right") -> CoactionM
 
 
 def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Check the coaction axioms in leg coordinates; returns a report.
+    """Check the coaction axioms of a dense coaction map; returns a report.
 
     Raises BudgetError (a ValueError), before computing any image, only
     when the dense images (dim * (n |G|)^2 entries) exceed
@@ -392,33 +398,11 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
     span{lambda_g}, c_u the orthonormal ambient basis of C, and K[t, s, u]
     the coefficients of gamma(c_t) on qa_s (x) c_u, so that
     gamma(c_t) ~ sum K[t, s, u] c_u (x) qa_s (right side; qa_s (x) c_u on
-    the left).  Nothing assumes an image has the form c (x) lambda_g.
-
-    - image_in_c_tensor_a: worst Frobenius residual r_t of that
-      projection, which is the distance of gamma(c_t) from C (x) A.
-      Bound eps_eq.
-    - comodule_identity: the identity is applied to the grading's own
-      coaction of c_t, sum_g (c_t)_g (x) lambda_g, with coefficients
-      J[t, s, u], and gamma is the inner map, so a gamma that disagrees
-      with the grading fails it even when gamma alone is coassociative
-      (b -> lambda_{2 deg b} (x) b over Z/3).  The value is the
-      worst over t of the coefficient distance between
-      (gamma (x) id)(J[t]) = sum J[t, b, u] K[u, a, v] and
-      (id (x) Delta)(J[t]) = sum J[t, s, v] Delta[s, a, b] in the
-      orthonormal basis c_v (x) qa_a (x) qa_b (left side:
-      (id (x) gamma) and (Delta (x) id), in qa_a (x) qa_b (x) c_v), where
-      Delta(qa_s) = sum Delta[s, a, b] qa_a (x) qa_b up to a residual e_s;
-      plus ||J[t]|| (sqrt(sum_u r_u^2) + sqrt(sum_s e_s^2)), which bounds
-      what the coefficients leave out.  So the value is an upper bound of
-      the dense Frobenius residual of the identity.  Bound
-      eps_eq * max(1, dim).
-    - injective: the rank of the rows K[t] (cut eps_rank) equals dim.
-    - podles_ok: gamma(c_t) (unit (x) lambda_g) (left side:
-      (lambda_g (x) unit) gamma(c_t)) in coordinates, through the matrices
-      of multiplication by lambda_g on qa and by the algebra's unit on c_u;
-      the rank of these dim * |G| rows of length |G| * dim (cut eps_rank)
-      equals dim * |G|.  Singular values of the rows themselves, no Gram
-      matrix, so the relative cut is not squared.
+    the left), with residual r_t, the distance of gamma(c_t) from C (x) A.
+    Nothing assumes an image has the form c (x) lambda_g.  J[t, s, u]
+    holds the same coefficients of the grading's own coaction of c_t,
+    sum_g (c_t)_g (x) lambda_g, and the algebra's unit comes from
+    matspan.internal_unit.  coaction_checks states the checks and bounds.
     """
     graded, model, side = gamma.graded, gamma.model, gamma.side
     group = graded.group
@@ -426,7 +410,6 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
     els = group.elements()
     na, n, d = group.order, graded.ambient_dim, graded.dim
     check_size(d * (n * na) ** 2, "dense coaction images")
-    rep: dict = {"side": side, "grading_passed": graded.report.get("passed", True)}
 
     qa = orthonormal_rows(np.stack([lam[g].reshape(-1) for g in els]), tol.eps_rank)
     qc = graded.ambient.space.coords()
@@ -442,8 +425,6 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
         view = view.reshape(na * na, n * n)
         coeffs[t] = qa_h @ view @ qc_h
         member[t] = np.linalg.norm(view - qa.T @ coeffs[t] @ qc)
-    rep["injective"] = rank(coeffs.reshape(d, -1), tol.eps_rank) == d
-    rep["image_in_c_tensor_a"] = float(np.max(member))
 
     # J: c_t = sum_k in_hom[t, k] h_k over the homogeneous basis, as in decompose
     labeled = graded.homogeneous_basis()
@@ -451,6 +432,72 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
     in_hom, _ = expand_in_rows(qc, hom)
     lam_qa = np.stack([qa.conj() @ lam[g].reshape(-1) for g, _ in labeled])
     outer = np.einsum("tk,ks,ku->tsu", in_hom, lam_qa, hom @ qc.conj().T)
+
+    unit = internal_unit(graded.ambient, tol)
+    unit_mult = None
+    if unit is not None:
+        qc3 = qc.reshape(-1, n, n)
+        by_unit = qc3 @ unit if side == "right" else unit @ qc3
+        unit_mult = by_unit.reshape(d, n * n) @ qc.conj().T
+    return coaction_checks(
+        coeffs, member, outer, unit_mult, qa, model, side,
+        graded.report.get("passed", True), tol,
+    )
+
+
+def coaction_checks(
+    coeffs: np.ndarray,
+    member: np.ndarray,
+    outer: np.ndarray,
+    unit_mult: np.ndarray | None,
+    qa: np.ndarray,
+    model: QuantumGroupModel,
+    side: str,
+    grading_passed: bool,
+    tol: Tolerance = DEFAULT_TOL,
+) -> dict:
+    """The coaction axioms on coefficient tensors; returns a report.
+
+    qa holds an orthonormal basis of span{lambda_g} as rows and c_u is an
+    orthonormal basis of the d-dimensional algebra C.  coeffs[t] = K[t]
+    holds the coefficients of the map's image gamma(c_t) on qa_s (x) c_u
+    (right side; qa_s (x) c_u on the left) and member[t] = r_t its
+    distance from C (x) A; outer[t] = J[t] the same coefficients of the
+    grading's own coaction of c_t.  unit_mult[u, v] expands c_u times the
+    algebra's unit (right side; the unit times c_u on the left) in the
+    c_v, None when the algebra has no unit.
+
+    - image_in_c_tensor_a: the worst r_t.  Bound eps_eq.
+    - comodule_identity: the identity is applied to the grading's own
+      coaction J[t], and gamma is the inner map, so a gamma that disagrees
+      with the grading fails it even when gamma alone is coassociative
+      (b -> lambda_{2 deg b} (x) b over Z/3).  The value is the
+      worst over t of the coefficient distance between
+      (gamma (x) id)(J[t]) = sum J[t, b, u] K[u, a, v] and
+      (id (x) Delta)(J[t]) = sum J[t, s, v] Delta[s, a, b] in the
+      orthonormal basis c_v (x) qa_a (x) qa_b (left side:
+      (id (x) gamma) and (Delta (x) id), in qa_a (x) qa_b (x) c_v), where
+      Delta(qa_s) = sum Delta[s, a, b] qa_a (x) qa_b up to a residual e_s;
+      plus ||J[t]|| (sqrt(sum_u r_u^2) + sqrt(sum_s e_s^2)), which bounds
+      what the coefficients leave out.  So the value is an upper bound of
+      the dense Frobenius residual of the identity.  Bound
+      eps_eq * max(1, d).
+    - injective: the rank of the rows K[t] (cut eps_rank) equals d.
+    - podles_ok: gamma(c_t) (unit (x) lambda_g) (left side:
+      (lambda_g (x) unit) gamma(c_t)) in coordinates, through the matrices
+      of multiplication by lambda_g on qa and unit_mult; the rank of these
+      d * |G| rows of length |G| * d (cut eps_rank) equals d * |G|.
+      Singular values of the rows themselves, no Gram matrix, so the
+      relative cut is not squared.  podles_dim is -1 without a unit.
+    """
+    group = model.group
+    lam = translations(group)
+    els = group.elements()
+    na, d = group.order, coeffs.shape[0]
+    rep: dict = {"side": side, "grading_passed": grading_passed}
+    rep["injective"] = rank(coeffs.reshape(d, -1), tol.eps_rank) == d
+    rep["image_in_c_tensor_a"] = float(np.max(member))
+
     delta = np.stack([model.comultiplication(q.reshape(na, na)) for q in qa])
     delta = delta.reshape(-1, na, na, na, na).transpose(0, 1, 3, 2, 4)
     delta = delta.reshape(-1, na * na, na * na)
@@ -470,21 +517,17 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
     )
     rep["comodule_identity"] = float(np.max(defect + slack))
 
-    unit = internal_unit(graded.ambient, tol)
-    if unit is None:
+    if unit_mult is None:
         rep["podles_dim"] = -1
         rep["podles_ok"] = False
     else:
-        qa3, qc3 = qa.reshape(-1, na, na), qc.reshape(-1, n, n)
+        qa3 = qa.reshape(-1, na, na)
         if side == "right":
             by_g = np.stack([qa3 @ lam[g] for g in els])
-            by_unit = qc3 @ unit
         else:
             by_g = np.stack([lam[g] @ qa3 for g in els])
-            by_unit = unit @ qc3
         mult_a = by_g.reshape(na, -1, na * na) @ qa.conj().T
-        mult_c = by_unit.reshape(d, n * n) @ qc.conj().T
-        pod = np.einsum("tsu,gsa,uc->tgac", coeffs, mult_a, mult_c, optimize=True)
+        pod = np.einsum("tsu,gsa,uc->tgac", coeffs, mult_a, unit_mult, optimize=True)
         pdim = rank(pod.reshape(d * na, -1), tol.eps_rank)
         rep["podles_dim"] = pdim
         rep["podles_ok"] = pdim == d * na
@@ -497,6 +540,168 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
         and rep["podles_ok"]
     )
     return rep
+
+
+# ---------------------------------------------------------------------------
+# gradings over certified tables
+
+
+@dataclass
+class TableGrading:
+    """A grading of an algebra held as a basis family with certified tables.
+
+    deg[k] is the position, in group.elements() order, of the degree of
+    family member k, so each component is a set of family indices.
+    basis holds the family rows rotated within each component to an
+    orthonormal homogeneous basis: row k keeps degree deg[k].  The report
+    has graded_algebra's keys.
+    """
+
+    group: FinAbGroup
+    deg: np.ndarray
+    basis: np.ndarray
+    contains_identity: bool
+    report: dict = field(default_factory=dict)
+
+
+def table_grading(
+    group: FinAbGroup,
+    deg: np.ndarray,
+    rows: np.ndarray,
+    structure: np.ndarray,
+    star: np.ndarray,
+    closure_residual: float,
+    identity: np.ndarray,
+    tol: Tolerance = DEFAULT_TOL,
+) -> TableGrading:
+    """Validate the grading of a basis family by its own tables.
+
+    rows (m, S) are the family in orthonormal coordinates, so coordinate
+    norms are Frobenius norms; structure[i, j] and star[i] expand f_i f_j
+    and f_i* in the family (matspan.structure_tables' convention), and
+    closure_residual is the worst distance of a product or adjoint from
+    the span that certified them.  identity holds the coordinates of the
+    ambient identity.  The family is a basis, so the index sets are an
+    independent direct sum of dimension m.  Never raises on a bad
+    grading; as in graded_algebra the violations flip report["passed"]:
+
+    - component_orthogonality: the worst |<b_k, b_l>| over rows of
+      different degrees.  Bound eps_eq.
+    - multiplication_residual, adjoint_residual: the norm of the
+      product b_i b_j outside degree deg i + deg j, and of b_i* outside
+      -deg i, read from the tables in the basis b.  Bound eps_eq.
+    - closed_under_products: closure_residual <= eps_eq * max(1, m).
+    """
+    els = group.elements()
+    where = {g: i for i, g in enumerate(els)}
+    add = np.array([[where[group.add(g, h)] for h in els] for g in els])
+    neg = np.array([where[group.neg(g)] for g in els])
+    m = rows.shape[0]
+    gram = rows @ rows.conj().T
+    # b = rot f, with rot the inverse Cholesky factor of each component's
+    # Gram block, so rot and its inverse keep degrees
+    rot = np.zeros((m, m), dtype=np.complex128)
+    for g in np.unique(deg):
+        block = np.ix_(deg == g, deg == g)
+        rot[block] = np.linalg.inv(np.linalg.cholesky(gram[block]))
+    back = np.linalg.inv(rot)
+    mult = np.einsum("ia,jb,abc,ck->ijk", rot, rot, structure, back, optimize=True)
+    adj = rot.conj() @ star @ back
+    basis = rot @ rows
+
+    off_mult = np.where(add[deg[:, None], deg[None, :]][:, :, None] == deg, 0.0, mult)
+    off_adj = np.where(neg[deg][:, None] == deg, 0.0, adj)
+    overlap = np.abs(rot @ gram @ rot.conj().T)[deg[:, None] != deg[None, :]]
+    id_res = float(residual_outside(identity.reshape(1, -1), basis)[0])
+
+    rep: dict = {}
+    rep["total_dim"] = m
+    rep["component_dims"] = {els[g]: int(np.count_nonzero(deg == g)) for g in np.unique(deg)}
+    rep["direct_sum_ok"] = True
+    rep["closed_under_products"] = closure_residual <= tol.eps_eq * max(1.0, m)
+    rep["closure_residual"] = closure_residual
+    rep["component_orthogonality"] = float(np.max(overlap, initial=0.0))
+    rep["multiplication_residual"] = float(np.max(np.linalg.norm(off_mult, axis=2)))
+    rep["adjoint_residual"] = float(np.max(np.linalg.norm(off_adj, axis=1)))
+    rep["passed"] = (
+        rep["component_orthogonality"] <= tol.eps_eq
+        and rep["closed_under_products"]
+        and rep["multiplication_residual"] <= tol.eps_eq
+        and rep["adjoint_residual"] <= tol.eps_eq
+    )
+    return TableGrading(
+        group=group,
+        deg=deg,
+        basis=basis,
+        contains_identity=id_res <= tol.eps_eq * max(1.0, float(np.linalg.norm(identity))),
+        report=rep,
+    )
+
+
+@dataclass
+class TableCoaction:
+    """The coaction c |-> sum_g c_g (x) lambda_g (right side) or
+    sum_g lambda_g (x) c_g (left side) of a TableGrading, on coordinates."""
+
+    graded: TableGrading
+    model: QuantumGroupModel
+    side: str = "right"
+
+    def __post_init__(self) -> None:
+        if self.side not in ("right", "left"):
+            raise ValueError("side must be 'right' or 'left'")
+        if self.model.group != self.graded.group:
+            raise ValueError("model group must match the grading group")
+
+    def apply(self, c: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """(|G|, S) coefficient tensor of gamma(c): row g holds the
+        coordinates of c_g, the part of c on the index set of degree g.
+        Raises outside the algebra, with decompose's bound."""
+        basis = self.graded.basis
+        coeffs = basis.conj() @ c
+        res = float(np.linalg.norm(c - coeffs @ basis))
+        if res > tol.eps_eq * max(1.0, float(np.linalg.norm(c))):
+            raise ValueError("element is not in the graded algebra")
+        parts = np.arange(self.graded.group.order)[:, None] == self.graded.deg
+        return (parts * coeffs) @ basis
+
+
+def verify_table_coaction(gamma: TableCoaction, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """Check the coaction axioms of a TableCoaction; returns a report.
+
+    The map is applied to each basis row c_t and its (|G|, S) image
+    Y[g] (gamma(c_t) = sum_g Y[g] (x) lambda_g, or lambda_g (x) Y[g]) is
+    projected on the orthonormal basis: K[t] on qa_s (x) c_u, as in
+    verify_coaction, and r_t = sqrt(|G|) ||Y - projection||, the distance
+    of the image from C (x) A since ||lambda_g||^2 = |G|.  J[t] is
+    lambda_{deg t} (x) c_t, the unit is the ambient identity when the
+    algebra contains it (else the Podles check fails), and
+    coaction_checks states the checks and bounds.  No dense matrix of
+    the algebra is formed.
+    """
+    graded = gamma.graded
+    group = graded.group
+    lam = translations(group)
+    lams = np.stack([lam[g].reshape(-1) for g in group.elements()])
+    qa = orthonormal_rows(lams, tol.eps_rank)
+    to_qa = qa.conj() @ lams.T  # lambda_g = sum_s to_qa[s, g] qa_s
+    basis = graded.basis
+    m = basis.shape[0]
+    basis_h = basis.conj().T
+    coeffs = np.empty((m, qa.shape[0], m), dtype=np.complex128)
+    member = np.empty(m)
+    for t, b in enumerate(basis):
+        img = gamma.apply(b, tol)
+        c = img @ basis_h
+        coeffs[t] = to_qa @ c
+        member[t] = np.sqrt(group.order) * np.linalg.norm(img - c @ basis)
+    outer = np.zeros_like(coeffs)
+    outer[np.arange(m), :, np.arange(m)] = to_qa[:, graded.deg].T
+    unit_mult = np.eye(m, dtype=np.complex128) if graded.contains_identity else None
+    return coaction_checks(
+        coeffs, member, outer, unit_mult, qa, gamma.model, gamma.side,
+        graded.report["passed"], tol,
+    )
 
 
 def _partial_trace_components(

@@ -249,7 +249,7 @@ def structure_tables(
     d, n = basis.shape[0], basis.shape[-1]
     check_size(d * d * n * n, f"product table of {d} {n}x{n} matrices")
     rows = basis.reshape(d, n * n)
-    prods = np.einsum("iab,jbc->ijac", basis, basis).reshape(d * d, n * n)
+    prods = np.matmul(basis[:, None], basis[None, :]).reshape(d * d, n * n)
     mult, mono, res = expand_table(prods, rows, tol)
     adjs = basis.conj().transpose(0, 2, 1).reshape(d, n * n)
     star, _, s_res = expand_table(adjs, rows, tol)
@@ -376,8 +376,11 @@ def _closure_round(
     coords when closed, else None and stack is returned to grow from.
     keep = ((k, k, k), (k, k)) boolean arrays names the rows each product
     and adjoint should lie on; own is their worst distance from those.
+    Raises BudgetError before forming the k-product blocks, or the
+    (k^2 + 2k) n^2 rank stack, when that exceeds MAX_DENSE_ENTRIES.
     """
     k = coords.shape[0]
+    check_size(k * n * n, f"closure products of {k} {n}x{n} matrices")
     basis = coords.reshape(k, n, n)
     coords_h = coords.conj().T
     adjs = basis.conj().transpose(0, 2, 1).reshape(k, n * n)
@@ -398,6 +401,7 @@ def _closure_round(
     # of norm <= 1) and s_{k+1} <= ||outside||, so a residual below
     # eps_rank already means rank k; otherwise the singular values decide.
     if np.linalg.norm(outside) > tol.eps_rank:
+        check_size((k * k + 2 * k) * n * n, f"closure rank stack of {k} {n}x{n} matrices")
         prods = np.matmul(basis[:, None], basis[None, :]).reshape(k * k, n * n)
         stack = np.vstack([coords, prods, adjs])
         if rank(stack, tol.eps_rank) != k:

@@ -7,7 +7,8 @@ checks: `dense_algebra` materializes a crossed product's span as an
 matrices, and `all_pairs_closure` recomputes the closure certificate from
 one array holding all m^2 family products.  `dense_z_matrix` sums Z
 from Kronecker products and `dense_build_via_covariant` conjugates each
-psi-image by that dense Z.  `graded_algebra`,
+psi-image by that dense Z.  `dense_dual_coaction` grades a reduced
+crossed product over the dual group from dense family matrices.  `graded_algebra`,
 `verify_covariant` and `action_from_bicharacter` validate gradings,
 covariant representations and bicharacter actions pair by pair, through
 `multiplicative_closure`, `CovariantRep.apply` and
@@ -20,10 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from qtwist import coact
 from qtwist.abgroup import Bicharacter, FinAbGroup
+from qtwist.apps import ScenarioResult, _deg, _report
 from qtwist.boxtimes import (
     CrossedProduct,
     build_from_markings,
+    coords_product,
     coords_product_pairs,
     coords_star,
     coords_to_matrix,
@@ -31,7 +35,13 @@ from qtwist.boxtimes import (
     matrix_to_coords,
     pure_coords,
 )
-from qtwist.coact import CovariantRep, GradedAlgebra, GradedHilbertSpace
+from qtwist.coact import (
+    CovariantRep,
+    GradedAlgebra,
+    GradedHilbertSpace,
+    grading_to_coaction,
+    verify_coaction,
+)
 from qtwist.matspan import (
     DEFAULT_TOL,
     AlgebraBasis,
@@ -146,6 +156,53 @@ def dense_build_via_covariant(
         {"z_unitary": unitary},
         tol,
     )
+
+
+# ---------------------------------------------------------------------------
+# the dual coaction through dense matrices
+
+
+def dense_dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult:
+    """apps.dual_coaction through dense ambient matrices.
+
+    Each family member iota_C(c_i) iota_D(chi_p) is materialized and
+    collected in degree p; coact.graded_algebra validates that grading
+    from dense products, and verify_coaction checks its left coaction
+    from dense Kronecker images.  The report has dual_coaction's keys,
+    and objects holds the grading, the coaction and its report.
+    """
+    ghat = x.d_graded.group
+    parts: dict = {}
+    for (p, _), dc in zip(x.d_graded.homogeneous_basis(), x.iota_d):
+        mats = [coords_to_matrix(coords_product(a, dc, x.legs), x.legs) for a in x.iota_c]
+        parts.setdefault(p, []).extend(mats)
+    graded_hat = coact.graded_algebra(ghat, parts, tol)
+    gamma = grading_to_coaction(graded_hat, side="left")
+    co_rep = verify_coaction(gamma, tol)
+
+    comp0 = graded_hat.component(ghat.zero())
+    fix = float(
+        max(comp0.contains_residual(coords_to_matrix(a, x.legs)) for a in x.iota_c)
+    )
+    verdicts = {
+        "grading_passed": graded_hat.report["passed"],
+        "coaction_passed": co_rep["passed"],
+        "fixed_points_match": comp0.dim == x.c_graded.dim
+        and fix <= tol.eps_eq * max(1.0, x.dim),
+    }
+    rep = _report(
+        "dual_coaction",
+        {"group": list(x.c_graded.group.cycles), "dim": x.dim},
+        {_deg(p): graded_hat.component(p).dim for p in graded_hat.degrees()},
+        {
+            "fixed_point": fix,
+            "comodule": co_rep["comodule_identity"],
+            "membership": co_rep["image_in_c_tensor_a"],
+        },
+        verdicts,
+    )
+    objects = {"grading": graded_hat, "coaction": gamma, "coaction_report": co_rep}
+    return ScenarioResult("dual_coaction", objects, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
 from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist import apps
 from qtwist.apps import (
@@ -287,14 +288,14 @@ def test_reduced_crossed_product_inner_action_splits():
 
 
 def test_dual_coaction_components_and_fixed_points():
-    rg = reduced_crossed_product(delta_grading(Z2))
-    res = dual_coaction(rg.objects["boxtimes"])
-    assert res.passed
-    grading = res.objects["grading"]
-    assert {g: grading.component(g).dim for g in grading.degrees()} == {
-        (0,): 2,
-        (1,): 2,
-    }
+    x = reduced_crossed_product(delta_grading(Z2)).objects["boxtimes"]
+    res, dense = dual_coaction(x), oracle.dense_dual_coaction(x)
+    assert res.passed and dense.passed
+    assert res.report["dims"] == dense.report["dims"] == {"0": 2, "1": 2}
+    assert res.objects["grading"].report["component_dims"] == {(0,): 2, (1,): 2}
+    assert res.report["residuals"]["fixed_point"] == pytest.approx(
+        dense.report["residuals"]["fixed_point"], abs=1e-12
+    )
 
 
 def test_dual_coaction_rejects_non_regular_input():

@@ -18,6 +18,7 @@ from qtwist.coact import (
     graded_algebra,
     grading_to_coaction,
     hilbert_grading,
+    table_grading,
     make_cocycle,
     transport_grading,
     trivial_grading,
@@ -27,9 +28,12 @@ from qtwist.coact import (
     verify_covariant,
 )
 from qtwist.matspan import (
+    BudgetError,
     expand_in_rows,
     internal_unit,
     multiplicative_closure,
+    residual_outside,
+    structure_tables,
     subspace_equal,
 )
 from qtwist.qgroup import build_model, translations
@@ -188,6 +192,80 @@ def test_decompose_coordinates_match_least_squares():
     assert not overlapping.homogeneous_ambient
     parts = overlapping.decompose(E11 + 2 * E22)
     assert np.allclose(sum(parts.values()), E11 + 2 * E22)
+
+
+def test_graded_algebra_refuses_closure_products_before_forming_them(monkeypatch):
+    lam = translations(FinAbGroup((2, 2)))
+    parts = {g: [m] for g, m in lam.items()}
+    monkeypatch.setattr("qtwist.matspan.MAX_DENSE_ENTRIES", 8)
+
+    def reached(*args, **kwargs):
+        raise AssertionError("closure products were formed")
+
+    monkeypatch.setattr(np, "matmul", reached)
+    with pytest.raises(BudgetError, match="closure products of 4 4x4"):
+        graded_algebra(FinAbGroup((2, 2)), parts)
+
+
+def test_graded_algebra_refuses_the_rank_stack_before_forming_it(monkeypatch):
+    # E12 alone is not closed (its adjoint leaves the span), so the round
+    # falls back to the rank stack: 3 rows of 4 entries against a budget of 8
+    monkeypatch.setattr("qtwist.matspan.MAX_DENSE_ENTRIES", 8)
+    matmul = np.matmul
+
+    def guarded(a, *args, **kwargs):
+        if np.ndim(a) == 4:
+            raise AssertionError("the product stack was formed")
+        return matmul(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", guarded)
+    with pytest.raises(BudgetError, match="closure rank stack of 1 2x2"):
+        graded_algebra(FinAbGroup((3,)), {(1,): [E12]})
+
+
+def _skewed_family(graded, seed):
+    """Each component's orthonormal basis mixed by a random invertible
+    matrix, as flattened rows with their degree positions."""
+    rng = np.random.default_rng(seed)
+    els = graded.group.elements()
+    rows, deg = [], []
+    for g in graded.degrees():
+        basis = graded.component(g).coords()
+        k = basis.shape[0]
+        rows.append((rng.standard_normal((k, k)) + 3.0 * np.eye(k)) @ basis)
+        deg += [els.index(g)] * k
+    return np.concatenate(rows), np.array(deg)
+
+
+def _table_report(graded, rows, deg):
+    n = graded.ambient_dim
+    mult, star, res, _ = structure_tables(rows.reshape(-1, n, n))
+    return table_grading(graded.group, deg, rows, mult, star, res, np.eye(n).reshape(-1))
+
+
+def test_table_grading_of_a_skewed_family_matches_graded_algebra():
+    graded = ad_grading(Z2, [(0,), (0,), (1,)])
+    rows, deg = _skewed_family(graded, 5)
+    table = _table_report(graded, rows, deg)
+    got, want = table.report, graded.report
+    assert set(got) == set(want)
+    for key in ("total_dim", "component_dims", "direct_sum_ok", "closed_under_products", "passed"):
+        assert got[key] == want[key], key
+    for key in ("closure_residual", "component_orthogonality", "multiplication_residual"):
+        assert abs(got[key] - want[key]) <= 1e-12, key
+    assert got["passed"] and table.contains_identity
+    # the rotated rows are an orthonormal basis that keeps each degree
+    assert np.allclose(table.basis @ table.basis.conj().T, np.eye(9), atol=1e-12)
+    assert np.allclose(residual_outside(rows[deg == 0], table.basis[deg == 0]), 0.0, atol=1e-12)
+
+
+def test_table_grading_fails_components_that_overlap():
+    graded = ad_grading(Z2, [(0,), (0,), (1,)])
+    rows, deg = _skewed_family(graded, 5)
+    rows[0] += 0.5 * rows[-1]
+    rep = _table_report(graded, rows, deg).report
+    assert rep["component_orthogonality"] > 0.1
+    assert not rep["passed"]
 
 
 def test_verify_coaction_catches_broken_grading():

@@ -5,16 +5,26 @@ it builds every image and every comodule side as a dense Kronecker
 product and takes the C (x) A membership from an SVD of the product span.
 The coordinate checks must reproduce its residuals within 1e-12 and its
 verdicts exactly, and perturbed maps must fail the check they break.
+The dual coaction of a reduced crossed product is checked on the
+product's own tables; dense_oracle.dense_dual_coaction, the former
+implementation, is its parity oracle, and the same perturbed maps must
+fail there too.
 """
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
 from qtwist import coact
 from qtwist.abgroup import FinAbGroup
-from qtwist.apps import reduced_crossed_product
+from qtwist.apps import dual_coaction, reduced_crossed_product
+from qtwist.boxtimes import pure_coords
 from qtwist.coact import (
     CoactionMap,
+    TableCoaction,
     ad_grading,
     character_grading,
     conjugate_grading,
@@ -22,11 +32,13 @@ from qtwist.coact import (
     direct_sum_grading,
     graded_algebra,
     grading_to_coaction,
+    table_grading,
     trivial_grading,
     verify_coaction,
+    verify_table_coaction,
 )
 from qtwist.matspan import DEFAULT_TOL, internal_unit, rank, span_basis
-from qtwist.qgroup import translations
+from qtwist.qgroup import build_model, translations
 
 Z2 = FinAbGroup((2,))
 Z3 = FinAbGroup((3,))
@@ -162,14 +174,75 @@ def test_coordinate_checks_match_dense_oracle(name, side):
     assert rep["passed"] == graded.report["passed"]
 
 
-@pytest.mark.parametrize("cycles", [(2,), (3,), (2, 2)])
-def test_dual_coaction_of_crossed_product_matches_dense_oracle(cycles):
-    from qtwist.apps import dual_coaction
+def assert_reports_match(got, want):
+    """Key by key: floats within 1e-12, everything else identical."""
+    assert set(got) == set(want)
+    for key, w in want.items():
+        g = got[key]
+        if isinstance(w, dict):
+            assert_reports_match(g, w)
+        elif isinstance(w, float):
+            assert abs(g - w) <= 1e-12, (key, g, w)
+        else:
+            assert g == w, (key, g, w)
 
-    x = reduced_crossed_product(delta_grading(FinAbGroup(cycles))).objects["boxtimes"]
-    gamma = dual_coaction(x).objects["coaction"]
-    rep = assert_matches_oracle(gamma)
-    assert rep["passed"] and rep["side"] == "left"
+
+def _crossed(cycles):
+    return reduced_crossed_product(delta_grading(FinAbGroup(cycles))).objects["boxtimes"]
+
+
+@pytest.mark.parametrize("cycles", [(2,), (3,), (2, 2)])
+def test_dual_coaction_on_tables_matches_dense_oracle(cycles):
+    x = _crossed(cycles)
+    got, want = dual_coaction(x), oracle.dense_dual_coaction(x)
+    assert_reports_match(got.report, want.report)
+    assert_reports_match(got.objects["grading"].report, want.objects["grading"].report)
+    assert_reports_match(got.objects["coaction_report"], want.objects["coaction_report"])
+    assert got.passed and got.objects["coaction_report"]["side"] == "left"
+    # the oracle's own coaction check against the dense Kronecker one
+    assert_matches_oracle(want.objects["coaction"])
+
+
+def test_moved_degree_fails_the_table_grading_as_the_dense_one():
+    x = _crossed((3,))
+    graded = dual_coaction(x).objects["grading"]
+    deg = graded.deg.copy()
+    deg[1] = 2  # iota_C(c_0) iota_D(chi_1) put in degree 2
+    identity = pure_coords(x.legs, [np.eye(n) for n in x.legs.sizes])
+    got = table_grading(
+        graded.group, deg, x.family.reshape(9, -1), x.structure, x.star, 0.0, identity
+    ).report
+    parts = {}
+    for k, row in enumerate(x.family):
+        parts.setdefault(graded.group.elements()[deg[k]], []).append(x.element_matrix(row))
+    want = graded_algebra(graded.group, parts).report
+    assert not got["passed"] and not want["passed"]
+    for key in ("multiplication_residual", "adjoint_residual"):
+        assert got[key] > 0.1
+        assert abs(got[key] - want[key]) <= 1e-12, key
+    assert got["component_dims"] == want["component_dims"]
+
+
+def test_dual_coaction_forms_no_dense_matrix(monkeypatch):
+    x = _crossed((2, 2))
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a dense path ran")
+
+    for name in (
+        "qtwist.apps.graded_algebra",
+        "qtwist.coact.graded_algebra",
+        "qtwist.boxtimes.coords_to_matrix",
+        "qtwist.coact.CoactionMap.apply",
+    ):
+        monkeypatch.setattr(name, reached)
+    assert dual_coaction(x).passed
+
+
+def test_dual_coaction_needs_the_structure_table():
+    x = dataclasses.replace(_crossed((2,)), structure=None, star=None)
+    with pytest.raises(ValueError, match="structure tensor"):
+        dual_coaction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +322,85 @@ def test_rank_deficient_map_fails_injectivity_and_podles(side):
         assert rep["podles_dim"] == 2 * 3
         assert not rep["podles_ok"]
         assert not rep["passed"]
+
+
+class TableDoubledDegree(TableCoaction):
+    """c -> sum_g lambda_{2g} (x) c_g on the crossed product's tables."""
+
+    def apply(self, c, tol=DEFAULT_TOL):
+        parts = super().apply(c, tol)
+        group = self.graded.group
+        els = group.elements()
+        out = np.zeros_like(parts)
+        for k, g in enumerate(els):
+            out[els.index(group.add(g, g))] += parts[k]
+        return out
+
+
+class TableLeakyImage(TableCoaction):
+    """gamma(c) + 1e-6 X (x) lambda_0, X a unit coordinate vector outside the algebra."""
+
+    def apply(self, c, tol=DEFAULT_TOL):
+        out = super().apply(c, tol)
+        outside = np.flatnonzero(~np.any(self.graded.basis != 0, axis=0))[0]
+        out[0, outside] += 1e-6
+        return out
+
+
+class TableDropsDegreeZero(TableCoaction):
+    """Forgets the degree-zero part, so the unit maps to zero."""
+
+    def apply(self, c, tol=DEFAULT_TOL):
+        out = super().apply(c, tol)
+        out[0] = 0.0
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _dual_z3():
+    """The Z/3 crossed product's dual grading, on the tables and dense."""
+    x = _crossed((3,))
+    return dual_coaction(x).objects["grading"], oracle.dense_dual_coaction(x).objects["grading"]
+
+
+def _dual_pair(table_cls, dense_cls, side):
+    """The Z/3 dual grading under a perturbed map, on the tables and dense."""
+    table, dense = _dual_z3()
+    model = build_model(table.group)
+    return (
+        table_cls(graded=table, model=model, side=side),
+        dense_cls(graded=dense, model=model, side=side),
+    )
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_table_doubled_degree_fails_comodule_identity(side):
+    table, dense = _dual_pair(TableDoubledDegree, DoubledDegree, side)
+    got, want = verify_table_coaction(table), verify_coaction(dense)
+    assert got["comodule_identity"] > 1.0 and not got["passed"]
+    assert got["injective"] and got["podles_ok"]
+    assert abs(got["comodule_identity"] - want["comodule_identity"]) <= 1e-12
+    for key in ("injective", "podles_dim", "podles_ok", "passed"):
+        assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_table_leak_outside_the_algebra_fails_membership(side):
+    table, dense = _dual_pair(TableLeakyImage, LeakyImage, side)
+    got = verify_table_coaction(table)
+    # a unit vector orthogonal to the algebra, times lambda_0 of norm sqrt(3)
+    assert got["image_in_c_tensor_a"] == pytest.approx(1e-6 * np.sqrt(3.0), rel=1e-9)
+    assert not got["passed"]
+    assert not verify_coaction(dense)["passed"]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_table_rank_deficient_map_fails_injectivity_and_podles(side):
+    table, dense = _dual_pair(TableDropsDegreeZero, DropsDegreeZero, side)
+    got, want = verify_table_coaction(table), verify_coaction(dense)
+    assert not got["injective"] and not got["passed"]
+    assert got["podles_dim"] == want["podles_dim"] == (9 - 3) * 3
+    assert abs(got["comodule_identity"] - want["comodule_identity"]) <= 1e-12
 
 
 def test_coaction_check_refuses_oversized_images(monkeypatch):
