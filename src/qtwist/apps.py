@@ -23,6 +23,7 @@ from .abgroup import (
 )
 from .boxtimes import (
     CrossedProduct,
+    _family_map,
     build_from_markings,
     build_via_covariant,
     build_via_heisenberg,
@@ -749,7 +750,8 @@ def cocycle_conjugacy(
     the twisted product of the linking algebras: conjugation by the
     marked image of the off-diagonal partial isometries maps the (1,1)
     corner family onto the (2,2) corner family, giving an isomorphism
-    that is certified multiplicative, star-preserving and bijective.
+    that is certified multiplicative, star-preserving and bijective on the
+    two products' tables (boxtimes._family_map).
     """
     if isinstance(gamma, GradedAlgebra):
         gamma = grading_to_coaction(gamma, side="right")
@@ -836,14 +838,14 @@ def cocycle_conjugacy(
 
     t_mat, t_res = expand_in_rows(conj.reshape(m, -1), f2.reshape(m, -1))
     transport = float(np.max(t_res))
-    bijective = rank(t_mat, tol.eps_rank) == m
     rank1 = rank(f1.reshape(m, -1), tol.eps_rank)
     rank2 = rank(f2.reshape(m, -1), tol.eps_rank)
 
-    # the induced map on family coefficients must transport mu1 to mu2
-    lhs = np.einsum("ijk,kl->ijl", x1.structure, t_mat)
-    rhs = np.einsum("ia,jb,abl->ijl", t_mat, t_mat, x2.structure)
-    struct_res = float(np.max(np.abs(lhs - rhs)))
+    # f2 is aligned with x2.family, so t_mat is the induced map on the
+    # families, certified on the two products' tables
+    pm = _family_map(x1, t_mat, x2, True, [], tol)
+    bijective = pm is not None
+    struct_res = pm.report["multiplicative"] if bijective else float("inf")
 
     verdicts = {
         "x1_certified": x1.report["passed"],
@@ -855,7 +857,7 @@ def cocycle_conjugacy(
         "partial_isometry": iso_res <= thr,
         "transport_in_corner": transport <= thr,
         "bijective": bijective,
-        "structure_transport": struct_res <= thr,
+        "structure_transport": bijective and pm.report["passed"],
     }
     verdicts["iso_found"] = all(verdicts.values())
     rep = _report(

@@ -38,6 +38,11 @@ is index arithmetic on the leg tables and the basis of the span is the
 unit rows e_{s_i}.  Any other family is certified densely, one left
 factor at a time: the m products f_i f_j of each f_i against the span,
 so no array of all m^2 products is formed.
+
+A map between crossed products is fixed by a matrix a expanding the
+images of the source family in the target family, and is certified on
+the two products' structure and star tables alone (_family_map), so no
+product is formed; a product without tables has no certified map.
 """
 
 from __future__ import annotations
@@ -61,10 +66,8 @@ from .matspan import (
     cmatrix,
     expand_in_rows,
     expand_table,
-    left_null_rows,
     orthonormal_rows,
     rank,
-    relation_transport,
     residual_outside,
     structure_tables,
     subspace_equal,
@@ -401,7 +404,7 @@ def graded_morphism(
     )
     m = len(basis)
     mult, star, _, _ = structure_tables(basis, tol)
-    prods = np.einsum("iab,jbc->ijac", images, images)
+    prods = np.matmul(images[:, None], images[None, :])
     adjs = images.conj().transpose(0, 2, 1)
     rep["homomorphism"], rep["star"] = table_defect(mult, star, images, prods, adjs)
     equi = 0.0
@@ -1043,66 +1046,75 @@ class ProductMap:
         return coords_to_matrix(self.apply_coords(coords), self.target.legs)
 
 
+def _onb_coords(x: CrossedProduct) -> np.ndarray:
+    """x's family rows in x's orthonormal basis: f = w @ x.onb."""
+    m = x.family.shape[0]
+    return x.family.reshape(m, -1) @ x.onb.conj().T
+
+
 def _family_map(
     src: CrossedProduct,
-    fam2: np.ndarray,
+    a: np.ndarray,
     target: CrossedProduct,
     require_bijective: bool,
     markings,
     tol: Tolerance,
+    expansion: float = 0.0,
 ) -> ProductMap | None:
-    """Extend family alignment x_k -> y_k to a certified linear map.
+    """Certify f_k -> g_k = sum_l a[k, l] t_l on the two products' tables.
 
-    Returns None when a bijection is required but the families satisfy
-    different linear relations; raises when a plain (possibly
-    non-injective) extension is not well defined.
+    f and t are the source and target families, both bases, so a fixes a
+    linear map phi.  None when either product has no tables (its dimension
+    law failed), or when a bijection is required and a is not square and
+    invertible.  With w = t @ target.onb*, the images a w, their products
+    ((a (x) a) T) w and their adjoints (conj(a) tau) w, for T and tau the
+    target's tables, go through table_defect against the source's tables:
+    no product is formed, and as onb is orthonormal each defect is a
+    Frobenius norm.  The slack ||phi|| r_S + |a|^k r_T is added, with r the
+    products' structure_residual (multiplicative, k = 2) or
+    adjoint_residual (star, k = 1), ||phi|| the operator norm and |a| the
+    largest l1 norm of a row of a.  So each value bounds the dense residual
+    ||phi(f_i f_j) - g_i g_j|| or ||phi(f_i*) - g_i*|| from above, as long
+    as r bounds each table row's defect (the structure residual does; the
+    adjoint residual is each adjoint's distance from the span).  markings
+    is the worst ||phi(v1) - v2||, alignment the worst ||phi(f_k) - g_k||
+    of the map's matrix or the caller's expansion residual when larger.
 
-    With m the family size and scale = max(1, largest row norm of either
-    family), the bounds are s = eps_eq * scale * max(1, m) for the star,
-    markings and alignment residuals and s * scale for the multiplicative
-    one: product rows scale as the square of the family norms, so that
-    bound carries scale twice.  The well-definedness defect of a plain
-    extension is held to s as well.
+    With scale = max(1, largest row norm of f or of the images) and m the
+    source family size, the bounds are s = eps_eq * scale * max(1, m) for
+    the star, markings and alignment residuals and s * scale for the
+    multiplicative one: products scale as the square of the family norms.
     """
-    m = src.family.shape[0]
-    rows1 = src.family.reshape(m, -1)
-    rows2 = fam2.reshape(m, -1)
-    scale = max(
-        1.0,
-        float(np.max(np.linalg.norm(rows1, axis=1))),
-        float(np.max(np.linalg.norm(rows2, axis=1))),
-    )
-    if require_bijective:
-        if relation_transport(rows1, rows2, tol) is None:
-            return None
-    else:
-        nl = left_null_rows(rows1, tol.eps_rank)
-        if nl.shape[0]:
-            defect = float(np.max(np.linalg.norm(nl @ rows2, axis=1)))
-            if defect > tol.eps_eq * scale * max(1.0, m):
-                raise ValueError(
-                    f"assignment is not well defined (defect {defect:.2e})"
-                )
-    pinv = np.linalg.pinv(rows1)
-    mat = pinv @ rows2
-
-    rep: dict = {}
-    # products for one left factor at a time, so no (m^2, size) array is
-    # held; p1 @ mat is applied as (p1 @ pinv) @ rows2, through m columns
-    mult = 0.0
-    for i in range(m):
-        p1 = coords_product_pairs(src.family[i : i + 1], src.family, src.legs).reshape(m, -1)
-        p2 = coords_product_pairs(fam2[i : i + 1], fam2, target.legs).reshape(m, -1)
-        mult = max(mult, float(np.max(np.linalg.norm((p1 @ pinv) @ rows2 - p2, axis=1))))
-    rep["multiplicative"] = mult
-    s1 = np.stack([coords_star(f, src.legs).reshape(-1) for f in src.family])
-    s2 = np.stack([coords_star(f, target.legs).reshape(-1) for f in fam2])
-    rep["star"] = float(np.max(np.linalg.norm(s1 @ mat - s2, axis=1)))
+    if src.structure is None or target.structure is None:
+        return None
+    m, mt = a.shape
+    w, c1 = _onb_coords(target), _onb_coords(src)
+    images = a @ w
+    if require_bijective and (m != mt or rank(images, tol.eps_rank) < m):
+        return None
+    # f = c1 @ src.onb is sent to images @ target.onb
+    coef = np.linalg.solve(c1, images)
+    mat = src.onb.conj().T @ coef @ target.onb
+    prods = np.matmul(a, (a @ target.structure.reshape(mt, -1)).reshape(m, mt, mt)) @ w
+    hom, star = table_defect(src.structure, src.star, images, prods, (a.conj() @ target.star) @ w)
+    phi, row_l1 = float(np.linalg.norm(coef, 2)), float(np.max(np.sum(np.abs(a), axis=1)))
+    r1, r2 = src.report, target.report
+    rep: dict = {
+        "multiplicative": hom
+        + phi * r1["structure_residual"]
+        + row_l1**2 * r2["structure_residual"],
+        "star": star + phi * r1["adjoint_residual"] + row_l1 * r2["adjoint_residual"],
+    }
     mark = 0.0
     for v1, v2 in markings:
         mark = max(mark, float(np.linalg.norm(v1.reshape(-1) @ mat - v2.reshape(-1))))
     rep["markings"] = mark
-    rep["alignment"] = float(np.max(np.linalg.norm(rows1 @ mat - rows2, axis=1)))
+    rep["alignment"] = max(float(np.max(np.linalg.norm(c1 @ coef - images, axis=1))), expansion)
+    scale = max(
+        1.0,
+        float(np.max(np.linalg.norm(src.family.reshape(m, -1), axis=1))),
+        float(np.max(np.linalg.norm(images, axis=1))),
+    )
     s = tol.eps_eq * scale * max(1.0, m)
     rep["passed"] = (
         rep["multiplicative"] <= s * scale
@@ -1126,16 +1138,13 @@ def _check_same_factors(x1: CrossedProduct, x2: CrossedProduct, tol: Tolerance):
             raise ValueError(f"crossed products do not share factor {name}")
 
 
-def _aligned_family(
-    target: CrossedProduct, c_mats, d_mats, tol: Tolerance
-) -> np.ndarray:
-    outs = []
-    ds = [target.iota_d_apply(d, tol) for d in d_mats]
-    for c in c_mats:
-        a = target.iota_c_apply(c, tol)
-        for b in ds:
-            outs.append(coords_product(a, b, target.legs))
-    return np.stack(outs)
+def _factor_coords(target: CrossedProduct, c_mats, d_mats, tol: Tolerance) -> np.ndarray:
+    """P (x) Q, expanding iota_C(c_i) iota_D(d_j) in target's (i-major) family:
+    the coordinates of c_i and d_j in target's factor bases, which coords_of
+    raises outside of."""
+    p = np.stack([target.c_graded.ambient.space.coords_of(c, tol) for c in c_mats])
+    q = np.stack([target.d_graded.ambient.space.coords_of(d, tol) for d in d_mats])
+    return np.kron(p, q)
 
 
 def _marking_pairs(src: CrossedProduct, target: CrossedProduct, tol: Tolerance):
@@ -1153,17 +1162,14 @@ def equivalent(
     """Equivalence of crossed products over the same factors, or None.
 
     The map is pinned on the marked families iota_C(c_i) iota_D(d_j) and
-    certified to be a well defined *-isomorphism intertwining both
-    markings.  Different witnesses or routes for the same construction
-    are equivalent exactly by this check.
+    certified on the two products' tables to be a *-isomorphism
+    intertwining both markings (None when either has no tables).
+    Different witnesses or routes for the same construction are
+    equivalent exactly by this check.
     """
     _check_same_factors(x1, x2, tol)
-    fam2 = _aligned_family(
-        x2, x1.c_graded.ambient.basis, x1.d_graded.ambient.basis, tol
-    )
-    pm = _family_map(
-        x1, fam2, x2, True, _marking_pairs(x1, x2, tol), tol
-    )
+    a = _factor_coords(x2, x1.c_graded.ambient.basis, x1.d_graded.ambient.basis, tol)
+    pm = _family_map(x1, a, x2, True, _marking_pairs(x1, x2, tol), tol)
     if pm is not None and not pm.report["passed"]:
         return None
     return pm
@@ -1176,15 +1182,17 @@ def symmetry(
 
     Builds D boxtimes C for the dual bicharacter and certifies the map
     sending iota_C(c) iota_D(d) to the same monomial read in the flipped
-    product (C now enters through the second marking).
+    product (C now enters through the second marking), expanded in y's
+    family; the expansion residual joins the alignment.
     """
     chi_hat = dual_bicharacter(x.chi)
     y = build_via_heisenberg(x.d_graded, x.c_graded, chi_hat, tol=tol)
     # y marks the same factor bases, C second: y.iota_d[i] is C's b_i
-    fam2 = coords_product_pairs(y.iota_d, y.iota_c, y.legs)
-    fam2 = fam2.reshape(x.family.shape[0], *y.legs.dims)
+    m = x.family.shape[0]
+    reversed_pairs = coords_product_pairs(y.iota_d, y.iota_c, y.legs).reshape(m, -1)
+    a, _, res = expand_table(reversed_pairs, y.family.reshape(m, -1), tol)
     markings = list(zip(x.iota_c, y.iota_d)) + list(zip(x.iota_d, y.iota_c))
-    pm = _family_map(x, fam2, y, True, markings, tol)
+    pm = _family_map(x, a, y, True, markings, tol, res)
     if pm is None or not pm.report["passed"]:
         raise RuntimeError("symmetry equivalence certification failed")
     return y, pm
@@ -1224,9 +1232,10 @@ def functor_map(
     """The induced map sending iota(c) iota(d) to iota(f(c)) iota(g(d)).
 
     Requires both inputs to be certified equivariant *-homomorphisms
-    matching the factor algebras; raises if the assignment fails the
-    well-definedness certificate.  The report records whether
-    injectivity and surjectivity match those of f and g.
+    matching the factor algebras, and both products to hold their tables
+    (raises ValueError otherwise); both families are then bases, so the
+    assignment is well defined.  The report records whether injectivity
+    and surjectivity match those of f and g.
     """
     for mor, src, dst, name in (
         (f, x1.c_graded, x2.c_graded, "f"),
@@ -1242,12 +1251,14 @@ def functor_map(
             mor.target.ambient.space, dst.ambient.space, tol
         ):
             raise ValueError(f"{name} does not land in the second product's factor")
+    if x1.structure is None or x2.structure is None:
+        raise ValueError("the induced map needs both structure tensors (dimension law failed)")
 
     c_imgs = [f.apply(c, tol) for c in x1.c_graded.ambient.basis]
     d_imgs = [g.apply(d, tol) for d in x1.d_graded.ambient.basis]
-    fam2 = _aligned_family(x2, c_imgs, d_imgs, tol)
-    pm = _family_map(x1, fam2, x2, False, [], tol)
-    rank2 = rank(fam2.reshape(fam2.shape[0], -1), tol.eps_rank)
+    a = _factor_coords(x2, c_imgs, d_imgs, tol)
+    pm = _family_map(x1, a, x2, False, [], tol)
+    rank2 = rank(a @ _onb_coords(x2), tol.eps_rank)
     pm.report["injective"] = rank2 == x1.dim
     pm.report["surjective"] = rank2 == x2.dim
     pm.report["injectivity_matches"] = pm.report["injective"] == (
@@ -1272,7 +1283,7 @@ def qgr_morphism_reparametrize(
     Builds C boxtimes D along pullback(chi2, f, g) and the transported
     gradings boxtimes chi2, then aligns the monomial families; the two
     are equivalent, and the certified map is returned (None only if the
-    certification fails).
+    certification fails or either product has no tables).
     """
     if f.source != c_graded.group or g.source != d_graded.group:
         raise ValueError("homs must start at the grading groups")
@@ -1283,10 +1294,8 @@ def qgr_morphism_reparametrize(
     c2 = transport_grading(c_graded, f, tol)
     d2 = transport_grading(d_graded, g, tol)
     xb = build_via_heisenberg(c2, d2, chi2, tol=tol, label="canonical-regraded")
-    fam2 = _aligned_family(
-        xb, c_graded.ambient.basis, d_graded.ambient.basis, tol
-    )
-    pm = _family_map(xa, fam2, xb, True, _marking_pairs(xa, xb, tol), tol)
+    a = _factor_coords(xb, c_graded.ambient.basis, d_graded.ambient.basis, tol)
+    pm = _family_map(xa, a, xb, True, _marking_pairs(xa, xb, tol), tol)
     if pm is not None and not pm.report["passed"]:
         pm = None
     return xa, xb, pm

@@ -835,7 +835,7 @@ def verify_covariant(rep: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> dict:
     d = len(basis)
     out: dict = {}
     mult, star, _, _ = structure_tables(basis, tol)
-    prods = np.einsum("iab,jbc->ijac", rep.images, rep.images)
+    prods = np.matmul(rep.images[:, None], rep.images[None, :])
     adjs = rep.images.conj().transpose(0, 2, 1)
     out["homomorphism"], out["star"] = table_defect(mult, star, rep.images, prods, adjs)
     out["faithful"] = rank(rep.images.reshape(d, -1), tol.eps_rank) == d
@@ -906,7 +906,7 @@ def action_from_bicharacter(
     labeled = graded.homogeneous_basis()
     basis = np.stack([m for _, m in labeled])
     mult, star, _, _ = structure_tables(basis, tol)
-    prods = np.einsum("iab,jbc->ijac", basis, basis)
+    prods = np.matmul(basis[:, None], basis[None, :])
     adjs = basis.conj().transpose(0, 2, 1)
     rep: dict = {"multiplicative": 0.0}
     star_res = 0.0

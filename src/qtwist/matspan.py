@@ -5,7 +5,7 @@ under which a matrix is just its flattened complex vector.  Rank decisions
 go through SVD with the relative cutoff ``eps_rank``; identity-type checks
 use the absolute Frobenius threshold ``eps_eq``.  Both live in `Tolerance`.
 
-The row-level helpers (`orthonormal_rows`, `relation_transport`, ...) work
+The row-level helpers (`orthonormal_rows`, `residual_outside`, ...) work
 on arrays whose rows are coordinates in *any* orthonormal frame, so the
 tensor-leg machinery elsewhere can reuse them without densifying.
 """
@@ -146,41 +146,6 @@ def _remainder_norms(rows, coeffs, onb, out=None) -> np.ndarray:
     if rem.dtype == np.complex128:
         rem = rem.view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", rem, rem))
-
-
-def left_null_rows(rows: np.ndarray, eps_rank: float) -> np.ndarray:
-    """Rows c with c @ rows == 0 (coefficient relations among the rows)."""
-    rows = np.atleast_2d(rows)
-    m = rows.shape[0]
-    if m == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    # with no more rows than columns the reduced u is already m x m; the
-    # full factors would add the unused N x N right one
-    u, s, _ = np.linalg.svd(rows, full_matrices=m > rows.shape[1])
-    return u.conj().T[_cut(s, eps_rank) :]
-
-
-def relation_transport(
-    coords1: np.ndarray, coords2: np.ndarray, tol: Tolerance
-) -> float | None:
-    """Check that index-aligned families satisfy the same linear relations.
-
-    Returns the worst transported-relation residual if every null combination
-    of either family annihilates the other, else None.  This is the exact
-    condition for "send family 1 to family 2" to extend to a well defined
-    linear bijection of the spans.
-    """
-    worst = 0.0
-    for a, b in ((coords1, coords2), (coords2, coords1)):
-        null = left_null_rows(a, tol.eps_rank)
-        if null.shape[0] == 0:
-            continue
-        scale = max(1.0, float(np.max(np.linalg.norm(b, axis=1), initial=0.0)))
-        res = float(np.max(np.linalg.norm(null @ b, axis=1), initial=0.0))
-        if res > tol.eps_eq * scale:
-            return None
-        worst = max(worst, res)
-    return worst
 
 
 def expand_in_rows(

@@ -12,7 +12,10 @@ crossed product over the dual group from dense family matrices.  `graded_algebra
 `verify_covariant` and `action_from_bicharacter` validate gradings,
 covariant representations and bicharacter actions pair by pair, through
 `multiplicative_closure`, `CovariantRep.apply` and
-`GradedAlgebra.decompose`.
+`GradedAlgebra.decompose`.  `dense_family_map` certifies a map between
+crossed products from all family products and adjoints, through
+`relation_transport` and `left_null_rows` on the family rows; it is the
+parity oracle for the table check of `boxtimes._family_map`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist.apps import ScenarioResult, _deg, _report
 from qtwist.boxtimes import (
     CrossedProduct,
+    ProductMap,
     build_from_markings,
     coords_product,
     coords_product_pairs,
@@ -47,6 +51,7 @@ from qtwist.matspan import (
     AlgebraBasis,
     Subspace,
     Tolerance,
+    _cut,
     cmatrix,
     expand_in_rows,
     expand_table,
@@ -54,7 +59,6 @@ from qtwist.matspan import (
     multiplicative_closure,
     orthonormal_rows,
     rank,
-    relation_transport,
     residual_outside,
     span_basis,
 )
@@ -233,6 +237,115 @@ def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     mats = np.einsum("ci,iab->cab", null_coeffs, basis)
     onb = orthonormal_rows(mats.reshape(-1, n * n), tol.eps_rank)
     return Subspace(ambient_dim=n, basis=onb.reshape(-1, n, n))
+
+
+# ---------------------------------------------------------------------------
+# linear relations, and maps between crossed products from dense products
+
+
+def left_null_rows(rows: np.ndarray, eps_rank: float) -> np.ndarray:
+    """Rows c with c @ rows == 0 (coefficient relations among the rows)."""
+    rows = np.atleast_2d(rows)
+    m = rows.shape[0]
+    if m == 0:
+        return np.zeros((0, 0), dtype=np.complex128)
+    # with no more rows than columns the reduced u is already m x m; the
+    # full factors would add the unused N x N right one
+    u, s, _ = np.linalg.svd(rows, full_matrices=m > rows.shape[1])
+    return u.conj().T[_cut(s, eps_rank) :]
+
+
+def relation_transport(
+    coords1: np.ndarray, coords2: np.ndarray, tol: Tolerance
+) -> float | None:
+    """Check that index-aligned families satisfy the same linear relations.
+
+    Returns the worst transported-relation residual if every null combination
+    of either family annihilates the other, else None.  This is the exact
+    condition for "send family 1 to family 2" to extend to a well defined
+    linear bijection of the spans.
+    """
+    worst = 0.0
+    for a, b in ((coords1, coords2), (coords2, coords1)):
+        null = left_null_rows(a, tol.eps_rank)
+        if null.shape[0] == 0:
+            continue
+        scale = max(1.0, float(np.max(np.linalg.norm(b, axis=1), initial=0.0)))
+        res = float(np.max(np.linalg.norm(null @ b, axis=1), initial=0.0))
+        if res > tol.eps_eq * scale:
+            return None
+        worst = max(worst, res)
+    return worst
+
+
+def dense_aligned_family(target: CrossedProduct, c_mats, d_mats, tol: Tolerance) -> np.ndarray:
+    """The products iota_C(c) iota_D(d) in target, c-major, formed pair by pair."""
+    ds = [target.iota_d_apply(d, tol) for d in d_mats]
+    return np.stack(
+        [coords_product(target.iota_c_apply(c, tol), b, target.legs) for c in c_mats for b in ds]
+    )
+
+
+def dense_family_map(
+    src: CrossedProduct,
+    fam2: np.ndarray,
+    target: CrossedProduct,
+    require_bijective: bool,
+    markings,
+    tol: Tolerance = DEFAULT_TOL,
+) -> ProductMap | None:
+    """Extend the family alignment x_k -> y_k = fam2[k] to a certified map.
+
+    Forms every family product and adjoint on both sides and maps the
+    source ones through pinv(rows1) @ rows2.  Returns None when a
+    bijection is required but the families satisfy different linear
+    relations; raises when a plain (possibly non-injective) extension is
+    not well defined.  The report has boxtimes._family_map's keys and
+    bounds (scale = max(1, largest row norm of either family)).
+    """
+    m = src.family.shape[0]
+    rows1 = src.family.reshape(m, -1)
+    rows2 = fam2.reshape(m, -1)
+    scale = max(
+        1.0,
+        float(np.max(np.linalg.norm(rows1, axis=1))),
+        float(np.max(np.linalg.norm(rows2, axis=1))),
+    )
+    if require_bijective:
+        if relation_transport(rows1, rows2, tol) is None:
+            return None
+    else:
+        nl = left_null_rows(rows1, tol.eps_rank)
+        if nl.shape[0]:
+            defect = float(np.max(np.linalg.norm(nl @ rows2, axis=1)))
+            if defect > tol.eps_eq * scale * max(1.0, m):
+                raise ValueError(f"assignment is not well defined (defect {defect:.2e})")
+    pinv = np.linalg.pinv(rows1)
+    mat = pinv @ rows2
+
+    rep: dict = {}
+    mult = 0.0
+    for i in range(m):
+        p1 = coords_product_pairs(src.family[i : i + 1], src.family, src.legs).reshape(m, -1)
+        p2 = coords_product_pairs(fam2[i : i + 1], fam2, target.legs).reshape(m, -1)
+        mult = max(mult, float(np.max(np.linalg.norm((p1 @ pinv) @ rows2 - p2, axis=1))))
+    rep["multiplicative"] = mult
+    s1 = np.stack([coords_star(f, src.legs).reshape(-1) for f in src.family])
+    s2 = np.stack([coords_star(f, target.legs).reshape(-1) for f in fam2])
+    rep["star"] = float(np.max(np.linalg.norm(s1 @ mat - s2, axis=1)))
+    mark = 0.0
+    for v1, v2 in markings:
+        mark = max(mark, float(np.linalg.norm(v1.reshape(-1) @ mat - v2.reshape(-1))))
+    rep["markings"] = mark
+    rep["alignment"] = float(np.max(np.linalg.norm(rows1 @ mat - rows2, axis=1)))
+    s = tol.eps_eq * scale * max(1.0, m)
+    rep["passed"] = (
+        rep["multiplicative"] <= s * scale
+        and rep["star"] <= s
+        and mark <= s
+        and rep["alignment"] <= s
+    )
+    return ProductMap(source=src, target=target, matrix=mat, report=rep)
 
 
 # ---------------------------------------------------------------------------

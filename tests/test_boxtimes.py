@@ -793,6 +793,62 @@ def test_functor_rejects_uncertified_morphism():
 
 
 # ---------------------------------------------------------------------------
+# maps from or to a product without tables
+
+
+def test_equivalent_without_tables_finds_no_map():
+    x, good = repeated_marking(), golden_m2()
+    assert x.structure is None
+    assert equivalent(x, good) is None
+    assert equivalent(good, x) is None
+
+
+def test_symmetry_without_tables_raises():
+    with pytest.raises(RuntimeError, match="symmetry equivalence certification failed"):
+        symmetry(repeated_marking())
+
+
+def test_functor_without_tables_raises():
+    x, good = repeated_marking(), golden_m2()
+    c = good.c_graded
+    ident = graded_morphism(c, c, list(c.ambient.basis))
+    for x1, x2 in ((x, good), (good, x)):
+        with pytest.raises(ValueError, match="dimension law failed"):
+            functor_map(ident, ident, x1, x2)
+
+
+def test_reparametrize_without_tables_gives_no_map(monkeypatch):
+    real = boxtimes.build_via_heisenberg
+
+    def first_without_tables(c, d, chi, pair=None, tol=boxtimes.DEFAULT_TOL, label="canonical"):
+        if label == "canonical":
+            return repeated_marking()
+        return real(c, d, chi, pair, tol, label)
+
+    monkeypatch.setattr(boxtimes, "build_via_heisenberg", first_without_tables)
+    ident = GroupHom(Z2, Z2, ((1,),))
+    xa, xb, pm = qgr_morphism_reparametrize(delta_grading(Z2), delta_grading(Z2), ident, ident, CHI2)
+    assert xa.structure is None and xb.structure is not None
+    assert pm is None
+
+
+def test_non_square_map_is_no_bijection():
+    two = direct_sum_grading(
+        trivial_grading(Z2, [np.eye(1)]), trivial_grading(Z2, [np.eye(1)])
+    )
+    one = trivial_grading(Z2, [np.eye(1)])
+    d = delta_grading(Z2)
+    chi = Bicharacter.trivial(Z2, Z2)
+    x1 = build_via_heisenberg(two, d, chi)
+    x2 = build_via_heisenberg(one, d, chi)
+    # the quotient two -> one on the first factor, identity on the second
+    a = np.kron(np.array([[1.0], [0.0]]), np.eye(2))
+    assert boxtimes._family_map(x1, a, x2, True, [], boxtimes.DEFAULT_TOL) is None
+    pm = boxtimes._family_map(x1, a, x2, False, [], boxtimes.DEFAULT_TOL)
+    assert pm is not None and pm.report["passed"]
+
+
+# ---------------------------------------------------------------------------
 # regrading along group homomorphisms
 
 

@@ -12,11 +12,9 @@ from qtwist.matspan import (
     expand_in_rows,
     hs_inner,
     hs_norm,
-    left_null_rows,
     multiplicative_closure,
     orthonormal_rows,
     rank,
-    relation_transport,
     residual_outside,
     span_basis,
     structure_tables,
@@ -87,26 +85,6 @@ def test_subspace_equality():
     assert not subspace_equal(a, span_basis([I2]))
 
 
-def test_left_null_rows():
-    rows = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.complex128)
-    null = left_null_rows(rows, 1e-9)
-    assert null.shape[0] == 1
-    assert np.linalg.norm(null @ rows) < 1e-12
-
-
-@pytest.mark.parametrize("m, n", [(3, 8), (8, 3), (5, 5)])
-def test_left_null_rows_wide_and_tall(m, n):
-    # rank 2 rows: the relations are the m - 2 rows orthogonal to them
-    rng = np.random.default_rng(m * n)
-    rows = (rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))) @ (
-        rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    )
-    null = left_null_rows(rows, 1e-9)
-    assert null.shape == (m - 2, m)
-    assert np.linalg.norm(null @ rows) < 1e-12
-    assert np.linalg.norm(null @ null.conj().T - np.eye(m - 2)) < 1e-12
-
-
 def test_residual_outside_matches_dense_norms():
     rng = np.random.default_rng(5)
     onb = orthonormal_rows(rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)), 1e-9)
@@ -123,23 +101,6 @@ def test_residual_outside_matches_dense_norms():
     assert np.max(np.abs(residual_outside(rows, real_onb) - want)) < 1e-12
     empty = np.zeros((0, 6), dtype=np.complex128)
     assert np.array_equal(residual_outside(rows, empty), np.linalg.norm(rows, axis=1))
-
-
-def test_relation_transport_accepts_matching_relations():
-    e1 = np.array([1, 0], dtype=np.complex128)
-    e2 = np.array([0, 1], dtype=np.complex128)
-    fam1 = np.stack([e1, e2, e1 + e2])
-    fam2 = np.stack([e2, e1, e1 + e2])
-    res = relation_transport(fam1, fam2, DEFAULT_TOL)
-    assert res is not None and res < 1e-12
-
-
-def test_relation_transport_rejects_broken_relations():
-    e1 = np.array([1, 0], dtype=np.complex128)
-    e2 = np.array([0, 1], dtype=np.complex128)
-    fam1 = np.stack([e1, e1])  # relation: first minus second = 0
-    fam2 = np.stack([e1, e2])  # not satisfied here
-    assert relation_transport(fam1, fam2, DEFAULT_TOL) is None
 
 
 def test_expand_in_rows():
