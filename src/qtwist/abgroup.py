@@ -158,6 +158,15 @@ class Bicharacter:
                 row.append(m[i][j] % math.gcd(ni, mj))
             fixed.append(tuple(row))
         object.__setattr__(self, "exponents", tuple(fixed))
+        # the phase is num / L turns, L the lcm of the gcd(n_i, m_j), with
+        # num = sum_ij a_i M[i][j] (L / gcd(n_i, m_j)) b_j
+        gcds = [[math.gcd(ni, mj) for mj in self.group_h.cycles] for ni in self.group_g.cycles]
+        lcm = math.lcm(*(g for row in gcds for g in row))
+        weights = tuple(
+            tuple(e * (lcm // g) for e, g in zip(erow, grow))
+            for erow, grow in zip(fixed, gcds)
+        )
+        object.__setattr__(self, "_turns", (lcm, weights))
 
     @classmethod
     def trivial(cls, group_g: FinAbGroup, group_h: FinAbGroup) -> "Bicharacter":
@@ -167,19 +176,20 @@ class Bicharacter:
     def is_trivial(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.exponents)
 
-    def angle(self, a, b) -> Fraction:
-        """Exact phase in turns (value = exp(2 pi i angle)), reduced mod 1."""
+    def _numerator(self, a, b) -> int:
         a = self.group_g.reduce(a)
         b = self.group_h.reduce(b)
-        total = Fraction(0)
-        for i, ni in enumerate(self.group_g.cycles):
-            for j, mj in enumerate(self.group_h.cycles):
-                g = math.gcd(ni, mj)
-                total += Fraction(a[i] * self.exponents[i][j] * b[j], g)
-        return total % 1
+        lcm, weights = self._turns
+        num = sum(ai * w * bj for ai, row in zip(a, weights) for w, bj in zip(row, b))
+        return num % lcm
+
+    def angle(self, a, b) -> Fraction:
+        """Exact phase in turns (value = exp(2 pi i angle)), reduced mod 1."""
+        return Fraction(self._numerator(a, b), self._turns[0])
 
     def value(self, a, b) -> complex:
-        return complex(np.exp(2j * np.pi * float(self.angle(a, b))))
+        # int / int is correctly rounded, so this is float(angle) bit for bit
+        return complex(np.exp(2j * np.pi * (self._numerator(a, b) / self._turns[0])))
 
     def value_table(self) -> np.ndarray:
         """Matrix of values over elements() x elements() orderings."""

@@ -292,30 +292,49 @@ def finite_torus(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult
     """
     if not (isinstance(n, int) and isinstance(k, int) and n >= 2 and 0 <= k < n):
         raise ValueError("torus parameters need n >= 2 and 0 <= k < n")
-    # all m^2 products of the family's m = n^2 members, n^4 coordinates
-    # each; _assemble forms them m at a time, never as one array, but the
-    # estimate counts them all
-    check_size(n**8, f"torus n={n} pair products")
+    # the path forms arrays of up to n^6 complex entries: the m = n^2 family
+    # rows of n^4 coordinates, its reversed products and onb, the (m, m, m)
+    # structure table, the (m, m^2) commutator tensor, the Weyl leg's
+    # product table and the temporaries of one residual.  Nine are counted:
+    # the traced peak is 8.3-8.5 n^6 entries for n = 8..12
+    check_size(9 * n**6, f"torus n={n}: nine arrays of n^6 entries")
     G = FinAbGroup((n,))
     chi = Bicharacter(G, G, ((k,),))
     c = delta_grading(G, tol)
-    x = build_via_heisenberg(c, c, chi, tol=tol)
+    return _torus_checks(build_via_heisenberg(c, c, chi, tol=tol), n, k, tol)
 
-    lam = translations(G)
-    u = x.element_matrix(x.iota_c_apply(lam[(1,)], tol))
-    v = x.element_matrix(x.iota_d_apply(lam[(1,)], tol))
+
+def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> ScenarioResult:
+    """finite_torus's report on x, for generators of order n and the phase of k.
+
+    u and v, the images of the translation lambda_1 under iota_C and iota_D,
+    are held as coordinate tensors over x's leg frames.  The Weyl, unitary
+    and order residuals are norms of coordinate tensors formed by
+    coords_product and coords_star (u^n takes n - 1 products).  The frames
+    are orthonormal, so such a norm is the Frobenius norm of the ambient
+    matrix; legs.residual, the worst defect of a leg table row (one product
+    of two unit frame elements), is added to each as slack.  No ambient
+    matrix is formed.
+    """
+    lam = translations(FinAbGroup((n,)))
+    legs = x.legs
+    u = x.iota_c_apply(lam[(1,)], tol)
+    v = x.iota_d_apply(lam[(1,)], tol)
+    one = pure_coords(legs, [np.eye(s) for s in legs.sizes], tol)
+
+    def dist(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.linalg.norm(a - b)) + legs.residual
+
+    def power(a: np.ndarray) -> np.ndarray:
+        p = a
+        for _ in range(n - 1):
+            p = coords_product(p, a, legs)
+        return p
+
     omega = np.exp(-2j * np.pi * k / n)
-    weyl = float(np.linalg.norm(v @ u - omega * (u @ v)))
-    eye = np.eye(x.ambient_dim)
-    unitary = float(
-        max(np.linalg.norm(u @ u.conj().T - eye), np.linalg.norm(v @ v.conj().T - eye))
-    )
-    order = float(
-        max(
-            np.linalg.norm(np.linalg.matrix_power(u, n) - eye),
-            np.linalg.norm(np.linalg.matrix_power(v, n) - eye),
-        )
-    )
+    weyl = dist(coords_product(v, u, legs), omega * coords_product(u, v, legs))
+    unitary = max(dist(coords_product(a, coords_star(a, legs), legs), one) for a in (u, v))
+    order = max(dist(power(a), one) for a in (u, v))
 
     center = product_center_dim(x, tol)
     g2 = math.gcd(k, n) ** 2

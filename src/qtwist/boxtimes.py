@@ -711,7 +711,8 @@ def _dense_certificate(
     onb is the SVD basis of the family's span.  The products f_i f_j are
     formed for one left factor f_i at a time, so no (m^2, size) array is
     held; each block of structure rows takes expand_table's exact or
-    least-squares path on its own.
+    least-squares path on its own.  adjoint_residual is the larger of the
+    adjoints' distance from the span and the star table's defect.
     """
     m = family.shape[0]
     rows = family.reshape(m, -1)
@@ -727,10 +728,17 @@ def _dense_certificate(
             blocks.append(block)
             structure_res = max(structure_res, res)
     star_rows = np.stack([coords_star(f, legs).reshape(-1) for f in family])
+    adjoint = float(np.max(residual_outside(star_rows, onb)))
+    star = None
+    if basis:
+        # the star table's own defect: on expand_table's one-term path it
+        # can exceed the adjoints' distance from the span
+        star, _, star_res = expand_table(star_rows, rows, tol)
+        adjoint = max(adjoint, star_res)
     onb_rev = orthonormal_rows(rev, tol.eps_rank)
     residuals = {
         "closure_residual": closure,
-        "adjoint_residual": float(np.max(residual_outside(star_rows, onb))),
+        "adjoint_residual": adjoint,
         "structure_residual": structure_res if basis else float("inf"),
         "cstar_equality": float(
             max(
@@ -742,7 +750,6 @@ def _dense_certificate(
     if not basis:
         return onb, None, None, residuals
     structure = np.concatenate(blocks).reshape(m, m, m)
-    star, _, _ = expand_table(star_rows, rows, tol)
     return onb, structure, star, residuals
 
 
@@ -950,16 +957,25 @@ def product_center_dim(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> int:
     """Center dimension computed on the structure tensor.
 
     Works in family coordinates, so it stays cheap on large ambients;
-    requires the marked family to be a basis (the dimension law).
+    requires the marked family to be a basis (the dimension law).  The
+    center is the left null space of the (m, m^2) commutator tensor.  When
+    each of its columns has at most one non-zero entry (a monomial table
+    whose f_i f_j and f_j f_i share their index, as for the one-hot
+    families of _index_certificate), its rows have disjoint supports and
+    its singular values are exactly the row norms; otherwise they come
+    from an SVD.
     """
     if x.structure is None:
         raise ValueError("center needs the structure tensor (dimension law failed)")
     m = x.structure.shape[0]
     b = (x.structure - x.structure.transpose(1, 0, 2)).reshape(m, m * m)
-    s = np.linalg.svd(b, compute_uv=False)
+    if np.all(np.count_nonzero(b, axis=0) <= 1):
+        s = np.linalg.norm(b, axis=1)
+    else:
+        s = np.linalg.svd(b, compute_uv=False)
     # the family is orthonormal, so the tensor is O(1); the floor keeps a
     # numerically-zero commutator tensor from inflating the rank
-    cutoff = tol.eps_rank * max(1.0, s[0] if s.size else 0.0)
+    cutoff = tol.eps_rank * max(1.0, float(np.max(s, initial=0.0)))
     return m - int(np.sum(s > cutoff))
 
 
@@ -1075,8 +1091,7 @@ def _family_map(
     adjoint_residual (star, k = 1), ||phi|| the operator norm and |a| the
     largest l1 norm of a row of a.  So each value bounds the dense residual
     ||phi(f_i f_j) - g_i g_j|| or ||phi(f_i*) - g_i*|| from above, as long
-    as r bounds each table row's defect (the structure residual does; the
-    adjoint residual is each adjoint's distance from the span).  markings
+    as r bounds each table row's defect, which both residuals do.  markings
     is the worst ||phi(v1) - v2||, alignment the worst ||phi(f_k) - g_k||
     of the map's matrix or the caller's expansion residual when larger.
 

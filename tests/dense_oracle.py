@@ -16,10 +16,15 @@ covariant representations and bicharacter actions pair by pair, through
 crossed products from all family products and adjoints, through
 `relation_transport` and `left_null_rows` on the family rows; it is the
 parity oracle for the table check of `boxtimes._family_map`.
+`dense_torus_checks` checks the finite torus's generators as dense
+ambient matrices and its center by an SVD (`svd_center_dim`); it is the
+parity oracle for `apps.finite_torus`.  `assert_reports_match` compares
+a library report with an oracle's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +36,7 @@ from qtwist.boxtimes import (
     CrossedProduct,
     ProductMap,
     build_from_markings,
+    build_via_heisenberg,
     coords_product,
     coords_product_pairs,
     coords_star,
@@ -61,7 +67,22 @@ from qtwist.matspan import (
     rank,
     residual_outside,
     span_basis,
+    structure_tables,
 )
+from qtwist.qgroup import translations
+
+
+def assert_reports_match(got, want):
+    """Key by key: floats within 1e-12, everything else identical."""
+    assert set(got) == set(want)
+    for key, w in want.items():
+        g = got[key]
+        if isinstance(w, dict):
+            assert_reports_match(g, w)
+        elif isinstance(w, float):
+            assert abs(g - w) <= 1e-12, (key, g, w)
+        else:
+            assert g == w, (key, g, w)
 
 
 def dense_algebra(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -207,6 +228,101 @@ def dense_dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> Scen
     )
     objects = {"grading": graded_hat, "coaction": gamma, "coaction_report": co_rep}
     return ScenarioResult("dual_coaction", objects, rep)
+
+
+# ---------------------------------------------------------------------------
+# the finite torus through dense generators
+
+
+def svd_center_dim(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Center dimension from the SVD of the (m, m^2) commutator tensor."""
+    m = x.structure.shape[0]
+    b = (x.structure - x.structure.transpose(1, 0, 2)).reshape(m, m * m)
+    s = np.linalg.svd(b, compute_uv=False)
+    cutoff = tol.eps_rank * max(1.0, s[0] if s.size else 0.0)
+    return m - int(np.sum(s > cutoff))
+
+
+def dense_torus_checks(
+    n: int, k: int, tol: Tolerance = DEFAULT_TOL, product: CrossedProduct | None = None
+) -> ScenarioResult:
+    """apps.finite_torus through dense n^3 x n^3 generators.
+
+    u and v are materialized as ambient matrices and checked by dense
+    products and matrix_power; the center comes from svd_center_dim.
+    product replaces the torus that (n, k) builds, so a product can be
+    checked against another k.  The report has finite_torus's keys, and
+    objects holds the product and the dense u and v.
+    """
+    G = FinAbGroup((n,))
+    x = product
+    if x is None:
+        c = coact.delta_grading(G, tol)
+        x = build_via_heisenberg(c, c, Bicharacter(G, G, ((k,),)), tol=tol)
+
+    lam = translations(G)
+    u = x.element_matrix(x.iota_c_apply(lam[(1,)], tol))
+    v = x.element_matrix(x.iota_d_apply(lam[(1,)], tol))
+    omega = np.exp(-2j * np.pi * k / n)
+    weyl = float(np.linalg.norm(v @ u - omega * (u @ v)))
+    eye = np.eye(x.ambient_dim)
+    unitary = float(
+        max(np.linalg.norm(u @ u.conj().T - eye), np.linalg.norm(v @ v.conj().T - eye))
+    )
+    order = float(
+        max(
+            np.linalg.norm(np.linalg.matrix_power(u, n) - eye),
+            np.linalg.norm(np.linalg.matrix_power(v, n) - eye),
+        )
+    )
+
+    center_dim = svd_center_dim(x, tol)
+    g2 = math.gcd(k, n) ** 2
+    m = n * n
+    thr = tol.eps_eq * max(1.0, m)
+
+    residuals = {"weyl": weyl, "unitary": unitary, "order": order}
+    verdicts = {
+        "certified": x.report["passed"],
+        "dim": x.dim == m,
+        "center": center_dim == g2,
+        "weyl_commutation": weyl <= thr,
+        "generators_unitary": unitary <= thr and order <= thr,
+    }
+
+    if math.gcd(k, n) == 1:
+        # clock-and-shift model: u -> diag(w^j), v -> (shift)^k
+        w = np.exp(2j * np.pi / n)
+        clock = np.diag(w ** np.arange(n)).astype(np.complex128)
+        shift = lam[(1,)]
+        target = np.stack(
+            [
+                (
+                    np.linalg.matrix_power(clock, a)
+                    @ np.linalg.matrix_power(shift, (k * b) % n)
+                    / n
+                ).reshape(-1)
+                for a in range(n)
+                for b in range(n)
+            ]
+        )
+        mu_t, smat_t, res_t, _ = structure_tables(target.reshape(m, n, n), tol)
+        res_x = max(x.report["structure_residual"], x.report["adjoint_residual"])
+        diff = float(
+            max(np.max(np.abs(mu_t - x.structure)), np.max(np.abs(smat_t - x.star)))
+        )
+        full_rank = rank(target, tol.eps_rank) == m
+        residuals["matrix_model"] = max(diff, res_t, res_x)
+        verdicts["matrix_algebra_iso"] = diff <= thr and full_rank
+
+    rep = _report(
+        "finite_torus",
+        {"n": n, "k": k},
+        {"dim": x.dim, "expected": m, "center": center_dim, "center_expected": g2},
+        residuals,
+        verdicts,
+    )
+    return ScenarioResult("finite_torus", {"product": x, "u": u, "v": v}, rep)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from qtwist.abgroup import (
     pullback,
     regular_bicharacter,
 )
+from qtwist.cli import group_catalog
 
 Z4 = FinAbGroup((4,))
 Z2Z3 = FinAbGroup((2, 3))
@@ -78,6 +79,31 @@ def test_bicharacter_normal_form_and_values():
     assert Bicharacter.trivial(Z4, Z4).is_trivial()
     assert not chi.is_trivial()
     assert evaluate(chi, (1,), (2,)) == pytest.approx(-1)
+
+
+def fraction_angle(chi, a, b):
+    """The phase as a sum of Fractions a_i M[i][j] b_j / gcd(n_i, m_j), mod 1."""
+    a, b = chi.group_g.reduce(a), chi.group_h.reduce(b)
+    total = Fraction(0)
+    for i, ni in enumerate(chi.group_g.cycles):
+        for j, mj in enumerate(chi.group_h.cycles):
+            total += Fraction(a[i] * chi.exponents[i][j] * b[j], math.gcd(ni, mj))
+    return total % 1
+
+
+def test_bicharacter_values_equal_the_fraction_formula_exactly():
+    # every bicharacter between groups of the suite's catalog up to order 8,
+    # at every pair of elements and at unreduced representatives
+    groups = [FinAbGroup(c) for c in group_catalog(8)]
+    for g, h in itertools.product(groups, repeat=2):
+        for chi in enumerate_bicharacters(g, h):
+            for a, b in itertools.product(g.elements(), h.elements()):
+                angle = fraction_angle(chi, a, b)
+                assert chi.angle(a, b) == angle
+                assert chi.value(a, b) == complex(np.exp(2j * np.pi * float(angle)))
+            a = tuple(x - 3 * n for x, n in zip(g.elements()[-1], g.cycles))
+            b = tuple(x + 5 * n for x, n in zip(h.elements()[-1], h.cycles))
+            assert chi.value(a, b) == complex(np.exp(2j * np.pi * float(fraction_angle(chi, a, b))))
 
 
 def test_bicharacter_shape_guard():

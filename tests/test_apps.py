@@ -233,9 +233,15 @@ def test_finite_torus_dimension_and_center(n, k):
         assert res.report["verdicts"]["matrix_algebra_iso"]
 
 
+def dense_generators(res):
+    # u and v are coordinate tensors; their ambient matrices are formed here
+    x = res.objects["product"]
+    return x.element_matrix(res.objects["u"]), x.element_matrix(res.objects["v"])
+
+
 def test_finite_torus_weyl_pair_oracle():
     res = finite_torus(4, 1)
-    u, v = res.objects["u"], res.objects["v"]
+    u, v = dense_generators(res)
     omega = np.exp(-2j * np.pi / 4)
     assert np.linalg.norm(v @ u - omega * (u @ v)) < 1e-10
     eye = np.eye(u.shape[0])
@@ -251,7 +257,7 @@ def test_finite_torus_center_against_dense_commutant():
 
 def test_finite_torus_k0_is_commutative():
     res = finite_torus(3, 0)
-    u, v = res.objects["u"], res.objects["v"]
+    u, v = dense_generators(res)
     assert np.linalg.norm(u @ v - v @ u) < 1e-12
     assert res.report["dims"]["center"] == 9
 

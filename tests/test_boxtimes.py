@@ -59,6 +59,7 @@ from qtwist.heis import (
     conjugate_pair,
 )
 from qtwist.matspan import (
+    DEFAULT_TOL,
     BudgetError,
     expand_in_rows,
     internal_unit,
@@ -200,6 +201,23 @@ def test_star_table_expands_family_adjoints():
     assert np.max(res) < 1e-12
     assert x.star.shape == (m, m)
     assert np.max(np.abs(x.star - want)) <= 1e-12
+
+
+def test_dense_certificate_reports_the_star_table_defect():
+    # e11* = e11 + delta e22 through a perturbed leg star table: the adjoint
+    # lies in the span of the family {e11, e22}, but the one-term star table
+    # drops delta e22, so the table's defect exceeds the span distance
+    delta = 1e-10
+    legs = leg_frames([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]])
+    stars = legs.stars[0].copy()
+    stars[0, 1] = delta
+    bad = replace(legs, stars=(stars,))
+    family = np.eye(2, dtype=np.complex128)
+    onb, _, star, residuals = boxtimes._dense_certificate(family, family, bad, DEFAULT_TOL)
+    star_rows = np.stack([coords_star(f, bad) for f in family])
+    assert np.max(residual_outside(star_rows, onb)) < delta / 2
+    assert np.array_equal(star, np.eye(2))
+    assert abs(residuals["adjoint_residual"] - delta) <= 1e-20
 
 
 def covariant_z3():
