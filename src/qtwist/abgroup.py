@@ -1,7 +1,9 @@
 """Finite abelian groups, homomorphisms and T-valued bicharacters.
 
 A group is a product of cyclic factors Z/n_1 x ... x Z/n_r; elements are
-integer tuples of residues, listed lexicographically.  A bicharacter on
+integer tuples of residues, listed lexicographically.  Each group caches
+integer index tables in that order (digits, add_table, neg_table), so
+array code works on element positions instead of tuples.  A bicharacter on
 G x H is stored exactly as an integer exponent matrix M with
 M[i][j] in [0, gcd(n_i, m_j)), evaluating to
 
@@ -13,6 +15,7 @@ enumeration and pullback are exact integer computations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +33,7 @@ __all__ = [
     "pullback",
     "dual_group",
     "pairing_value",
+    "pairing_table",
     "regular_bicharacter",
     "hom_h_to_dual_g",
     "hom_g_to_dual_h",
@@ -85,6 +89,37 @@ class FinAbGroup:
     def generators(self) -> list[tuple[int, ...]]:
         eye = np.eye(self.rank, dtype=int)
         return [tuple(row) for row in eye]
+
+    # index tables over elements() positions, read-only and shared by every
+    # group with the same cycles
+
+    @property
+    def digits(self) -> np.ndarray:
+        """(order, rank) residues of elements(), row x the element at x."""
+        return _index_tables(self.cycles)[0]
+
+    @property
+    def add_table(self) -> np.ndarray:
+        """(order, order) positions: add_table[x, y] = index(g_x + g_y)."""
+        return _index_tables(self.cycles)[1]
+
+    @property
+    def neg_table(self) -> np.ndarray:
+        """(order,) positions: neg_table[x] = index(-g_x)."""
+        return _index_tables(self.cycles)[2]
+
+
+@functools.lru_cache(maxsize=64)
+def _index_tables(cycles: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, add_table, neg_table) of the group with these cycles."""
+    order = math.prod(cycles)
+    digits = np.stack(np.unravel_index(np.arange(order), cycles), axis=1)
+    total = (digits[:, None, :] + digits[None, :, :]) % cycles
+    add = np.ravel_multi_index(tuple(np.moveaxis(total, 2, 0)), cycles)
+    neg = np.ravel_multi_index(tuple(((-digits) % cycles).T), cycles)
+    for t in (digits, add, neg):
+        t.flags.writeable = False
+    return digits, add, neg
 
 
 @dataclass(frozen=True)
@@ -192,14 +227,15 @@ class Bicharacter:
         return complex(np.exp(2j * np.pi * (self._numerator(a, b) / self._turns[0])))
 
     def value_table(self) -> np.ndarray:
-        """Matrix of values over elements() x elements() orderings."""
-        gs = self.group_g.elements()
-        hs = self.group_h.elements()
-        out = np.empty((len(gs), len(hs)), dtype=np.complex128)
-        for x, a in enumerate(gs):
-            for y, b in enumerate(hs):
-                out[x, y] = self.value(a, b)
-        return out
+        """Matrix of values over elements() x elements() orderings.
+
+        The numerators of value() for all pairs at once, as one integer
+        product of the digit tables with the weights; each entry equals
+        value() bit for bit.
+        """
+        lcm, weights = self._turns
+        num = (self.group_g.digits @ np.array(weights, dtype=np.int64)) @ self.group_h.digits.T
+        return np.exp(2j * np.pi * ((num % lcm) / lcm))
 
     def as_diagonal(self) -> np.ndarray:
         """Unitary in the function algebras of G and H: diagonal on l2(G x H)."""
@@ -274,6 +310,18 @@ def pairing_value(group: FinAbGroup, g, p) -> complex:
     p = group.reduce(p)
     ang = sum(Fraction(a * b, n) for a, b, n in zip(g, p, group.cycles)) % 1
     return complex(np.exp(2j * np.pi * float(ang)))
+
+
+def pairing_table(group: FinAbGroup) -> np.ndarray:
+    """pairing_value over elements() x elements() of the dual, bit for bit.
+
+    The angle sum_i g_i p_i / n_i is the integer numerator
+    sum_i g_i p_i (L / n_i) mod L over L = lcm(n_i), for every pair at once.
+    """
+    lcm = math.lcm(*group.cycles)
+    weights = np.array([lcm // n for n in group.cycles], dtype=np.int64)
+    num = ((group.digits * weights) @ group.digits.T) % lcm
+    return np.exp(2j * np.pi * (num / lcm))
 
 
 def regular_bicharacter(group: FinAbGroup) -> Bicharacter:

@@ -18,7 +18,7 @@ from .abgroup import (
     Bicharacter,
     FinAbGroup,
     dual_group,
-    pairing_value,
+    pairing_table,
     regular_bicharacter,
 )
 from .boxtimes import (
@@ -36,7 +36,7 @@ from .boxtimes import (
     matrix_to_coords,
     podles_span_check,
     product_center_dim,
-    pure_coords,
+    pure_coords_stack,
 )
 from .coact import (
     CoactionMap,
@@ -176,22 +176,18 @@ def cocycle_twist_table(
     """Twisted structure constants built from the factor tables alone."""
     lab_c = c_graded.homogeneous_basis()
     lab_d = d_graded.homogeneous_basis()
-    a_mu, a_star, res_a, _ = structure_tables(np.stack([m for _, m in lab_c]), tol)
-    b_mu, b_star, res_b, _ = structure_tables(np.stack([m for _, m in lab_d]), tol)
+    a_mu, a_star, res_a, _ = c_graded.homogeneous_tables(tol)
+    b_mu, b_star, res_b, _ = d_graded.homogeneous_tables(tol)
     mc, md = len(lab_c), len(lab_d)
     m = mc * md
 
-    # phase[j, k] = chi(deg c_k, deg d_j)^-1; |chi| = 1 so inverse = conj
-    phase = np.array(
-        [[np.conj(chi.value(g, h)) for g, _ in lab_c] for h, _ in lab_d]
-    )
+    # spin[k, j] = chi(deg c_k, deg d_j)^-1; |chi| = 1 so inverse = conj
+    degs = np.ix_(c_graded.degree_indices(), d_graded.degree_indices())
+    spin = chi.value_table().conj()[degs]
     mu = np.einsum("ikp,jlq->ijklpq", a_mu, b_mu)
-    mu = mu * phase[None, :, :, None, None, None]
+    mu = mu * spin.T[None, :, :, None, None, None]
     mu = mu.reshape(m, m, m)
 
-    spin = np.array(
-        [[np.conj(chi.value(g, h)) for h, _ in lab_d] for g, _ in lab_c]
-    )
     star = np.einsum("ip,jq->ijpq", a_star, b_star)
     star = star * spin[:, :, None, None]
     star = star.reshape(m, m)
@@ -226,8 +222,8 @@ def tensor_structure_residual(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -
     """
     if x.structure is None:
         raise ValueError("tensor comparison needs the structure tensor")
-    a_mu, _, res_a, _ = structure_tables(x.c_graded.ambient.basis, tol)
-    b_mu, _, res_b, _ = structure_tables(x.d_graded.ambient.basis, tol)
+    a_mu, _, res_a, _ = x.c_graded.tables(tol)
+    b_mu, _, res_b, _ = x.d_graded.tables(tol)
     model = np.einsum("ikp,jlq->ijklpq", a_mu, b_mu)
     m = x.structure.shape[0]
     diff = float(np.max(np.abs(x.structure - model.reshape(m, m, m))))
@@ -310,31 +306,35 @@ def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> Scenario
     u and v, the images of the translation lambda_1 under iota_C and iota_D,
     are held as coordinate tensors over x's leg frames.  The Weyl, unitary
     and order residuals are norms of coordinate tensors formed by
-    coords_product and coords_star (u^n takes n - 1 products).  The frames
-    are orthonormal, so such a norm is the Frobenius norm of the ambient
-    matrix; legs.residual, the worst defect of a leg table row (one product
-    of two unit frame elements), is added to each as slack.  No ambient
-    matrix is formed.
+    coords_product_pairs on the stack (u, v) and coords_star (u^n and v^n
+    take n - 1 stacked products).  The frames are orthonormal, so such a
+    norm is the Frobenius norm of the ambient matrix; legs.residual, the
+    worst defect of a leg table row (one product of two unit frame
+    elements), is added to each as slack.  No ambient matrix is formed.
     """
     lam = translations(FinAbGroup((n,)))
     legs = x.legs
     u = x.iota_c_apply(lam[(1,)], tol)
     v = x.iota_d_apply(lam[(1,)], tol)
-    one = pure_coords(legs, [np.eye(s) for s in legs.sizes], tol)
+    one = legs.identity(tol)
 
     def dist(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.linalg.norm(a - b)) + legs.residual
 
-    def power(a: np.ndarray) -> np.ndarray:
-        p = a
-        for _ in range(n - 1):
-            p = coords_product(p, a, legs)
-        return p
+    # u and v as one stack: pairs[a, b] = gens[a] gens[b], and the
+    # diagonal of a pair product is (u p_u, v p_v)
+    gens = np.stack([u, v])
+    diag = (np.arange(2), np.arange(2))
+    pairs = coords_product_pairs(gens, gens, legs)
+    stars = np.stack([coords_star(a, legs) for a in gens])
+    powers = gens
+    for _ in range(n - 1):
+        powers = coords_product_pairs(powers, gens, legs)[diag]
 
     omega = np.exp(-2j * np.pi * k / n)
-    weyl = dist(coords_product(v, u, legs), omega * coords_product(u, v, legs))
-    unitary = max(dist(coords_product(a, coords_star(a, legs), legs), one) for a in (u, v))
-    order = max(dist(power(a), one) for a in (u, v))
+    weyl = dist(pairs[1, 0], omega * pairs[0, 1])
+    unitary = max(dist(a, one) for a in coords_product_pairs(gens, stars, legs)[diag])
+    order = max(dist(a, one) for a in powers)
 
     center = product_center_dim(x, tol)
     g2 = math.gcd(k, n) ** 2
@@ -351,21 +351,15 @@ def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> Scenario
     }
 
     if math.gcd(k, n) == 1:
-        # clock-and-shift model: u -> diag(w^j), v -> (shift)^k
+        # clock-and-shift model: u -> diag(w^j), v -> (shift)^k; the powers
+        # of the clock's diagonal are running products, those of the shift
+        # the translations lambda_{kb}, and target[a n + b] = clock^a shift^kb / n
         w = np.exp(2j * np.pi / n)
-        clock = np.diag(w ** np.arange(n)).astype(np.complex128)
-        shift = lam[(1,)]
-        target = np.stack(
-            [
-                (
-                    np.linalg.matrix_power(clock, a)
-                    @ np.linalg.matrix_power(shift, (k * b) % n)
-                    / n
-                ).reshape(-1)
-                for a in range(n)
-                for b in range(n)
-            ]
-        )
+        clock = np.ones((n, n), dtype=np.complex128)
+        clock[1:] = w ** np.arange(n)
+        clock = np.cumprod(clock, axis=0)
+        shifts = np.stack([lam[((k * b) % n,)] for b in range(n)])
+        target = (clock[:, None, :, None] * shifts[None] / n).reshape(m, n * n)
         mu_t, smat_t, res_t, _ = structure_tables(target.reshape(m, n, n), tol)
         res_x = max(x.report["structure_residual"], x.report["adjoint_residual"])
         diff = float(
@@ -404,25 +398,18 @@ def reduced_crossed_product(
     chi = regular_bicharacter(G)
     xb = build_via_heisenberg(c_graded, d, chi, tol=tol)
 
-    lam = translations(G)
-    chars = {
-        p: np.diag([pairing_value(G, g, p) for g in G.elements()]).astype(
-            np.complex128
-        )
-        for p in dual_group(G).elements()
-    }
+    lam = np.stack(list(translations(G).values()))
+    # chars[p] = diag(<g, p>) over g, the columns of the pairing table
+    chars = np.stack([np.diag(t) for t in pairing_table(G).T])
     n_c = c_graded.ambient_dim
-    leg2 = [lam[g] @ chars[p] for g in G.elements() for p in dual_group(G).elements()]
+    leg2 = np.matmul(lam[:, None], chars[None, :]).reshape(-1, G.order, G.order)
     legs = leg_frames(
         [list(c_graded.ambient.basis) + [np.eye(n_c)], leg2], tol
     )
 
-    iota_c = np.stack(
-        [pure_coords(legs, [b, lam[g]], tol) for g, b in c_graded.homogeneous_basis()]
-    )
-    iota_d = np.stack(
-        [pure_coords(legs, [np.eye(n_c), m], tol) for m in d.ambient.basis]
-    )
+    degs = c_graded.degree_indices()
+    iota_c = pure_coords_stack(legs, [c_graded.ambient.basis, lam[degs]], tol)
+    iota_d = pure_coords_stack(legs, [np.eye(n_c), d.ambient.basis], tol)
     xd = build_from_markings(
         c_graded,
         d,
@@ -494,7 +481,7 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     deg_d = [where[p] for p, _ in x.d_graded.homogeneous_basis()]
     # the family is i-major: member i * m_d + j has the degree of chi_j
     deg = np.tile(deg_d, x.iota_c.shape[0])
-    identity = pure_coords(x.legs, [np.eye(n) for n in x.legs.sizes], tol)
+    identity = x.legs.identity(tol)
     graded_hat = table_grading(
         ghat,
         deg,
@@ -624,14 +611,8 @@ def embed_in_reduced(
     x1 = build_via_heisenberg(c_graded, d_graded, chi, tol=tol)
 
     lam_g, lam_h = translations(G), translations(H)
-    chars_g = {
-        p: np.diag([pairing_value(G, g, p) for g in G.elements()])
-        for p in dual_group(G).elements()
-    }
-    chars_h = {
-        q: np.diag([pairing_value(H, h, q) for h in H.elements()])
-        for q in dual_group(H).elements()
-    }
+    chars_g = dict(zip(dual_group(G).elements(), map(np.diag, pairing_table(G).T)))
+    chars_h = dict(zip(dual_group(H).elements(), map(np.diag, pairing_table(H).T)))
     n_c, n_d = c_graded.ambient_dim, d_graded.ambient_dim
     legs = leg_frames(
         [
@@ -644,12 +625,8 @@ def embed_in_reduced(
     )
     eye_d, eye_h = np.eye(n_d), np.eye(H.order)
 
-    iota_c = np.stack(
-        [
-            pure_coords(legs, [b, lam_g[g], eye_d, eye_h], tol)
-            for g, b in c_graded.homogeneous_basis()
-        ]
-    )
+    lam_c = np.stack(list(lam_g.values()))[c_graded.degree_indices()]
+    iota_c = pure_coords_stack(legs, [c_graded.ambient.basis, lam_c, eye_d, eye_h], tol)
 
     # the kernel is diagonal: chi(x, y) on every basis vector whose leg 2
     # index is x and leg 4 index is y

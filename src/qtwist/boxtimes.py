@@ -35,18 +35,21 @@ family rows are one-hot with distinct supports, f_i = v_i e_{s_i} (the
 torus and the crossed products of delta gradings), every product f_i f_j
 and adjoint f_i* is one (index, value) pair, so the closure certificate
 is index arithmetic on the leg tables and the basis of the span is the
-unit rows e_{s_i}.  Any other family is certified densely, one left
-factor at a time: the m products f_i f_j of each f_i against the span,
-so no array of all m^2 products is formed.
+unit rows e_{s_i}.  The same arithmetic certifies one-hot markings
+against monomial factor tables (_marking_report).  Any other family is
+certified densely, one left factor at a time: the m products f_i f_j of
+each f_i against the span, so no array of all m^2 products is formed.
 
 A map between crossed products is fixed by a matrix a expanding the
 images of the source family in the target family, and is certified on
 the two products' structure and star tables alone (_family_map), so no
-product is formed; a product without tables has no certified map.
+product is formed; a product without tables has no certified map.  The
+map's dense matrix on leg coordinates is formed only when read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import prod
 
@@ -83,6 +86,7 @@ __all__ = [
     "coords_to_matrix",
     "matrix_to_coords",
     "pure_coords",
+    "pure_coords_stack",
     "GradedMorphism",
     "graded_morphism",
     "morphism_from_pairs",
@@ -122,6 +126,8 @@ class LegFrames:
     matspan.structure_tables gives them (a monomial table is held exactly,
     one non-zero a row).  residual is the worst table defect over all
     legs, so coordinate arithmetic is faithful up to this number.
+    star_terms, read once, is what index arithmetic needs of the stars,
+    and identity(tol) the coordinates of the ambient identity.
     """
 
     sizes: tuple[int, ...]
@@ -130,6 +136,7 @@ class LegFrames:
     stars: tuple[np.ndarray, ...]
     residual: float
     monomial: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    _identity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def legs(self) -> int:
@@ -142,6 +149,26 @@ class LegFrames:
     @property
     def ambient_dim(self) -> int:
         return prod(self.sizes)
+
+    @functools.cached_property
+    def star_terms(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """Each star table's (column, value) pairs when every leg table is
+        monomial and every star table one term a row (with distinct
+        columns), else None: the legs on which products and adjoints of
+        one-hot rows are index arithmetic."""
+        if any(t is None for t in self.monomial):
+            return None
+        stars = [_one_hot(t) for t in self.stars]
+        return None if any(t is None for t in stars) else stars
+
+    def identity(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """pure_coords of the identity on every leg, formed once per
+        tolerance and read-only."""
+        if tol not in self._identity:
+            one = pure_coords(self, [np.eye(n) for n in self.sizes], tol)
+            one.flags.writeable = False
+            self._identity[tol] = one
+        return self._identity[tol]
 
 
 def _kept_generators(rows: np.ndarray, tol: Tolerance) -> np.ndarray | None:
@@ -185,16 +212,24 @@ def leg_frames(leg_mats, tol: Tolerance = DEFAULT_TOL) -> LegFrames:
     """
     frames, mults, stars, sizes, monomial = [], [], [], [], []
     worst = 0.0
+    built: list[tuple[np.ndarray, tuple]] = []
     for mats in leg_mats:
         mats = [cmatrix(m) for m in mats]
         if not mats:
             raise ValueError("every leg needs at least one matrix")
         n = mats[0].shape[0]
         given = np.stack([cmatrix(m, n).reshape(-1) for m in mats])
-        rows = _kept_generators(given, tol)
-        if rows is None:
-            rows = orthonormal_rows(given, tol.eps_rank)
-        mult, star, res, mono = structure_tables(rows.reshape(-1, n, n), tol)
+        # a leg with the same generators as an earlier one (C boxtimes C)
+        # shares its frame and tables
+        same = next((leg for g, leg in built if np.array_equal(g, given)), None)
+        if same is not None:
+            rows, (mult, star, res, mono) = same
+        else:
+            rows = _kept_generators(given, tol)
+            if rows is None:
+                rows = orthonormal_rows(given, tol.eps_rank)
+            mult, star, res, mono = structure_tables(rows.reshape(-1, n, n), tol)
+            built.append((given, (rows, (mult, star, res, mono))))
         worst = max(worst, res)
         frames.append(rows)
         mults.append(mult)
@@ -232,28 +267,33 @@ def coords_product(x: np.ndarray, y: np.ndarray, legs: LegFrames) -> np.ndarray:
 
 def _gathered_pairs(xs: np.ndarray, ys: np.ndarray, legs: LegFrames) -> np.ndarray:
     # Each pair of non-zero entries x_p, y_q adds x_p y_q prod_l phase_l[p_l, q_l]
-    # to the single output entry (index_l[p_l, q_l])_l; scatter-add them.
+    # to the single output entry (index_l[p_l, q_l])_l of its row pair;
+    # scatter-add them in place (np.add.at sums in pair order, as a
+    # bincount would).  The pairs of all left rows go in one scatter, split
+    # only when they outnumber the output's entries.
     dims = legs.dims
     size = prod(dims)
     m, k = xs.shape[0], ys.shape[0]
-    out = np.zeros((m, k * size), dtype=np.complex128)
+    out = np.zeros((m, k) + dims, dtype=np.complex128)
     yb, *yq = np.nonzero(ys)
     y_vals = ys[(yb, *yq)]
     y_base = yb * size
-    for a in range(m):
-        xp = np.nonzero(xs[a])
-        vals = np.multiply.outer(xs[a][xp], y_vals)
+    xa, *xp = np.nonzero(xs)
+    x_vals = xs[(xa, *xp)].astype(np.complex128, copy=False)
+    step = max(1, out.size // max(1, y_vals.size))
+    for start in range(0, x_vals.size, step):
+        block = slice(start, start + step)
+        vals = np.multiply.outer(x_vals[block], y_vals)
         flat = np.zeros(vals.shape, dtype=np.intp)
         for l, (index, phase) in enumerate(legs.monomial):
-            i, j = xp[l][:, None], yq[l][None, :]
-            flat = flat * dims[l] + index[i, j]
-            vals = vals * phase[i, j]
-        flat = (flat + y_base).ravel()
-        vals = vals.ravel()
-        out[a] = np.bincount(flat, vals.real, k * size) + 1j * np.bincount(
-            flat, vals.imag, k * size
-        )
-    return out.reshape((m, k) + dims)
+            i, j = xp[l][block, None], yq[l][None, :]
+            flat *= dims[l]
+            flat += index[i, j]
+            vals *= phase[i, j]
+        flat += y_base
+        flat += (xa[block] * (k * size))[:, None]
+        np.add.at(out.reshape(-1), flat.ravel(), vals.ravel())
+    return out
 
 
 def coords_product_pairs(
@@ -286,9 +326,16 @@ def coords_product_pairs(
 
 def coords_star(x: np.ndarray, legs: LegFrames) -> np.ndarray:
     """Adjoint of a coordinate tensor through the frame tables."""
-    t = x.conj()
+    return _star_stack(x[None], legs)[0]
+
+
+def _star_stack(xs: np.ndarray, legs: LegFrames) -> np.ndarray:
+    # Adjoints of a (k, ...) stack: one tensordot per leg over the whole
+    # stack; each contracts the leading leg axis and appends its image, so
+    # the legs come back in order.
+    t = xs.conj()
     for s in legs.stars:
-        t = np.tensordot(t, s, axes=([0], [0]))
+        t = np.tensordot(t, s, axes=([1], [0]))
     return t
 
 
@@ -335,25 +382,43 @@ def pure_coords(legs: LegFrames, mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     if any factor falls outside its leg frame; builders only call this
     with matrices the frames were generated from.
     """
+    return pure_coords_stack(legs, mats, tol)[0]
+
+
+def pure_coords_stack(legs: LegFrames, mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """(N, *legs.dims) coordinates of N pure tensors, one projection a leg.
+
+    mats[l] is one (n_l, n_l) matrix shared by all N tensors or an
+    (N, n_l, n_l) stack; N is 1 when every entry is one matrix.  Each
+    factor is projected as pure_coords does, the stack in one product.
+    """
     if len(mats) != legs.legs:
         raise ValueError("one matrix per leg required")
     vecs = []
     for l, m in enumerate(mats):
-        v = cmatrix(m, legs.sizes[l]).reshape(-1)
+        m = np.asarray(m, dtype=np.complex128)
+        n = legs.sizes[l]
+        if m.shape[-2:] != (n, n) or m.ndim not in (2, 3):
+            raise ValueError(f"leg {l} expects {n}x{n} matrices, got shape {m.shape}")
+        v = m.reshape(-1, n * n)
         frame = legs.frames[l]
-        c = frame.conj() @ v
-        bound = tol.eps_eq * max(1.0, float(np.linalg.norm(v)))
-        k = int(np.argmax(np.abs(c)))
-        if float(np.linalg.norm(v - c[k] * frame[k])) <= bound:
-            one_hot = np.zeros_like(c)
-            one_hot[k] = c[k]
-            c = one_hot
-        elif float(np.linalg.norm(v - c @ frame)) > bound:
-            raise RuntimeError(f"leg {l} matrix is outside its frame span")
+        c = v @ frame.conj().T
+        bound = tol.eps_eq * np.maximum(1.0, np.linalg.norm(v, axis=1))
+        r = np.arange(v.shape[0])
+        k = np.argmax(np.abs(c), axis=1)
+        ck = c[r, k]
+        one = np.linalg.norm(v - ck[:, None] * frame[k], axis=1) <= bound
+        if not one.all():
+            rest = np.flatnonzero(~one)
+            if np.any(np.linalg.norm(v[rest] - c[rest] @ frame, axis=1) > bound[rest]):
+                raise RuntimeError(f"leg {l} matrix is outside its frame span")
+            r, k, ck = r[one], k[one], ck[one]
+        c[r] = 0.0
+        c[r, k] = ck
         vecs.append(c)
     out = vecs[0]
     for v in vecs[1:]:
-        out = np.multiply.outer(out, v)
+        out = out[..., None] * v.reshape((v.shape[0],) + (1,) * (out.ndim - 1) + v.shape[1:])
     return out
 
 
@@ -403,7 +468,7 @@ def graded_morphism(
         max(target.ambient.space.contains_residual(m) for m in images)
     )
     m = len(basis)
-    mult, star, _, _ = structure_tables(basis, tol)
+    mult, star, _, _ = source.tables(tol)
     prods = np.matmul(images[:, None], images[None, :])
     adjs = images.conj().transpose(0, 2, 1)
     rep["homomorphism"], rep["star"] = table_defect(mult, star, images, prods, adjs)
@@ -582,14 +647,46 @@ class CrossedProduct:
 def _marking_report(
     graded: GradedAlgebra, iota: np.ndarray, legs: LegFrames, tol: Tolerance
 ) -> tuple[float, float, bool]:
-    """(homomorphism, star, injective) certification of one marking."""
-    mult, star, _, _ = structure_tables(graded.ambient.basis, tol)
-    prods = coords_product_pairs(iota, iota, legs)
-    adjs = np.stack([coords_star(v, legs) for v in iota])
-    hom, star_res = table_defect(mult, star, iota, prods, adjs)
+    """(homomorphism, star, injective) certification of one marking.
+
+    iota[k] is the image of graded's basis element b_k, checked against
+    graded.tables().  When the legs take index arithmetic (star_terms),
+    the rows are one-hot with distinct supports, f_k = v_k e_{s_k}, and
+    the factor's product table is monomial and its star table one-hot,
+    b_i b_j = c b_k and b_i* = c b_k, then each product f_i f_j and
+    adjoint f_i* is one (index, value) pair p e_P (_one_hot_products) and
+    the table's image is c v_k e_{s_k}: the row defect is |p - c v_k|
+    when P = s_k, else hypot(|p|, |c v_k|), as table_defect would find.
+    The rows are then orthogonal, so the rank is the _kept_units count.
+    Otherwise the products and adjoints are formed and go through
+    table_defect and rank.
+    """
+    mult, star, _, mono = graded.tables(tol)
     m = iota.shape[0]
-    inj = rank(iota.reshape(m, -1), tol.eps_rank) == m
+    rows = iota.reshape(m, -1)
+    stars = legs.star_terms
+    fam = None if stars is None else _one_hot(rows)
+    own_star = _one_hot(star)
+    if fam is not None and mono is not None and own_star is not None:
+        s, v = fam
+        prod_idx, prod_val, star_idx, star_val = _one_hot_products(s, v, legs, stars)
+        (k, c), (sk, sc) = mono, own_star
+        hom = _term_defect(prod_idx, prod_val, s[k], c * v[k])
+        star_res = _term_defect(star_idx, star_val, s[sk], sc * v[sk])
+        inj = np.count_nonzero(_kept_units(s, v, rows.shape[1], tol)) == m
+        return hom, star_res, bool(inj)
+    prods = coords_product_pairs(iota, iota, legs)
+    hom, star_res = table_defect(mult, star, iota, prods, _star_stack(iota, legs))
+    inj = rank(rows, tol.eps_rank) == m
     return hom, star_res, inj
+
+
+def _term_defect(idx, val, want_idx, want_val) -> float:
+    """Worst distance between val e_idx and want_val e_want_idx, entrywise."""
+    d = np.where(
+        idx == want_idx, np.abs(val - want_val), np.hypot(np.abs(val), np.abs(want_val))
+    )
+    return float(np.max(d, initial=0.0))
 
 
 def _require_factor(graded: GradedAlgebra, group: FinAbGroup, name: str) -> None:
@@ -634,30 +731,15 @@ def _outside(cols: np.ndarray, vals: np.ndarray, kept: np.ndarray) -> float:
     return float(np.max(np.abs(vals[~kept[cols]]), initial=0.0))
 
 
-def _index_certificate(
-    rows: np.ndarray, rev: np.ndarray, legs: LegFrames, tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict] | None:
-    """(onb, structure, star, residuals) of a one-hot family, or None.
+def _one_hot_products(s: np.ndarray, v: np.ndarray, legs: LegFrames, stars):
+    """(prod_idx, prod_val, star_idx, star_val) of the rows f_i = v_i e_{s_i}.
 
-    Applies when every leg table is monomial, the family rows
-    f_i = v_i e_{s_i} and the reversed products are one-hot with distinct
-    supports, and every leg's star table is one term a row.  Then each
-    product f_i f_j and adjoint f_i* is one (index, value) pair, found
-    leg by leg as _gathered_pairs would, and onb is the unit rows
-    e_{s_i} (the family's span, cut at eps_rank on |v_i|).  A product or
-    adjoint at an index outside onb is at distance |value| from the span,
-    else at distance 0 and expanded exactly: structure[i, j, k] =
-    value / v_k where s_k is its index.
+    f_i f_j = prod_val[i, j] e_{prod_idx[i, j]} and f_i* = star_val[i]
+    e_{star_idx[i]}, found leg by leg from the monomial tables as
+    _gathered_pairs would; stars is legs.star_terms.
     """
-    if any(t is None for t in legs.monomial):
-        return None
-    fam, back = _one_hot(rows), _one_hot(rev)
-    stars = [_one_hot(t) for t in legs.stars]
-    if fam is None or back is None or any(t is None for t in stars):
-        return None
     dims = legs.dims
-    m, size = rows.shape
-    s, v = fam
+    m = s.size
     prod_idx = np.zeros((m, m), dtype=np.intp)
     prod_val = np.multiply.outer(v, v)
     star_idx = np.zeros(m, dtype=np.intp)
@@ -669,6 +751,33 @@ def _index_certificate(
         prod_val = prod_val * phase[i, j]
         star_idx = star_idx * dims[l] + stars[l][0][a]
         star_val = star_val * stars[l][1][a]
+    return prod_idx, prod_val, star_idx, star_val
+
+
+def _index_certificate(
+    rows: np.ndarray, rev: np.ndarray, legs: LegFrames, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict] | None:
+    """(onb, structure, star, residuals) of a one-hot family, or None.
+
+    Applies when every leg table is monomial, the family rows
+    f_i = v_i e_{s_i} and the reversed products are one-hot with distinct
+    supports, and every leg's star table is one term a row.  Then each
+    product f_i f_j and adjoint f_i* is one (index, value) pair
+    (_one_hot_products), and onb is the unit rows
+    e_{s_i} (the family's span, cut at eps_rank on |v_i|).  A product or
+    adjoint at an index outside onb is at distance |value| from the span,
+    else at distance 0 and expanded exactly: structure[i, j, k] =
+    value / v_k where s_k is its index.
+    """
+    stars = legs.star_terms
+    if stars is None:
+        return None
+    fam, back = _one_hot(rows), _one_hot(rev)
+    if fam is None or back is None:
+        return None
+    m, size = rows.shape
+    s, v = fam
+    prod_idx, prod_val, star_idx, star_val = _one_hot_products(s, v, legs, stars)
 
     kept = _kept_units(s, v, size, tol)
     onb = np.zeros((np.count_nonzero(kept), size), dtype=np.complex128)
@@ -792,9 +901,8 @@ def _assemble(
     rep["dim_law_ok"] = dim == m
     rep.update(residuals)
 
-    eye_coords = pure_coords(legs, [np.eye(n) for n in legs.sizes], tol)
     rep["identity_residual"] = float(
-        residual_outside(eye_coords.reshape(1, -1), onb)[0]
+        residual_outside(legs.identity(tol).reshape(1, -1), onb)[0]
     )
 
     hom_c, star_c, inj_c = _marking_report(c_graded, iota_c, legs, tol)
@@ -803,20 +911,17 @@ def _assemble(
     rep["iota_d_hom"], rep["iota_d_star"], rep["iota_d_injective"] = hom_d, star_d, inj_d
 
     # commutation law on the homogeneous (= ambient) basis pairs, and its
-    # invariant special case
-    zero_g, zero_h = chi.group_g.zero(), chi.group_h.zero()
-    deg_c = [g for g, _ in c_graded.homogeneous_basis()]
-    deg_d = [h for h, _ in d_graded.homogeneous_basis()]
+    # invariant special case (degree position 0 is the zero element)
+    deg_c, deg_d = c_graded.degree_indices(), d_graded.degree_indices()
     ab = family.reshape(m_c, m_d, *dims)
     ba = np.moveaxis(rev_pairs, 0, 1)
-    phase = np.array(
-        [[np.conj(chi.value(g, h)) for h in deg_d] for g in deg_c]
-    ).reshape(m_c, m_d, *([1] * len(dims)))
+    phase = chi.value_table().conj()[np.ix_(deg_c, deg_d)]
+    phase = phase.reshape(m_c, m_d, *([1] * len(dims)))
     comm = float(np.max(np.linalg.norm((ba - phase * ab).reshape(m, -1), axis=1)))
     plain = np.linalg.norm((ab - ba).reshape(m, -1), axis=1).reshape(m_c, m_d)
     inv_mask = np.zeros(plain.shape, dtype=bool)
-    inv_mask[[g == zero_g for g in deg_c], :] = True
-    inv_mask[:, [h == zero_h for h in deg_d]] = True
+    inv_mask[deg_c == 0, :] = True
+    inv_mask[:, deg_d == 0] = True
     inv_comm = float(np.max(plain[inv_mask], initial=0.0))
     rep["commutation_law"] = comm
     rep["invariant_commutators"] = inv_comm
@@ -875,22 +980,19 @@ def heisenberg_markings(
 
     G, H = chi.group_g, chi.group_h
     n_c, n_d = c_graded.ambient_dim, d_graded.ambient_dim
-    t_mats = [pair.U[g] @ pair.V[h] for g in G.elements() for h in H.elements()]
+    us = np.stack([pair.U[g] for g in G.elements()])
+    vs = np.stack([pair.V[h] for h in H.elements()])
+    # the Weyl monomials U_g V_h, g-major, in one batched product
+    t_mats = np.matmul(us[:, None], vs[None, :]).reshape(-1, *us.shape[1:])
     # the ambient bases are homogeneous and orthonormal, so these legs
     # usually keep them
     eye_c, eye_d = np.eye(n_c), np.eye(n_d)
-    legs = leg_frames(
-        [
-            list(c_graded.ambient.basis) + [eye_c],
-            list(d_graded.ambient.basis) + [eye_d],
-            t_mats,
-        ],
-        tol,
-    )
-    # one pure tensor per ambient row, placed on the Weyl leg by its degree
-    homs_c, homs_d = c_graded.homogeneous_basis(), d_graded.homogeneous_basis()
-    iota_c = np.stack([pure_coords(legs, [b, eye_d, pair.U[g]], tol) for g, b in homs_c])
-    iota_d = np.stack([pure_coords(legs, [eye_c, b, pair.V[h]], tol) for h, b in homs_d])
+    c_basis, d_basis = c_graded.ambient.basis, d_graded.ambient.basis
+    legs = leg_frames([[*c_basis, eye_c], [*d_basis, eye_d], t_mats], tol)
+    # one pure tensor per ambient (= homogeneous) row, placed on the Weyl
+    # leg by its degree, one projection a leg for the whole stack
+    iota_c = pure_coords_stack(legs, [c_basis, eye_d, us[c_graded.degree_indices()]], tol)
+    iota_d = pure_coords_stack(legs, [eye_c, d_basis, vs[d_graded.degree_indices()]], tol)
     return legs, iota_c, iota_d, pair, res
 
 
@@ -1011,9 +1113,7 @@ def build_via_covariant(
     leg1 = [img @ phi for img in cov_c.images for phi in phases]
     legs = leg_frames([leg1 + [eye_k], list(cov_d.images) + [eye_l]], tol)
 
-    iota_c = np.stack(
-        [pure_coords(legs, [img, eye_l], tol) for img in cov_c.images]
-    )
+    iota_c = pure_coords_stack(legs, [cov_c.images, eye_l], tol)
     # shift[b, b'] is the first k in H.elements() whose Phi_k equals that of
     # deg b - deg b'
     _, first, same = np.unique(table, axis=1, return_index=True, return_inverse=True)
@@ -1044,12 +1144,21 @@ def build_via_covariant(
 
 @dataclass
 class ProductMap:
-    """Linear map between crossed products fixed by the marked families."""
+    """Linear map between crossed products fixed by the marked families.
+
+    coef maps coordinates in source.onb to coordinates in target.onb;
+    matrix, the map on flattened leg coordinates, source.onb* coef
+    target.onb, is formed on first read.
+    """
 
     source: CrossedProduct
     target: CrossedProduct
-    matrix: np.ndarray  # flattened source coords -> flattened target coords
+    coef: np.ndarray
     report: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self.source.onb.conj().T @ self.coef @ self.target.onb
 
     def apply_coords(self, x: np.ndarray) -> np.ndarray:
         out = x.reshape(-1) @ self.matrix
@@ -1092,8 +1201,10 @@ def _family_map(
     largest l1 norm of a row of a.  So each value bounds the dense residual
     ||phi(f_i f_j) - g_i g_j|| or ||phi(f_i*) - g_i*|| from above, as long
     as r bounds each table row's defect, which both residuals do.  markings
-    is the worst ||phi(v1) - v2||, alignment the worst ||phi(f_k) - g_k||
-    of the map's matrix or the caller's expansion residual when larger.
+    is the worst ||phi(v1) - v2||, with phi(v1) = ((v1 src.onb*) coef)
+    target.onb, so the map's (source x target) matrix is not formed;
+    alignment is the worst ||phi(f_k) - g_k||, or the caller's expansion
+    residual when larger.
 
     With scale = max(1, largest row norm of f or of the images) and m the
     source family size, the bounds are s = eps_eq * scale * max(1, m) for
@@ -1109,7 +1220,6 @@ def _family_map(
         return None
     # f = c1 @ src.onb is sent to images @ target.onb
     coef = np.linalg.solve(c1, images)
-    mat = src.onb.conj().T @ coef @ target.onb
     prods = np.matmul(a, (a @ target.structure.reshape(mt, -1)).reshape(m, mt, mt)) @ w
     hom, star = table_defect(src.structure, src.star, images, prods, (a.conj() @ target.star) @ w)
     phi, row_l1 = float(np.linalg.norm(coef, 2)), float(np.max(np.sum(np.abs(a), axis=1)))
@@ -1121,8 +1231,10 @@ def _family_map(
         "star": star + phi * r1["adjoint_residual"] + row_l1 * r2["adjoint_residual"],
     }
     mark = 0.0
+    src_h = src.onb.conj().T
     for v1, v2 in markings:
-        mark = max(mark, float(np.linalg.norm(v1.reshape(-1) @ mat - v2.reshape(-1))))
+        img = ((v1.reshape(-1) @ src_h) @ coef) @ target.onb
+        mark = max(mark, float(np.linalg.norm(img - v2.reshape(-1))))
     rep["markings"] = mark
     rep["alignment"] = max(float(np.max(np.linalg.norm(c1 @ coef - images, axis=1))), expansion)
     scale = max(
@@ -1137,7 +1249,7 @@ def _family_map(
         and mark <= s
         and rep["alignment"] <= s
     )
-    return ProductMap(source=src, target=target, matrix=mat, report=rep)
+    return ProductMap(source=src, target=target, coef=coef, report=rep)
 
 
 def _check_same_factors(x1: CrossedProduct, x2: CrossedProduct, tol: Tolerance):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abgroup import Bicharacter, FinAbGroup, GroupHom, dual_group, pairing_value
+from .abgroup import Bicharacter, FinAbGroup, GroupHom, dual_group, pairing_table
 from .matspan import (
     DEFAULT_TOL,
     AlgebraBasis,
@@ -96,10 +96,37 @@ class GradedAlgebra:
     components: dict[tuple[int, ...], Subspace]
     report: dict = field(default_factory=dict)
     homogeneous_ambient: bool = False
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
         return self.ambient.ambient_dim
+
+    def tables(self, tol: Tolerance = DEFAULT_TOL):
+        """structure_tables(ambient.basis, tol), formed once per tolerance.
+
+        The arrays are shared by every caller, so they are read-only.
+        """
+        if tol not in self._tables:
+            mult, star, res, mono = structure_tables(self.ambient.basis, tol)
+            for a in (mult, star) + (mono or ()):
+                a.flags.writeable = False
+            self._tables[tol] = (mult, star, res, mono)
+        return self._tables[tol]
+
+    def homogeneous_tables(self, tol: Tolerance = DEFAULT_TOL):
+        """structure_tables of the homogeneous basis: the cached tables()
+        when that basis is the ambient one, else formed on the call."""
+        if self.homogeneous_ambient:
+            return self.tables(tol)
+        return structure_tables(np.stack([m for _, m in self.homogeneous_basis()]), tol)
+
+    def degree_indices(self) -> np.ndarray:
+        """Position in group.elements() of each homogeneous_basis() degree."""
+        index = {g: x for x, g in enumerate(self.group.elements())}
+        degs = self.degrees()
+        sizes = [self.components[g].dim for g in degs]
+        return np.repeat(np.array([index[g] for g in degs], dtype=np.intp), sizes)
 
     @property
     def dim(self) -> int:
@@ -196,14 +223,18 @@ def graded_algebra(
 
     n = mats_all[0].shape[0]
     total_dim = rank(np.stack([cmatrix(m, n).reshape(-1) for m in mats_all]), tol.eps_rank)
-    # deg[l]: the component of homogeneous row l; add, neg: that of g + h, -g
-    order = [g for g in group.elements() if g in comps]
-    where = {g: i for i, g in enumerate(order)}
+    # deg[l]: the component of homogeneous row l; add, neg: that of g + h,
+    # -g (-1 when absent), read from the group's index tables
+    els = group.elements()
+    present = np.array([x for x, g in enumerate(els) if g in comps], dtype=np.intp)
+    order = [els[x] for x in present]
+    where = np.full(group.order, -1, dtype=np.intp)
+    where[present] = np.arange(present.size)
     hom = np.concatenate([comps[g].basis for g in order])
     rows = hom.reshape(len(hom), n * n)
     deg = np.repeat(np.arange(len(order)), [comps[g].dim for g in order])
-    add = np.array([[where.get(group.add(g, h), -1) for h in order] for g in order])
-    neg = np.array([where.get(group.neg(g), -1) for g in order])
+    add = where[group.add_table[np.ix_(present, present)]]
+    neg = where[group.neg_table[present]]
 
     rep: dict = {}
     rep["total_dim"] = total_dim
@@ -270,12 +301,8 @@ def character_grading(group: FinAbGroup, tol: Tolerance = DEFAULT_TOL) -> Graded
     k |-> <k, p>, acting as a diagonal matrix.
     """
     dg = dual_group(group)
-    parts = {}
-    for p in dg.elements():
-        diag = np.diag(
-            [pairing_value(group, k, p) for k in group.elements()]
-        ).astype(np.complex128)
-        parts[p] = [diag]
+    table = pairing_table(group)
+    parts = {p: [np.diag(table[:, x])] for x, p in enumerate(dg.elements())}
     return graded_algebra(dg, parts, tol)
 
 
@@ -593,9 +620,7 @@ def table_grading(
     - closed_under_products: closure_residual <= eps_eq * max(1, m).
     """
     els = group.elements()
-    where = {g: i for i, g in enumerate(els)}
-    add = np.array([[where[group.add(g, h)] for h in els] for g in els])
-    neg = np.array([where[group.neg(g)] for g in els])
+    add, neg = group.add_table, group.neg_table
     m = rows.shape[0]
     gram = rows @ rows.conj().T
     # b = rot f, with rot the inverse Cholesky factor of each component's
@@ -834,7 +859,7 @@ def verify_covariant(rep: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> dict:
     basis = graded.ambient.basis
     d = len(basis)
     out: dict = {}
-    mult, star, _, _ = structure_tables(basis, tol)
+    mult, star, _, _ = graded.tables(tol)
     prods = np.matmul(rep.images[:, None], rep.images[None, :])
     adjs = rep.images.conj().transpose(0, 2, 1)
     out["homomorphism"], out["star"] = table_defect(mult, star, rep.images, prods, adjs)
@@ -899,19 +924,24 @@ def action_from_bicharacter(
     if chi.group_g != graded.group:
         raise ValueError("bicharacter first leg must match the grading group")
     H = chi.group_h
+    table = chi.value_table()
+    degs = graded.degrees()
+    where = [graded.group.index(g) for g in degs]
     thetas = {
-        h: {g: chi.value(g, h) for g in graded.degrees()} for h in H.elements()
+        h: {g: complex(table[x, y]) for g, x in zip(degs, where)}
+        for y, h in enumerate(H.elements())
     }
 
     labeled = graded.homogeneous_basis()
     basis = np.stack([m for _, m in labeled])
-    mult, star, _, _ = structure_tables(basis, tol)
+    mult, star, _, _ = graded.homogeneous_tables(tol)
     prods = np.matmul(basis[:, None], basis[None, :])
     adjs = basis.conj().transpose(0, 2, 1)
     rep: dict = {"multiplicative": 0.0}
     star_res = 0.0
-    for h in H.elements():
-        phase = np.array([thetas[h][g] for g, _ in labeled])
+    row_deg = graded.degree_indices()
+    for y in range(H.order):
+        phase = table[row_deg, y]
         images = phase[:, None, None] * basis
         hom, adj = table_defect(
             mult,
@@ -922,11 +952,10 @@ def action_from_bicharacter(
         )
         rep["multiplicative"] = max(rep["multiplicative"], hom)
         star_res = max(star_res, adj)
-    rep["additive_in_h"] = max(
-        abs(thetas[H.add(h1, h2)][g] - thetas[h1][g] * thetas[h2][g])
-        for h1 in H.elements()
-        for h2 in H.elements()
-        for g in graded.degrees()
+    # theta_{h1 + h2} - theta_h1 theta_h2 on every degree, over H's add table
+    vals = table[where]
+    rep["additive_in_h"] = float(
+        np.max(np.abs(vals[:, H.add_table] - vals[:, :, None] * vals[:, None, :]))
     )
     rep["star"] = star_res
     rep["passed"] = max(rep["multiplicative"], rep["additive_in_h"], star_res) <= tol.eps_eq

@@ -48,17 +48,28 @@ class RepPair:
     report: dict = field(default_factory=dict)
 
 
+def _stack(group: FinAbGroup, rep: dict) -> np.ndarray:
+    """(order, d, d) stack of a family's matrices in elements() order."""
+    return np.stack([rep[g] for g in group.elements()])
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (k, d, d) stack."""
+    return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
+
+
 def _rep_residual(group: FinAbGroup, rep: dict, dim: int) -> float:
-    """Worst unitarity / homomorphism defect of one family."""
+    """Worst unitarity / homomorphism defect of one family.
+
+    The pairs (g, h) are taken one left element g at a time, over the
+    stack of all h: rep[g + h] - rep[g] rep[h] is formed for every h at
+    once, so a (|G|, d, d) array is the largest held.
+    """
+    stack = _stack(group, rep)
     eye = np.eye(dim)
-    worst = 0.0
-    for g in group.elements():
-        m = rep[g]
-        worst = max(worst, float(np.linalg.norm(m @ m.conj().T - eye)))
-    for g in group.elements():
-        for h in group.elements():
-            d = rep[group.add(g, h)] - rep[g] @ rep[h]
-            worst = max(worst, float(np.linalg.norm(d)))
+    worst = float(np.max(_norms(stack @ stack.conj().transpose(0, 2, 1) - eye)))
+    for x, m in enumerate(stack):
+        worst = max(worst, float(np.max(_norms(stack[group.add_table[x]] - m @ stack))))
     return worst
 
 
@@ -102,16 +113,31 @@ def _check_compatible(p: RepPair, chi: Bicharacter) -> None:
         raise ValueError("bicharacter groups must match the pair")
 
 
+def _twisted_commutator(us: np.ndarray, vs: np.ndarray, phases, anti: bool = False) -> float:
+    """Worst ||U_g V_h - phases[g, h] V_h U_g|| over all (g, h), or
+    ||V_h U_g - phases[g, h] U_g V_h|| when anti, for stacks us and vs;
+    one left element g at a time, formed for the stack of all V_h at once."""
+    worst = 0.0
+    for u, row in zip(us, phases):
+        uv, vu = u @ vs, vs @ u
+        if anti:
+            uv, vu = vu, uv
+        worst = max(worst, float(np.max(_norms(uv - row[:, None, None] * vu))))
+    return worst
+
+
+def _weyl_residual(p: RepPair, chi: Bicharacter, anti: bool) -> float:
+    """Worst Weyl defect of the pair over all (g, h), phases chi(g, h)."""
+    _check_compatible(p, chi)
+    us, vs = _stack(p.group_g, p.U), _stack(p.group_h, p.V)
+    return _twisted_commutator(us, vs, chi.value_table(), anti)
+
+
 def is_heisenberg(
     p: RepPair, chi: Bicharacter, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Weyl relation U_g V_h = chi(g,h) V_h U_g; returns (ok, max residual)."""
-    _check_compatible(p, chi)
-    worst = 0.0
-    for g in p.group_g.elements():
-        for h in p.group_h.elements():
-            d = p.U[g] @ p.V[h] - chi.value(g, h) * (p.V[h] @ p.U[g])
-            worst = max(worst, float(np.linalg.norm(d)))
+    worst = _weyl_residual(p, chi, anti=False)
     return worst <= tol.eps_eq * max(1.0, p.space_dim), worst
 
 
@@ -119,12 +145,7 @@ def is_anti_heisenberg(
     p: RepPair, chi: Bicharacter, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[bool, float]:
     """Flipped relation V_h U_g = chi(g,h) U_g V_h; returns (ok, residual)."""
-    _check_compatible(p, chi)
-    worst = 0.0
-    for g in p.group_g.elements():
-        for h in p.group_h.elements():
-            d = p.V[h] @ p.U[g] - chi.value(g, h) * (p.U[g] @ p.V[h])
-            worst = max(worst, float(np.linalg.norm(d)))
+    worst = _weyl_residual(p, chi, anti=True)
     return worst <= tol.eps_eq * max(1.0, p.space_dim), worst
 
 
@@ -135,10 +156,7 @@ def canonical_heisenberg(chi: Bicharacter, tol: Tolerance = DEFAULT_TOL) -> RepP
     so U_g V_h picks up exactly chi(g,h) when moved past V_h.
     """
     H = chi.group_h
-    U = {
-        g: np.diag([chi.value(g, k) for k in H.elements()]).astype(np.complex128)
-        for g in chi.group_g.elements()
-    }
+    U = dict(zip(chi.group_g.elements(), map(np.diag, chi.value_table())))
     return rep_pair(chi.group_g, H, U, translations(H), tol)
 
 
@@ -152,13 +170,8 @@ def composite_heisenberg(chi: Bicharacter, tol: Tolerance = DEFAULT_TOL) -> RepP
     G, H = chi.group_g, chi.group_h
     lam_g, lam_h = translations(G), translations(H)
     eye_g = np.eye(G.order, dtype=np.complex128)
-    U = {
-        g: np.kron(
-            lam_g[g],
-            np.diag([chi.value(g, k) for k in H.elements()]).astype(np.complex128),
-        )
-        for g in G.elements()
-    }
+    table = chi.value_table()
+    U = {g: np.kron(lam_g[g], np.diag(table[x])) for x, g in enumerate(G.elements())}
     V = {h: np.kron(eye_g, lam_h[h]) for h in H.elements()}
     return rep_pair(G, H, U, V, tol)
 
@@ -202,22 +215,20 @@ def _doubled_family(
     substitutes rep1 for the first leg, rep2 for the second.
     """
     group = model.group
-    lam = translations(group)
-    els = group.elements()
+    lam = np.stack(list(translations(group).values()))
     n = group.order
+    r1, r2 = _stack(group, rep1), _stack(group, rep2)
+    dim = r1.shape[1] * r2.shape[1]
     out = {}
-    for g in els:
-        m4 = model.comultiplication(lam[g]).reshape(n, n, n, n)
-        acc = np.zeros(
-            (rep1[g].shape[0] * rep2[g].shape[0],) * 2, dtype=np.complex128
-        )
-        for a in els:
-            for b in els:
-                c = np.einsum("ij,kl,ikjl->", lam[a].conj(), lam[b].conj(), m4)
-                c /= n * n
-                if abs(c) > 1e-14:
-                    acc += c * np.kron(rep1[a], rep2[b])
-        out[g] = acc
+    for x, g in enumerate(group.elements()):
+        m4 = model.comultiplication(lam[x]).reshape(n, n, n, n)
+        # c[a, b] = <lambda_a (x) lambda_b, Delta(lambda_g)> / n^2 for all
+        # (a, b), and the sum of c[a, b] rep1[a] (x) rep2[b] over c above 1e-14
+        c = np.einsum("bkl,akl->ab", lam.conj(), np.einsum("aij,ikjl->akl", lam.conj(), m4))
+        c /= n * n
+        c[np.abs(c) <= 1e-14] = 0.0
+        acc = np.einsum("ab,aij,bkl->ikjl", c, r1, r2, optimize=True)
+        out[g] = acc.reshape(dim, dim)
     return out
 
 
@@ -239,14 +250,9 @@ def commutation_check(
         raise ValueError("pairs must share both groups")
     model_g = model_g if model_g is not None else build_model(p1.group_g)
     model_h = model_h if model_h is not None else build_model(p1.group_h)
-    doubled_u = _doubled_family(p1.U, p2.U, model_g)
-    doubled_v = _doubled_family(p1.V, p2.V, model_h)
-    worst = 0.0
-    for g in p1.group_g.elements():
-        for h in p1.group_h.elements():
-            a, b = doubled_u[g], doubled_v[h]
-            worst = max(worst, float(np.linalg.norm(a @ b - b @ a)))
-    return worst
+    us = _stack(p1.group_g, _doubled_family(p1.U, p2.U, model_g))
+    vs = _stack(p1.group_h, _doubled_family(p1.V, p2.V, model_h))
+    return _twisted_commutator(us, vs, np.ones((us.shape[0], vs.shape[0])))
 
 
 def _leg_operators(p: RepPair, chi: Bicharacter):

@@ -191,9 +191,10 @@ def expand_table(
         v = np.subtract(targets, rem, out=rem).view(np.float64)
         one_term = float(np.sqrt(np.max(np.einsum("ij,ij->i", v, v))))
         if one_term <= tol.eps_eq:
-            table = np.zeros_like(coeffs)
-            table[r, k] = c
-            return table, (k, c), one_term
+            # c is a copy, so coeffs is zeroed in place and becomes the table
+            coeffs.fill(0.0)
+            coeffs[r, k] = c
+            return coeffs, (k, c), one_term
     coeffs, res = expand_in_rows(targets, rows)
     return coeffs, None, float(np.max(res, initial=0.0))
 
@@ -208,13 +209,17 @@ def structure_tables(
     table.  monomial is None unless the product table is monomial, then
     (index, phase) arrays of shape (d, d): b_i b_j ~ phase[i, j] b_index[i, j].
     Raises BudgetError before forming the d^2 n^2 product stack when that
-    exceeds MAX_DENSE_ENTRIES.
+    exceeds MAX_DENSE_ENTRIES.  The stack is one GEMM, (d n, n) @ (n, d n),
+    whose (i a, j c) entry is (b_i b_j)[a, c], reordered to rows (i, j); the
+    reordering copy briefly holds a second d^2 n^2 array.
     """
     basis = np.asarray(basis, dtype=np.complex128)
     d, n = basis.shape[0], basis.shape[-1]
     check_size(d * d * n * n, f"product table of {d} {n}x{n} matrices")
     rows = basis.reshape(d, n * n)
-    prods = np.matmul(basis[:, None], basis[None, :]).reshape(d * d, n * n)
+    wide = basis.transpose(1, 0, 2).reshape(n, d * n)
+    prods = (basis.reshape(d * n, n) @ wide).reshape(d, n, d, n)
+    prods = prods.transpose(0, 2, 1, 3).reshape(d * d, n * n)
     mult, mono, res = expand_table(prods, rows, tol)
     adjs = basis.conj().transpose(0, 2, 1).reshape(d, n * n)
     star, _, s_res = expand_table(adjs, rows, tol)

@@ -18,8 +18,14 @@ crossed products from all family products and adjoints, through
 parity oracle for the table check of `boxtimes._family_map`.
 `dense_torus_checks` checks the finite torus's generators as dense
 ambient matrices and its center by an SVD (`svd_center_dim`); it is the
-parity oracle for `apps.finite_torus`.  `assert_reports_match` compares
-a library report with an oracle's.
+parity oracle for `apps.finite_torus`.  `loop_translations`,
+`loop_rep_residual`, `loop_weyl_residual` and `dense_marking_report` are
+the per-element forms of `qgroup.translations`, `heis._rep_residual`,
+`heis.is_heisenberg` / `is_anti_heisenberg` and `boxtimes._marking_report`,
+and `loop_commutation_check` that of `heis.commutation_check`:
+one group element, element pair or basis element at a time, with every
+product and adjoint formed.  `assert_reports_match` compares a library
+report with an oracle's.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ from qtwist.matspan import (
     residual_outside,
     span_basis,
     structure_tables,
+    table_defect,
 )
 from qtwist.qgroup import translations
 
@@ -461,7 +468,10 @@ def dense_family_map(
         and mark <= s
         and rep["alignment"] <= s
     )
-    return ProductMap(source=src, target=target, matrix=mat, report=rep)
+    # the same map in the two products' orthonormal bases: mat's rows lie in
+    # the span of src's family and its columns in target's
+    coef = src.onb @ mat @ target.onb.conj().T
+    return ProductMap(source=src, target=target, coef=coef, report=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -753,3 +763,87 @@ def action_from_bicharacter(
     rep["star"] = star
     rep["passed"] = max(mult, add, star) <= tol.eps_eq
     return thetas, rep
+
+
+# ---------------------------------------------------------------------------
+# per-element forms of the batched Heisenberg build path
+
+
+def loop_translations(group: FinAbGroup) -> dict:
+    """lambda_g e_h = e_{g+h}, one element pair at a time."""
+    n = group.order
+    out = {}
+    for g in group.elements():
+        m = np.zeros((n, n), dtype=np.complex128)
+        for h in group.elements():
+            m[group.index(group.add(g, h)), group.index(h)] = 1.0
+        out[g] = m
+    return out
+
+
+def loop_rep_residual(group: FinAbGroup, rep: dict, dim: int) -> float:
+    """Worst unitarity / homomorphism defect, one (g, h) pair at a time."""
+    eye = np.eye(dim)
+    worst = 0.0
+    for g in group.elements():
+        m = rep[g]
+        worst = max(worst, float(np.linalg.norm(m @ m.conj().T - eye)))
+    for g in group.elements():
+        for h in group.elements():
+            d = rep[group.add(g, h)] - rep[g] @ rep[h]
+            worst = max(worst, float(np.linalg.norm(d)))
+    return worst
+
+
+def loop_weyl_residual(p, chi: Bicharacter, anti: bool = False) -> float:
+    """Worst ||U_g V_h - chi(g,h) V_h U_g|| (anti: the flipped relation)."""
+    worst = 0.0
+    for g in p.group_g.elements():
+        for h in p.group_h.elements():
+            uv, vu = p.U[g] @ p.V[h], p.V[h] @ p.U[g]
+            if anti:
+                uv, vu = vu, uv
+            worst = max(worst, float(np.linalg.norm(uv - chi.value(g, h) * vu)))
+    return worst
+
+
+def dense_marking_report(
+    graded: GradedAlgebra, iota: np.ndarray, legs, tol: Tolerance = DEFAULT_TOL
+) -> tuple[float, float, bool]:
+    """(homomorphism, star, injective) of a marking from every product and
+    adjoint: table_defect against structure_tables of the ambient basis,
+    and the rank of the rows."""
+    mult, star, _, _ = structure_tables(graded.ambient.basis, tol)
+    prods = coords_product_pairs(iota, iota, legs)
+    adjs = np.stack([coords_star(v, legs) for v in iota])
+    hom, star_res = table_defect(mult, star, iota, prods, adjs)
+    m = iota.shape[0]
+    return hom, star_res, rank(iota.reshape(m, -1), tol.eps_rank) == m
+
+
+def loop_commutation_check(p1, p2, model_g, model_h) -> float:
+    """heis.commutation_check one coefficient and one (g, h) pair at a time."""
+
+    def doubled(rep1, rep2, model):
+        group = model.group
+        lam = loop_translations(group)
+        els = group.elements()
+        n = group.order
+        out = {}
+        for g in els:
+            m4 = model.comultiplication(lam[g]).reshape(n, n, n, n)
+            acc = np.zeros((rep1[g].shape[0] * rep2[g].shape[0],) * 2, dtype=np.complex128)
+            for a in els:
+                for b in els:
+                    c = np.einsum("ij,kl,ikjl->", lam[a].conj(), lam[b].conj(), m4) / (n * n)
+                    if abs(c) > 1e-14:
+                        acc += c * np.kron(rep1[a], rep2[b])
+            out[g] = acc
+        return out
+
+    du, dv = doubled(p1.U, p2.U, model_g), doubled(p1.V, p2.V, model_h)
+    worst = 0.0
+    for a in du.values():
+        for b in dv.values():
+            worst = max(worst, float(np.linalg.norm(a @ b - b @ a)))
+    return worst

@@ -41,7 +41,7 @@ from qtwist.coact import (
     grading_to_coaction,
     make_cocycle,
 )
-from qtwist.matspan import DEFAULT_TOL, expand_in_rows, structure_tables
+from qtwist.matspan import DEFAULT_TOL, expand_in_rows
 from qtwist.qgroup import translations
 
 from dense_oracle import center, dense_algebra
@@ -149,20 +149,20 @@ def test_blocked_associativity_matches_einsum(build):
 
 
 def test_non_associative_table_fails_two_cocycle(monkeypatch):
-    # b_1 b_1 gains 0.1 b_0 in the first factor's table (b_k the normalised
-    # lambda_k), so (b_1 b_1) b_2 and b_1 (b_1 b_2) differ
-    calls = []
+    # b_1 b_1 gains 0.1 b_0 in the first factor's table as the cocycle
+    # table reads it (b_k the normalised lambda_k), so (b_1 b_1) b_2 and
+    # b_1 (b_1 b_2) differ; the product's own certificate keeps the true table
+    c = delta_grading(Z3)
+    real = c.homogeneous_tables
 
-    def perturbed(basis, tol=DEFAULT_TOL):
-        mult, star, res, mono = structure_tables(basis, tol)
-        if not calls:
-            mult = mult.copy()
-            mult[1, 1, 0] += 0.1
-        calls.append(1)
+    def perturbed(tol=DEFAULT_TOL):
+        mult, star, res, mono = real(tol)
+        mult = mult.copy()
+        mult[1, 1, 0] += 0.1
         return mult, star, res, mono
 
-    monkeypatch.setattr(apps, "structure_tables", perturbed)
-    res = rieffel_twist_compare(delta_grading(Z3), delta_grading(Z3), CHI3)
+    monkeypatch.setattr(c, "homogeneous_tables", perturbed)
+    res = rieffel_twist_compare(c, delta_grading(Z3), CHI3)
     table = res.objects["table"]
     want = einsum_associativity(table.structure)
     assert want > 1e-3
