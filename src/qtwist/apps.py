@@ -24,6 +24,8 @@ from .abgroup import (
 from .boxtimes import (
     CrossedProduct,
     _family_map,
+    _term_products,
+    _term_stars,
     build_from_markings,
     build_via_covariant,
     build_via_heisenberg,
@@ -62,16 +64,18 @@ from .coact import (
 from .heis import RepPair, canonical_heisenberg, is_heisenberg
 from .matspan import (
     DEFAULT_TOL,
+    OneTerm,
     Tolerance,
+    basis_tables,
     check_size,
     cmatrix,
+    dense_table,
     expand_in_rows,
     hs_norm,
     multiplicative_closure,
     orthonormal_rows,
     rank,
     residual_outside,
-    structure_tables,
     table_defect,
 )
 from .qgroup import build_model, translations
@@ -288,16 +292,26 @@ def finite_torus(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult
     """
     if not (isinstance(n, int) and isinstance(k, int) and n >= 2 and 0 <= k < n):
         raise ValueError("torus parameters need n >= 2 and 0 <= k < n")
-    # the path forms arrays of up to n^6 complex entries: the m = n^2 family
-    # rows of n^4 coordinates, its reversed products and onb, the (m, m, m)
-    # structure table, the (m, m^2) commutator tensor, the Weyl leg's
-    # product table and the temporaries of one residual.  Nine are counted:
-    # the traced peak is 8.3-8.5 n^6 entries for n = 8..12
-    check_size(9 * n**6, f"torus n={n}: nine arrays of n^6 entries")
+    # the family, its products and tables are (index, value) arrays of at
+    # most m^2 = n^4 entries; the largest arrays hold n^5: the markings
+    # iota_C and iota_D (n rows of n^4 coordinates), and the Weyl leg's and
+    # the clock-and-shift model's index-path products of n^2 monomials of
+    # n x n with their coefficients and remainders.  Twelve are counted:
+    # the traced peak is 11.7, 9.5 and 8.7 n^5 entries for n = 8, 10, 12
+    check_size(12 * n**5, f"torus n={n}: twelve arrays of n^5 entries")
     G = FinAbGroup((n,))
     chi = Bicharacter(G, G, ((k,),))
     c = delta_grading(G, tol)
     return _torus_checks(build_via_heisenberg(c, c, chi, tol=tol), n, k, tol)
+
+
+def _table_gap(a, b) -> float:
+    """Largest entry of |a - b| for two tables, each a OneTerm or dense."""
+    if isinstance(a, OneTerm) and isinstance(b, OneTerm):
+        same = a.idx == b.idx
+        gap = np.where(same, np.abs(a.val - b.val), np.maximum(np.abs(a.val), np.abs(b.val)))
+        return float(np.max(gap))
+    return float(np.max(np.abs(dense_table(a) - dense_table(b))))
 
 
 def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> ScenarioResult:
@@ -305,36 +319,53 @@ def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> Scenario
 
     u and v, the images of the translation lambda_1 under iota_C and iota_D,
     are held as coordinate tensors over x's leg frames.  The Weyl, unitary
-    and order residuals are norms of coordinate tensors formed by
-    coords_product_pairs on the stack (u, v) and coords_star (u^n and v^n
-    take n - 1 stacked products).  The frames are orthonormal, so such a
-    norm is the Frobenius norm of the ambient matrix; legs.residual, the
-    worst defect of a leg table row (one product of two unit frame
-    elements), is added to each as slack.  No ambient matrix is formed.
+    and order residuals are norms of coordinate tensors: the four products
+    of u and v from coords_product_pairs on the stack (u, v), then a a*
+    and the powers a^n (n - 1 products) of a = u, v.  On one-term legs u,
+    v and the identity are one-term rows, so the latter are index
+    arithmetic (_term_products, _term_stars) and each norm a
+    OneTerm.distance; otherwise they are formed by coords_product_pairs
+    and coords_star.  The frames are orthonormal, so such a norm is the
+    Frobenius norm of the ambient matrix; legs.residual, the worst defect
+    of a leg table row (one product of two unit frame elements), is added
+    to each as slack.  No ambient matrix is formed.
     """
     lam = translations(FinAbGroup((n,)))
     legs = x.legs
     u = x.iota_c_apply(lam[(1,)], tol)
     v = x.iota_d_apply(lam[(1,)], tol)
     one = legs.identity(tol)
-
-    def dist(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.linalg.norm(a - b)) + legs.residual
-
-    # u and v as one stack: pairs[a, b] = gens[a] gens[b], and the
-    # diagonal of a pair product is (u p_u, v p_v)
     gens = np.stack([u, v])
-    diag = (np.arange(2), np.arange(2))
     pairs = coords_product_pairs(gens, gens, legs)
-    stars = np.stack([coords_star(a, legs) for a in gens])
+    omega = np.exp(-2j * np.pi * k / n)
+    weyl = float(np.linalg.norm(pairs[1, 0] - omega * pairs[0, 1])) + legs.residual
+
+    rows = OneTerm.of_rows(np.stack([u, v, one]).reshape(3, -1))
+    if legs.one_term and rows is not None:
+        gens, one = rows[:2], rows[2]
+
+        def mul(a, b):
+            return _term_products(a, b, legs)
+
+        def dist(a, b) -> float:
+            return float(np.max(a.distance(b)))
+
+        stars = _term_stars(gens, legs)
+    else:
+        diag = (np.arange(2), np.arange(2))
+
+        def mul(a, b):
+            return coords_product_pairs(a, b, legs)[diag]
+
+        def dist(a, b) -> float:
+            return float(np.max(np.linalg.norm((a - b).reshape(2, -1), axis=1)))
+
+        stars = np.stack([coords_star(a, legs) for a in gens])
     powers = gens
     for _ in range(n - 1):
-        powers = coords_product_pairs(powers, gens, legs)[diag]
-
-    omega = np.exp(-2j * np.pi * k / n)
-    weyl = dist(pairs[1, 0], omega * pairs[0, 1])
-    unitary = max(dist(a, one) for a in coords_product_pairs(gens, stars, legs)[diag])
-    order = max(dist(a, one) for a in powers)
+        powers = mul(powers, gens)
+    unitary = dist(mul(gens, stars), one) + legs.residual
+    order = dist(powers, one) + legs.residual
 
     center = product_center_dim(x, tol)
     g2 = math.gcd(k, n) ** 2
@@ -353,18 +384,18 @@ def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> Scenario
     if math.gcd(k, n) == 1:
         # clock-and-shift model: u -> diag(w^j), v -> (shift)^k; the powers
         # of the clock's diagonal are running products, those of the shift
-        # the translations lambda_{kb}, and target[a n + b] = clock^a shift^kb / n
+        # the translations lambda_{kb}, and target[a n + b] = clock^a shift^kb / n.
+        # Its tables take basis_tables' monomial path, so they are compared
+        # with x's on the (index, value) arrays.
         w = np.exp(2j * np.pi / n)
         clock = np.ones((n, n), dtype=np.complex128)
         clock[1:] = w ** np.arange(n)
         clock = np.cumprod(clock, axis=0)
         shifts = np.stack([lam[((k * b) % n,)] for b in range(n)])
         target = (clock[:, None, :, None] * shifts[None] / n).reshape(m, n * n)
-        mu_t, smat_t, res_t, _ = structure_tables(target.reshape(m, n, n), tol)
+        mu_t, star_t, res_t = basis_tables(target.reshape(m, n, n), tol)
         res_x = max(x.report["structure_residual"], x.report["adjoint_residual"])
-        diff = float(
-            max(np.max(np.abs(mu_t - x.structure)), np.max(np.abs(smat_t - x.star)))
-        )
+        diff = max(_table_gap(mu_t, x.structure_table), _table_gap(star_t, x.star_table))
         full_rank = rank(target, tol.eps_rank) == m
         residuals["matrix_model"] = max(diff, res_t, res_x)
         verdicts["matrix_algebra_iso"] = diff <= thr and full_rank

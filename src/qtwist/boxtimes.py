@@ -15,30 +15,33 @@ numerically certified product and adjoint tables, so algebra operations
 run on small coordinate arrays instead of large ambient matrices; the
 worst table residual is part of every report.  Every product and adjoint
 table here (frames, factors, a crossed product's structure and star) comes
-from matspan.structure_tables / expand_table and is checked by table_defect.
+from matspan.basis_tables / expand_table or is the index arithmetic below,
+and is checked by table_defect or its one-term form (OneTerm.distance).
 
 A leg whose generators are already orthonormal up to phase repeats (the
 group unitaries lambda_g, the Weyl monomials U_g V_h, the ambient basis
 of a graded algebra, which is its homogeneous basis) keeps them as its
-frame, unrotated.  Its tables are then usually monomial, f_i f_j = c f_k,
-and are held exactly so; when every leg is monomial, products of sparse
-coordinate tensors are gathered entry by entry instead of contracted
-densely.  Each factor basis element is marked by one pure tensor, so
-when the legs keep their generators the family iota_C(c_i) iota_D(d_j)
-is one-hot and a crossed product's structure and star tables are
-monomial too.
+frame, unrotated.  Its tables are then usually one term a row,
+f_i f_j = c f_k, and are held exactly so, as matspan.OneTerm (index,
+value) arrays; when every leg is monomial, products of sparse coordinate
+tensors are gathered entry by entry instead of contracted densely.  Each
+factor basis element is marked by one pure tensor, so when the legs keep
+their generators the family iota_C(c_i) iota_D(d_j) is one-hot and a
+crossed product's structure and star tables are one term a row too.
 
 A crossed product is held only in these coordinates: its marked family,
 an orthonormal basis of the family's span and the two tables, with no
-dense copy of the algebra.  When every leg table is monomial and the
-family rows are one-hot with distinct supports, f_i = v_i e_{s_i} (the
-torus and the crossed products of delta gradings), every product f_i f_j
-and adjoint f_i* is one (index, value) pair, so the closure certificate
-is index arithmetic on the leg tables and the basis of the span is the
-unit rows e_{s_i}.  The same arithmetic certifies one-hot markings
-against monomial factor tables (_marking_report).  Any other family is
-certified densely, one left factor at a time: the m products f_i f_j of
-each f_i against the span, so no array of all m^2 products is formed.
+dense copy of the algebra.  When every leg table is one term a row and
+the family rows are one-hot with distinct supports, f_i = v_i e_{s_i}
+(the torus and the crossed products of delta gradings), every product
+f_i f_j and adjoint f_i* is one (index, value) pair: the family, the
+closure certificate, the identity residual and the commutation law are
+index arithmetic on the leg tables, and all four are held as OneTerm
+arrays (the basis of the span is the unit rows e_{s_i}), formed densely
+only when read.  The same arithmetic certifies one-hot markings against
+one-term factor tables (_marking_report).  Any other family is certified
+densely, one left factor at a time: the m products f_i f_j of each f_i
+against the span, so no array of all m^2 products is formed.
 
 A map between crossed products is fixed by a matrix a expanding the
 images of the source family in the target family, and is certified on
@@ -65,14 +68,16 @@ from .coact import (
 from .heis import RepPair, canonical_heisenberg, is_heisenberg
 from .matspan import (
     DEFAULT_TOL,
+    OneTerm,
     Tolerance,
+    basis_tables,
     cmatrix,
+    dense_table,
     expand_in_rows,
     expand_table,
     orthonormal_rows,
     rank,
     residual_outside,
-    structure_tables,
     subspace_equal,
     table_defect,
 )
@@ -122,20 +127,19 @@ class LegFrames:
     """Orthonormal frames, one per tensor leg, with product/adjoint tables.
 
     frames[l] holds orthonormal rows spanning a subspace of the l-th leg
-    matrices; mults[l], stars[l] and monomial[l] are the frame's tables as
-    matspan.structure_tables gives them (a monomial table is held exactly,
-    one non-zero a row).  residual is the worst table defect over all
-    legs, so coordinate arithmetic is faithful up to this number.
-    star_terms, read once, is what index arithmetic needs of the stars,
-    and identity(tol) the coordinates of the ambient identity.
+    matrices; mult_tables[l] and star_tables[l] are the frame's tables as
+    matspan.basis_tables gives them, a OneTerm when one term a row, and
+    mults and stars are their dense forms, formed on first read.
+    residual is the worst table defect over all legs, so coordinate
+    arithmetic is faithful up to this number.  identity(tol) gives the
+    coordinates of the ambient identity.
     """
 
     sizes: tuple[int, ...]
     frames: tuple[np.ndarray, ...]
-    mults: tuple[np.ndarray, ...]
-    stars: tuple[np.ndarray, ...]
+    mult_tables: tuple[OneTerm | np.ndarray, ...]
+    star_tables: tuple[OneTerm | np.ndarray, ...]
     residual: float
-    monomial: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
     _identity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -150,16 +154,25 @@ class LegFrames:
     def ambient_dim(self) -> int:
         return prod(self.sizes)
 
+    @property
+    def monomial(self) -> bool:
+        """Whether every product table is one term a row."""
+        return all(isinstance(t, OneTerm) for t in self.mult_tables)
+
+    @property
+    def one_term(self) -> bool:
+        """Whether every product and adjoint table is one term a row: the
+        legs on which products and adjoints of one-term coordinate rows are
+        index arithmetic (_term_products, _term_stars)."""
+        return self.monomial and all(isinstance(t, OneTerm) for t in self.star_tables)
+
     @functools.cached_property
-    def star_terms(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """Each star table's (column, value) pairs when every leg table is
-        monomial and every star table one term a row (with distinct
-        columns), else None: the legs on which products and adjoints of
-        one-hot rows are index arithmetic."""
-        if any(t is None for t in self.monomial):
-            return None
-        stars = [_one_hot(t) for t in self.stars]
-        return None if any(t is None for t in stars) else stars
+    def mults(self) -> tuple[np.ndarray, ...]:
+        return tuple(dense_table(t) for t in self.mult_tables)
+
+    @functools.cached_property
+    def stars(self) -> tuple[np.ndarray, ...]:
+        return tuple(dense_table(t) for t in self.star_tables)
 
     def identity(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """pure_coords of the identity on every leg, formed once per
@@ -174,25 +187,20 @@ class LegFrames:
 def _kept_generators(rows: np.ndarray, tol: Tolerance) -> np.ndarray | None:
     """The normalised generators as a frame, or None if they need rotating.
 
-    Generators are kept in order when each is orthogonal to those kept
-    before it up to eps_eq; one that is a phase multiple of a kept
-    generator is dropped.  Generators below the eps_rank cut are ignored,
-    as orthonormal_rows would.  None when some pair overlaps partially or
-    some input is not certified to lie in the span of the kept rows.
+    Generators below the eps_rank cut are ignored, as orthonormal_rows
+    would.  Every two of the others must overlap, |<u_i, u_j>| of the unit
+    rows, below eps_eq or above 1 - eps_eq (phase repeats); the first of
+    each class of repeats is kept, in order, found in one pass over the
+    overlap matrix.  None when some pair overlaps partially or some input
+    is not certified to lie in the span of the kept rows.
     """
     norms = np.linalg.norm(rows, axis=1)
     live = np.flatnonzero(norms > tol.eps_rank * float(np.max(norms)))
     unit = rows[live] / norms[live, None]
     overlap = np.abs(unit.conj() @ unit.T)
-    keep: list[int] = []
-    for i in range(unit.shape[0]):
-        o = float(np.max(overlap[i, keep], initial=0.0))
-        if o >= 1.0 - tol.eps_eq:
-            continue
-        if o > tol.eps_eq:
-            return None
-        keep.append(i)
-    kept = unit[keep]
+    if np.any((overlap > tol.eps_eq) & (overlap < 1.0 - tol.eps_eq)):
+        return None
+    kept = unit[~np.tril(overlap >= 1.0 - tol.eps_eq, -1).any(axis=1)]
     if np.any(residual_outside(rows, kept) > tol.eps_eq * np.maximum(1.0, norms)):
         return None
     return kept
@@ -206,11 +214,11 @@ def leg_frames(leg_mats, tol: Tolerance = DEFAULT_TOL) -> LegFrames:
     generator is certified to lie in the span of the kept ones; otherwise
     its frame is the SVD basis of orthonormal_rows.  Each leg's span must
     be closed under products and adjoints; the recorded residual measures
-    how well the stored tables hold, it is never assumed.  Product and
-    adjoint tables are held monomial when each row is one term within
+    how well the stored tables hold, it is never assumed.  The tables come
+    from basis_tables, one term a row when each row is one term within
     eps_eq, see LegFrames.
     """
-    frames, mults, stars, sizes, monomial = [], [], [], [], []
+    frames, mults, stars, sizes = [], [], [], []
     worst = 0.0
     built: list[tuple[np.ndarray, tuple]] = []
     for mats in leg_mats:
@@ -223,26 +231,24 @@ def leg_frames(leg_mats, tol: Tolerance = DEFAULT_TOL) -> LegFrames:
         # shares its frame and tables
         same = next((leg for g, leg in built if np.array_equal(g, given)), None)
         if same is not None:
-            rows, (mult, star, res, mono) = same
+            rows, (mult, star, res) = same
         else:
             rows = _kept_generators(given, tol)
             if rows is None:
                 rows = orthonormal_rows(given, tol.eps_rank)
-            mult, star, res, mono = structure_tables(rows.reshape(-1, n, n), tol)
-            built.append((given, (rows, (mult, star, res, mono))))
+            mult, star, res = basis_tables(rows.reshape(-1, n, n), tol)
+            built.append((given, (rows, (mult, star, res))))
         worst = max(worst, res)
         frames.append(rows)
         mults.append(mult)
         stars.append(star)
         sizes.append(n)
-        monomial.append(mono)
     return LegFrames(
         sizes=tuple(sizes),
         frames=tuple(frames),
-        mults=tuple(mults),
-        stars=tuple(stars),
+        mult_tables=tuple(mults),
+        star_tables=tuple(stars),
         residual=worst,
-        monomial=tuple(monomial),
     )
 
 
@@ -285,11 +291,11 @@ def _gathered_pairs(xs: np.ndarray, ys: np.ndarray, legs: LegFrames) -> np.ndarr
         block = slice(start, start + step)
         vals = np.multiply.outer(x_vals[block], y_vals)
         flat = np.zeros(vals.shape, dtype=np.intp)
-        for l, (index, phase) in enumerate(legs.monomial):
+        for l, t in enumerate(legs.mult_tables):
             i, j = xp[l][block, None], yq[l][None, :]
             flat *= dims[l]
-            flat += index[i, j]
-            vals *= phase[i, j]
+            flat += t.idx[i, j]
+            vals *= t.val[i, j]
         flat += y_base
         flat += (xa[block] * (k * size))[:, None]
         np.add.at(out.reshape(-1), flat.ravel(), vals.ravel())
@@ -308,7 +314,7 @@ def coords_product_pairs(
     paths compute the same sums.
     """
     r = legs.legs
-    if all(t is not None for t in legs.monomial):
+    if legs.monomial:
         size = prod(legs.dims)
         dense_cost = xs.shape[0] * ys.shape[0] * size * size
         if np.count_nonzero(xs) * np.count_nonzero(ys) * GATHER_COST < dense_cost:
@@ -586,17 +592,20 @@ def z_commutation_residual(z: ZUnitary, pair: RepPair) -> float:
 class CrossedProduct:
     """A realized twisted product: one algebra with two marked embeddings.
 
-    family holds the marked spanning elements iota_C(c_i) iota_D(d_j) as
-    coordinate tensors, i-major over the factors' homogeneous bases (which
-    are their ambient.basis, see GradedAlgebra); onb is an orthonormal
-    basis of their flattened span: for a one-hot family f_i = v_i e_{s_i}
-    on monomial legs the unit rows e_{s_i} in family order (those with
-    |v_i| above the eps_rank cut), else the SVD basis of orthonormal_rows.
-    structure[i, j]
-    expands f_i f_j and star[i] expands f_i* in the family (matspan's
-    expand_table) when the family is a basis, else both are None.  The
-    algebra is held only in these family coordinates; element_matrix
-    materializes one element when a dense matrix is wanted.
+    family_table holds the marked spanning elements iota_C(c_i) iota_D(d_j)
+    as rows over the flattened leg coordinates, i-major over the factors'
+    homogeneous bases (which are their ambient.basis, see GradedAlgebra);
+    onb_table is an orthonormal basis of their span: for a one-hot family
+    f_i = v_i e_{s_i} on one-term legs the unit rows e_{s_i} in column
+    order (those with |v_i| above the eps_rank cut), else the SVD basis of
+    orthonormal_rows.  structure_table[i, j] expands f_i f_j and
+    star_table[i] expands f_i* in the family (matspan's expand_table) when
+    the family is a basis, else both are None.  Each is a OneTerm when
+    one term a row, else a dense array; family (as (m, *legs.dims)
+    coordinate tensors), onb, structure and star are the dense forms,
+    formed on first read.  The algebra is held only in these family
+    coordinates; element_matrix materializes one element when a dense
+    matrix is wanted.
     """
 
     c_graded: GradedAlgebra
@@ -605,16 +614,32 @@ class CrossedProduct:
     legs: LegFrames
     iota_c: np.ndarray
     iota_d: np.ndarray
-    family: np.ndarray
-    onb: np.ndarray
-    structure: np.ndarray | None
-    star: np.ndarray | None
+    family_table: OneTerm | np.ndarray
+    onb_table: OneTerm | np.ndarray
+    structure_table: OneTerm | np.ndarray | None
+    star_table: OneTerm | np.ndarray | None
     provenance: dict
     report: dict
 
+    @functools.cached_property
+    def family(self) -> np.ndarray:
+        return dense_table(self.family_table).reshape((-1,) + self.legs.dims)
+
+    @functools.cached_property
+    def onb(self) -> np.ndarray:
+        return dense_table(self.onb_table)
+
+    @functools.cached_property
+    def structure(self) -> np.ndarray | None:
+        return None if self.structure_table is None else dense_table(self.structure_table)
+
+    @functools.cached_property
+    def star(self) -> np.ndarray | None:
+        return None if self.star_table is None else dense_table(self.star_table)
+
     @property
     def dim(self) -> int:
-        return self.onb.shape[0]
+        return self.onb_table.shape[0]
 
     @property
     def ambient_dim(self) -> int:
@@ -644,49 +669,77 @@ class CrossedProduct:
         return float(residual_outside(coords.reshape(1, -1), self.onb)[0])
 
 
+def _term_products(xs: OneTerm, ys: OneTerm, legs: LegFrames) -> OneTerm:
+    """Products x y of one-term coordinate rows, broadcast over their shapes.
+
+    Needs one-term product tables (legs.monomial): leg by leg, frame
+    elements a and b multiply to mult.val[a, b] times element
+    mult.idx[a, b], so each product is one (index, value) pair, the sum
+    _gathered_pairs would scatter.
+    """
+    idx, val = 0, xs.val * ys.val
+    dims = legs.dims
+    for t, a, b in zip(
+        legs.mult_tables, np.unravel_index(xs.idx, dims), np.unravel_index(ys.idx, dims)
+    ):
+        idx = idx * t.width + t.idx[a, b]
+        val = val * t.val[a, b]
+    return OneTerm(idx, val, xs.width)
+
+
+def _term_stars(xs: OneTerm, legs: LegFrames) -> OneTerm:
+    """Adjoints of one-term coordinate rows on legs.one_term legs."""
+    idx, val = 0, xs.val.conj()
+    for t, a in zip(legs.star_tables, np.unravel_index(xs.idx, legs.dims)):
+        idx = idx * t.width + t.idx[a]
+        val = val * t.val[a]
+    return OneTerm(idx, val, xs.width)
+
+
 def _marking_report(
-    graded: GradedAlgebra, iota: np.ndarray, legs: LegFrames, tol: Tolerance
+    graded: GradedAlgebra,
+    iota: np.ndarray,
+    legs: LegFrames,
+    tol: Tolerance,
+    rows: OneTerm | None = None,
 ) -> tuple[float, float, bool]:
     """(homomorphism, star, injective) certification of one marking.
 
     iota[k] is the image of graded's basis element b_k, checked against
-    graded.tables().  When the legs take index arithmetic (star_terms),
-    the rows are one-hot with distinct supports, f_k = v_k e_{s_k}, and
-    the factor's product table is monomial and its star table one-hot,
+    graded's tables; rows is iota as one-term rows when known.  When the
+    legs are one-term, the rows are one-hot with distinct supports,
+    f_k = v_k e_{s_k}, and the factor's tables are one term a row,
     b_i b_j = c b_k and b_i* = c b_k, then each product f_i f_j and
-    adjoint f_i* is one (index, value) pair p e_P (_one_hot_products) and
-    the table's image is c v_k e_{s_k}: the row defect is |p - c v_k|
-    when P = s_k, else hypot(|p|, |c v_k|), as table_defect would find.
-    The rows are then orthogonal, so the rank is the _kept_units count.
-    Otherwise the products and adjoints are formed and go through
-    table_defect and rank.
+    adjoint f_i* is one (index, value) pair (_term_products, _term_stars)
+    and the table's image is c v_k e_{s_k}, so each row defect is a
+    OneTerm.distance, as table_defect would find.  The rows are then
+    orthogonal, so the rank is the _kept_units count.  Otherwise the
+    products and adjoints are formed and go through table_defect and rank.
     """
-    mult, star, _, mono = graded.tables(tol)
     m = iota.shape[0]
-    rows = iota.reshape(m, -1)
-    stars = legs.star_terms
-    fam = None if stars is None else _one_hot(rows)
-    own_star = _one_hot(star)
-    if fam is not None and mono is not None and own_star is not None:
-        s, v = fam
-        prod_idx, prod_val, star_idx, star_val = _one_hot_products(s, v, legs, stars)
-        (k, c), (sk, sc) = mono, own_star
-        hom = _term_defect(prod_idx, prod_val, s[k], c * v[k])
-        star_res = _term_defect(star_idx, star_val, s[sk], sc * v[sk])
-        inj = np.count_nonzero(_kept_units(s, v, rows.shape[1], tol)) == m
+    if rows is None:
+        rows = OneTerm.of_rows(iota.reshape(m, -1))
+    mult, star, _ = graded.term_tables(tol)
+    if (
+        legs.one_term
+        and rows is not None
+        and rows.distinct()
+        and isinstance(mult, OneTerm)
+        and isinstance(star, OneTerm)
+    ):
+        prods = _term_products(rows[:, None], rows[None, :], legs)
+        want = OneTerm(rows.idx[mult.idx], mult.val * rows.val[mult.idx], rows.width)
+        adjs = _term_stars(rows, legs)
+        want_adj = OneTerm(rows.idx[star.idx], star.val * rows.val[star.idx], rows.width)
+        hom = float(np.max(prods.distance(want), initial=0.0))
+        star_res = float(np.max(adjs.distance(want_adj), initial=0.0))
+        inj = np.count_nonzero(_kept_units(rows, tol)) == m
         return hom, star_res, bool(inj)
+    mult, star, _, _ = graded.tables(tol)
     prods = coords_product_pairs(iota, iota, legs)
     hom, star_res = table_defect(mult, star, iota, prods, _star_stack(iota, legs))
-    inj = rank(rows, tol.eps_rank) == m
+    inj = rank(iota.reshape(m, -1), tol.eps_rank) == m
     return hom, star_res, inj
-
-
-def _term_defect(idx, val, want_idx, want_val) -> float:
-    """Worst distance between val e_idx and want_val e_want_idx, entrywise."""
-    d = np.where(
-        idx == want_idx, np.abs(val - want_val), np.hypot(np.abs(val), np.abs(want_val))
-    )
-    return float(np.max(d, initial=0.0))
 
 
 def _require_factor(graded: GradedAlgebra, group: FinAbGroup, name: str) -> None:
@@ -698,118 +751,68 @@ def _require_factor(graded: GradedAlgebra, group: FinAbGroup, name: str) -> None
         raise ValueError(f"factor {name} must contain its ambient identity")
 
 
-def _one_hot(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(column, value) of each row's single non-zero entry, or None.
+def _kept_units(rows: OneTerm, tol: Tolerance) -> np.ndarray:
+    """Which columns the span of the one-term rows keeps.
 
-    None unless every row has exactly one non-zero entry and no two rows
-    share its column.
+    The rows are orthogonal (distinct columns), so their singular values
+    are the |values|; a column is kept when orthonormal_rows' eps_rank cut
+    would keep its row.
     """
-    if not np.all(np.count_nonzero(rows, axis=1) == 1):
-        return None
-    cols = np.argmax(rows != 0, axis=1)
-    if np.any(np.bincount(cols) > 1):
-        return None
-    return cols, rows[np.arange(rows.shape[0]), cols]
-
-
-def _kept_units(
-    cols: np.ndarray, vals: np.ndarray, size: int, tol: Tolerance
-) -> np.ndarray:
-    """Which of the size columns the span of the rows vals[i] e_{cols[i]} keeps.
-
-    The rows are orthogonal, so their singular values are the |vals|; a
-    column is kept when orthonormal_rows' eps_rank cut would keep its row.
-    """
-    mags = np.abs(vals)
-    kept = np.zeros(size, dtype=bool)
-    kept[cols[mags > tol.eps_rank * np.max(mags)]] = True
+    mags = np.abs(rows.val)
+    kept = np.zeros(rows.width, dtype=bool)
+    kept[rows.idx[mags > tol.eps_rank * np.max(mags)]] = True
     return kept
 
 
-def _outside(cols: np.ndarray, vals: np.ndarray, kept: np.ndarray) -> float:
-    """Worst distance of the rows vals[i] e_{cols[i]} from the kept units."""
-    return float(np.max(np.abs(vals[~kept[cols]]), initial=0.0))
-
-
-def _one_hot_products(s: np.ndarray, v: np.ndarray, legs: LegFrames, stars):
-    """(prod_idx, prod_val, star_idx, star_val) of the rows f_i = v_i e_{s_i}.
-
-    f_i f_j = prod_val[i, j] e_{prod_idx[i, j]} and f_i* = star_val[i]
-    e_{star_idx[i]}, found leg by leg from the monomial tables as
-    _gathered_pairs would; stars is legs.star_terms.
-    """
-    dims = legs.dims
-    m = s.size
-    prod_idx = np.zeros((m, m), dtype=np.intp)
-    prod_val = np.multiply.outer(v, v)
-    star_idx = np.zeros(m, dtype=np.intp)
-    star_val = v.conj()
-    for l, a in enumerate(np.unravel_index(s, dims)):
-        index, phase = legs.monomial[l]
-        i, j = a[:, None], a[None, :]
-        prod_idx = prod_idx * dims[l] + index[i, j]
-        prod_val = prod_val * phase[i, j]
-        star_idx = star_idx * dims[l] + stars[l][0][a]
-        star_val = star_val * stars[l][1][a]
-    return prod_idx, prod_val, star_idx, star_val
+def _outside(rows: OneTerm, kept: np.ndarray) -> float:
+    """Worst distance of the one-term rows from the kept unit rows."""
+    return float(np.max(np.abs(rows.val[~kept[rows.idx]]), initial=0.0))
 
 
 def _index_certificate(
-    rows: np.ndarray, rev: np.ndarray, legs: LegFrames, tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict] | None:
+    fam: OneTerm, rev: OneTerm, legs: LegFrames, tol: Tolerance
+) -> tuple[OneTerm, OneTerm | None, OneTerm | None, dict] | None:
     """(onb, structure, star, residuals) of a one-hot family, or None.
 
-    Applies when every leg table is monomial, the family rows
+    Applies when the legs are one-term and the family rows
     f_i = v_i e_{s_i} and the reversed products are one-hot with distinct
-    supports, and every leg's star table is one term a row.  Then each
-    product f_i f_j and adjoint f_i* is one (index, value) pair
-    (_one_hot_products), and onb is the unit rows
-    e_{s_i} (the family's span, cut at eps_rank on |v_i|).  A product or
-    adjoint at an index outside onb is at distance |value| from the span,
-    else at distance 0 and expanded exactly: structure[i, j, k] =
-    value / v_k where s_k is its index.
+    supports.  Then each product f_i f_j and adjoint f_i* is one
+    (index, value) pair (_term_products, _term_stars), and onb is the unit
+    rows e_{s_i} (the family's span, cut at eps_rank on |v_i|).  A
+    product or adjoint at an index outside onb is at distance |value|
+    from the span, else at distance 0 and expanded exactly:
+    structure[i, j] = (value / v_k) e_k where s_k is its index.
     """
-    stars = legs.star_terms
-    if stars is None:
+    if not (legs.one_term and fam.distinct() and rev.distinct()):
         return None
-    fam, back = _one_hot(rows), _one_hot(rev)
-    if fam is None or back is None:
-        return None
-    m, size = rows.shape
-    s, v = fam
-    prod_idx, prod_val, star_idx, star_val = _one_hot_products(s, v, legs, stars)
-
-    kept = _kept_units(s, v, size, tol)
-    onb = np.zeros((np.count_nonzero(kept), size), dtype=np.complex128)
-    onb[np.arange(onb.shape[0]), np.flatnonzero(kept)] = 1.0
-    basis = onb.shape[0] == m
-    closure = _outside(prod_idx, prod_val, kept)
+    m = fam.idx.size
+    prods = _term_products(fam[:, None], fam[None, :], legs)
+    stars = _term_stars(fam, legs)
+    kept = _kept_units(fam, tol)
+    units = np.flatnonzero(kept)
+    onb = OneTerm(units, np.ones(units.size, dtype=np.complex128), fam.width)
+    basis = units.size == m
+    closure = _outside(prods, kept)
     residuals = {
         "closure_residual": closure,
-        "adjoint_residual": _outside(star_idx, star_val, kept),
+        "adjoint_residual": _outside(stars, kept),
         # a basis spans what onb spans, so a product's one-term defect is
         # its distance from onb
         "structure_residual": closure if basis else float("inf"),
-        "cstar_equality": max(
-            _outside(*back, kept),
-            _outside(s, v, _kept_units(*back, size, tol)),
-        ),
+        "cstar_equality": max(_outside(rev, kept), _outside(fam, _kept_units(rev, tol))),
     }
     if not basis:
         return onb, None, None, residuals
-    member = np.full(size, -1, dtype=np.intp)
-    member[s] = np.arange(m)
+    member = np.full(fam.width, -1, dtype=np.intp)
+    member[fam.idx] = np.arange(m)
 
-    def expand(idx: np.ndarray, val: np.ndarray) -> np.ndarray:
+    def expand(rows: OneTerm) -> OneTerm:
         # the rows val e_idx in the family: val / v_k at the member k on idx
-        k = member[idx]
-        r = np.flatnonzero(k >= 0)
-        table = np.zeros((idx.size, m), dtype=np.complex128)
-        table[r, k[r]] = val[r] / v[k[r]]
-        return table
+        k = member[rows.idx]
+        inside = k >= 0
+        return OneTerm(np.where(inside, k, 0), np.where(inside, rows.val / fam.val[k], 0.0), m)
 
-    structure = expand(prod_idx.ravel(), prod_val.ravel()).reshape(m, m, m)
-    return onb, structure, expand(star_idx, star_val), residuals
+    return onb, expand(prods), expand(stars), residuals
 
 
 def _dense_certificate(
@@ -862,6 +865,20 @@ def _dense_certificate(
     return onb, structure, star, residuals
 
 
+def _pair_products(xs: np.ndarray, ys: np.ndarray, legs: LegFrames, rows) -> OneTerm | np.ndarray:
+    """The products x_a y_b as (a, b) rows of flattened coordinates.
+
+    rows is (xs, ys) as one-term rows, given only on monomial legs: then
+    the products are index arithmetic.  Otherwise they are formed by
+    coords_product_pairs and held as a OneTerm when one-hot.
+    """
+    if rows is not None:
+        return _term_products(rows[0][:, None], rows[1][None, :], legs)
+    out = coords_product_pairs(xs, ys, legs).reshape(xs.shape[0], ys.shape[0], -1)
+    terms = OneTerm.of_rows(out)
+    return out if terms is None else terms
+
+
 def _assemble(
     c_graded: GradedAlgebra,
     d_graded: GradedAlgebra,
@@ -875,20 +892,29 @@ def _assemble(
 ) -> CrossedProduct:
     """Shared certification and packaging for both construction routes.
 
-    The closure certificate (onb, the structure and star tables, and the
-    closure, adjoint, structure and C*-equality residuals) comes from
-    _index_certificate when the family is one-hot on monomial legs, else
-    from _dense_certificate.
+    When both markings are one-term rows on legs with one-term product
+    tables, the family iota_C(c_i) iota_D(d_j) and the reversed products
+    are index arithmetic (_term_products); otherwise they are formed and
+    held one-term when one-hot.  The closure certificate (onb, the
+    structure and star tables, and the closure, adjoint, structure and
+    C*-equality residuals) comes from _index_certificate when the family
+    is one-hot on one-term legs, else from _dense_certificate.  The
+    identity residual is read off onb's unit rows when it has them, and
+    the commutation law off the one-term family and reversed products
+    when they are one-term.
     """
     m_c, m_d = iota_c.shape[0], iota_d.shape[0]
     m = m_c * m_d
-    dims = legs.dims
-    family = coords_product_pairs(iota_c, iota_d, legs).reshape(m, *dims)
-    rev_pairs = coords_product_pairs(iota_d, iota_c, legs)
-    rev = rev_pairs.reshape(m, -1)
-    cert = _index_certificate(family.reshape(m, -1), rev, legs, tol)
+    rows_c = OneTerm.of_rows(iota_c.reshape(m_c, -1))
+    rows_d = OneTerm.of_rows(iota_d.reshape(m_d, -1))
+    index = legs.monomial and rows_c is not None and rows_d is not None
+    ab = _pair_products(iota_c, iota_d, legs, (rows_c, rows_d) if index else None)
+    rev = _pair_products(iota_d, iota_c, legs, (rows_d, rows_c) if index else None)
+    terms = isinstance(ab, OneTerm) and isinstance(rev, OneTerm)
+    cert = _index_certificate(ab.reshape(m), rev.reshape(m), legs, tol) if terms else None
     if cert is None:
-        cert = _dense_certificate(family, rev, legs, tol)
+        family = dense_table(ab).reshape((m,) + legs.dims)
+        cert = _dense_certificate(family, dense_table(rev).reshape(m, -1), legs, tol)
     onb, structure, star, residuals = cert
     dim = onb.shape[0]
 
@@ -901,30 +927,37 @@ def _assemble(
     rep["dim_law_ok"] = dim == m
     rep.update(residuals)
 
-    rep["identity_residual"] = float(
-        residual_outside(legs.identity(tol).reshape(1, -1), onb)[0]
-    )
+    one = legs.identity(tol).reshape(1, -1)
+    if isinstance(onb, OneTerm):
+        # the distance from unit rows is the norm of the other entries
+        outside = np.ones(one.size, dtype=bool)
+        outside[onb.idx] = False
+        rep["identity_residual"] = float(np.linalg.norm(one[0, outside]))
+    else:
+        rep["identity_residual"] = float(residual_outside(one, onb)[0])
 
-    hom_c, star_c, inj_c = _marking_report(c_graded, iota_c, legs, tol)
-    hom_d, star_d, inj_d = _marking_report(d_graded, iota_d, legs, tol)
+    hom_c, star_c, inj_c = _marking_report(c_graded, iota_c, legs, tol, rows_c)
+    hom_d, star_d, inj_d = _marking_report(d_graded, iota_d, legs, tol, rows_d)
     rep["iota_c_hom"], rep["iota_c_star"], rep["iota_c_injective"] = hom_c, star_c, inj_c
     rep["iota_d_hom"], rep["iota_d_star"], rep["iota_d_injective"] = hom_d, star_d, inj_d
 
     # commutation law on the homogeneous (= ambient) basis pairs, and its
     # invariant special case (degree position 0 is the zero element)
     deg_c, deg_d = c_graded.degree_indices(), d_graded.degree_indices()
-    ab = family.reshape(m_c, m_d, *dims)
-    ba = np.moveaxis(rev_pairs, 0, 1)
     phase = chi.value_table().conj()[np.ix_(deg_c, deg_d)]
-    phase = phase.reshape(m_c, m_d, *([1] * len(dims)))
-    comm = float(np.max(np.linalg.norm((ba - phase * ab).reshape(m, -1), axis=1)))
-    plain = np.linalg.norm((ab - ba).reshape(m, -1), axis=1).reshape(m_c, m_d)
+    if terms:
+        ba = OneTerm(rev.idx.T, rev.val.T, rev.width)
+        comm = ba.distance(OneTerm(ab.idx, phase * ab.val, ab.width))
+        plain = ab.distance(ba)
+    else:
+        fam, ba = dense_table(ab), np.moveaxis(dense_table(rev), 0, 1)
+        comm = np.linalg.norm(ba - phase[..., None] * fam, axis=-1)
+        plain = np.linalg.norm(fam - ba, axis=-1)
     inv_mask = np.zeros(plain.shape, dtype=bool)
     inv_mask[deg_c == 0, :] = True
     inv_mask[:, deg_d == 0] = True
-    inv_comm = float(np.max(plain[inv_mask], initial=0.0))
-    rep["commutation_law"] = comm
-    rep["invariant_commutators"] = inv_comm
+    rep["commutation_law"] = comm = float(np.max(comm))
+    rep["invariant_commutators"] = inv_comm = float(np.max(plain[inv_mask], initial=0.0))
 
     scale = tol.eps_eq * max(1.0, m)
     rep["passed"] = (
@@ -947,13 +980,25 @@ def _assemble(
         legs=legs,
         iota_c=iota_c,
         iota_d=iota_d,
-        family=family,
-        onb=onb,
-        structure=structure,
-        star=star,
+        family_table=ab.reshape(m) if isinstance(ab, OneTerm) else ab.reshape(m, -1),
+        onb_table=onb,
+        structure_table=structure,
+        star_table=star,
         provenance=provenance,
         report=rep,
     )
+
+
+def _unital_leg(basis: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
+    """An orthonormal basis as leg generators, with the identity added only
+    when residual_outside puts it outside the span by more than
+    eps_eq * sqrt(n), the bound pure_coords projects it within.  A
+    factor's basis contains its identity, so a matrix-grading leg keeps
+    its matrix units, which no partial overlap with the identity rotates."""
+    n = basis.shape[-1]
+    eye = np.eye(n)
+    out = residual_outside(eye.reshape(1, -1), basis.reshape(basis.shape[0], -1))[0]
+    return [*basis, eye] if out > tol.eps_eq * np.sqrt(n) else [*basis]
 
 
 def heisenberg_markings(
@@ -988,7 +1033,7 @@ def heisenberg_markings(
     # usually keep them
     eye_c, eye_d = np.eye(n_c), np.eye(n_d)
     c_basis, d_basis = c_graded.ambient.basis, d_graded.ambient.basis
-    legs = leg_frames([[*c_basis, eye_c], [*d_basis, eye_d], t_mats], tol)
+    legs = leg_frames([_unital_leg(c_basis, tol), _unital_leg(d_basis, tol), t_mats], tol)
     # one pure tensor per ambient (= homogeneous) row, placed on the Weyl
     # leg by its degree, one projection a leg for the whole stack
     iota_c = pure_coords_stack(legs, [c_basis, eye_d, us[c_graded.degree_indices()]], tol)
@@ -1060,21 +1105,32 @@ def product_center_dim(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> int:
 
     Works in family coordinates, so it stays cheap on large ambients;
     requires the marked family to be a basis (the dimension law).  The
-    center is the left null space of the (m, m^2) commutator tensor.  When
-    each of its columns has at most one non-zero entry (a monomial table
-    whose f_i f_j and f_j f_i share their index, as for the one-hot
-    families of _index_certificate), its rows have disjoint supports and
-    its singular values are exactly the row norms; otherwise they come
-    from an SVD.
+    center is the left null space of the (m, m^2) commutator tensor b,
+    b[i, (j, k)] = structure[i, j, k] - structure[j, i, k].  When each of
+    its columns has at most one non-zero entry, its rows have disjoint
+    supports and its singular values are exactly the row norms; otherwise
+    they come from an SVD.  On a one-term structure table whose f_i f_j
+    and f_j f_i share their index (the one-hot families of
+    _index_certificate), b[i, j] is (val[i, j] - val[j, i]) e_{idx[i, j]},
+    so the rule reads the m^2 (index, value) pairs.
     """
-    if x.structure is None:
+    t = x.structure_table
+    if t is None:
         raise ValueError("center needs the structure tensor (dimension law failed)")
-    m = x.structure.shape[0]
-    b = (x.structure - x.structure.transpose(1, 0, 2)).reshape(m, m * m)
-    if np.all(np.count_nonzero(b, axis=0) <= 1):
-        s = np.linalg.norm(b, axis=1)
-    else:
-        s = np.linalg.svd(b, compute_uv=False)
+    s = None
+    if isinstance(t, OneTerm) and np.array_equal(t.idx, t.idx.T):
+        m = t.idx.shape[0]
+        diff = t.val - t.val.T
+        cols = (np.arange(m) * m + t.idx)[diff != 0]
+        if np.unique(cols).size == cols.size:
+            s = np.linalg.norm(diff, axis=1)
+    if s is None:
+        m = x.structure.shape[0]
+        b = (x.structure - x.structure.transpose(1, 0, 2)).reshape(m, m * m)
+        if np.all(np.count_nonzero(b, axis=0) <= 1):
+            s = np.linalg.norm(b, axis=1)
+        else:
+            s = np.linalg.svd(b, compute_uv=False)
     # the family is orthonormal, so the tensor is O(1); the floor keeps a
     # numerically-zero commutator tensor from inflating the rank
     cutoff = tol.eps_rank * max(1.0, float(np.max(s, initial=0.0)))

@@ -21,8 +21,10 @@ from .matspan import (
     AlgebraBasis,
     Subspace,
     Tolerance,
+    basis_tables,
     check_size,
     cmatrix,
+    dense_tables,
     expand_in_rows,
     hs_norm,
     _closure_round,
@@ -97,21 +99,29 @@ class GradedAlgebra:
     report: dict = field(default_factory=dict)
     homogeneous_ambient: bool = False
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _term_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
         return self.ambient.ambient_dim
 
+    def term_tables(self, tol: Tolerance = DEFAULT_TOL):
+        """basis_tables(ambient.basis, tol), formed once per tolerance."""
+        if tol not in self._term_tables:
+            self._term_tables[tol] = basis_tables(self.ambient.basis, tol)
+        return self._term_tables[tol]
+
     def tables(self, tol: Tolerance = DEFAULT_TOL):
-        """structure_tables(ambient.basis, tol), formed once per tolerance.
+        """structure_tables' (mult, star, residual, monomial) of ambient.basis,
+        formed once per tolerance from term_tables.
 
         The arrays are shared by every caller, so they are read-only.
         """
         if tol not in self._tables:
-            mult, star, res, mono = structure_tables(self.ambient.basis, tol)
-            for a in (mult, star) + (mono or ()):
+            tables = dense_tables(*self.term_tables(tol))
+            for a in tables[:2] + (tables[3] or ()):
                 a.flags.writeable = False
-            self._tables[tol] = (mult, star, res, mono)
+            self._tables[tol] = tables
         return self._tables[tol]
 
     def homogeneous_tables(self, tol: Tolerance = DEFAULT_TOL):

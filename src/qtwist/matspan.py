@@ -7,7 +7,10 @@ use the absolute Frobenius threshold ``eps_eq``.  Both live in `Tolerance`.
 
 The row-level helpers (`orthonormal_rows`, `residual_outside`, ...) work
 on arrays whose rows are coordinates in *any* orthonormal frame, so the
-tensor-leg machinery elsewhere can reuse them without densifying.
+tensor-leg machinery elsewhere can reuse them without densifying.  A
+basis's product and adjoint tables come from `basis_tables`; a table
+with one term a row is held as a `OneTerm`, an (index, value) pair of
+arrays, which a family of monomial matrices gets by index arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "MAX_DENSE_ENTRIES",
+    "INDEX_PATH_ENTRIES",
     "BudgetError",
     "check_size",
     "cmatrix",
@@ -30,6 +34,10 @@ __all__ = [
     "span_basis",
     "rank",
     "subspace_equal",
+    "OneTerm",
+    "dense_table",
+    "dense_tables",
+    "basis_tables",
     "structure_tables",
     "multiplicative_closure",
     "internal_unit",
@@ -56,6 +64,12 @@ DEFAULT_TOL = Tolerance()
 # constant, not a reading of free memory, so a verdict does not depend on
 # the machine; callers estimate their largest array before allocating it.
 MAX_DENSE_ENTRIES = 2**27
+
+# A monomial family's tables by index arithmetic (_monomial_tables) cost
+# about 0.2 ms of numpy calls at any size, the GEMM path about 35 ns per
+# entry of its d^2 n^2 product stack (2 cores, OpenBLAS; break-even near
+# 1.3e4 entries), so the index path is taken only above this many.
+INDEX_PATH_ENTRIES = 2**14
 
 
 class BudgetError(ValueError):
@@ -199,33 +213,241 @@ def expand_table(
     return coeffs, None, float(np.max(res, initial=0.0))
 
 
-def structure_tables(
-    basis: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
-    """(mult, star, residual, monomial) of a (d, n, n) family of matrices.
+@dataclass(frozen=True)
+class OneTerm:
+    """A table with one term a row: row r is val[r] e_{idx[r]} in C^width.
 
-    mult[i, j] expands b_i b_j and star[i] expands b_i* in the family,
-    both through expand_table; residual is the worst defect of either
-    table.  monomial is None unless the product table is monomial, then
-    (index, phase) arrays of shape (d, d): b_i b_j ~ phase[i, j] b_index[i, j].
-    Raises BudgetError before forming the d^2 n^2 product stack when that
-    exceeds MAX_DENSE_ENTRIES.  The stack is one GEMM, (d n, n) @ (n, d n),
-    whose (i a, j c) entry is (b_i b_j)[a, c], reordered to rows (i, j); the
-    reordering copy briefly holds a second d^2 n^2 array.
+    idx and val share any shape, the table's rows; a zero row has val 0
+    (and idx 0).  This is how a monomial product or adjoint table, a
+    one-hot family and its basis of unit rows are held: dense() forms the
+    array of shape idx.shape + (width,) when one is wanted.
+    """
+
+    idx: np.ndarray
+    val: np.ndarray
+    width: int
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.idx.shape + (self.width,)
+
+    @classmethod
+    def of_rows(cls, rows: np.ndarray) -> OneTerm | None:
+        """The rows (last axis) as one-term rows, or None unless every
+        row has exactly one non-zero entry."""
+        nz = rows != 0
+        if not np.all(nz.sum(axis=-1) == 1):
+            return None
+        idx = np.argmax(nz, axis=-1)
+        return cls(idx, _pick(rows, idx), rows.shape[-1])
+
+    def __getitem__(self, key) -> OneTerm:
+        return OneTerm(self.idx[key], self.val[key], self.width)
+
+    def reshape(self, *shape) -> OneTerm:
+        return OneTerm(self.idx.reshape(*shape), self.val.reshape(*shape), self.width)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.complex128)
+        np.put_along_axis(out, self.idx[..., None], self.val[..., None], axis=-1)
+        return out
+
+    def distinct(self) -> bool:
+        """Whether every row is non-zero and no two rows share a column."""
+        cols = np.sort(self.idx, axis=None)
+        return bool(np.all(self.val != 0) and not np.any(cols[1:] == cols[:-1]))
+
+    def distance(self, other: OneTerm) -> np.ndarray:
+        """Frobenius distance of each row from other's, broadcast."""
+        a, b = np.abs(self.val), np.abs(other.val)
+        return np.where(self.idx == other.idx, np.abs(self.val - other.val), np.hypot(a, b))
+
+
+def dense_table(table):
+    """A table as a dense array: OneTerm.dense(), or the array itself."""
+    return table.dense() if isinstance(table, OneTerm) else table
+
+
+def _pick(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[..., idx[...]] along the last axis, for idx of table's leading shape."""
+    flat = table.reshape(-1, table.shape[-1])
+    return flat[np.arange(flat.shape[0]), idx.reshape(-1)].reshape(idx.shape)
+
+
+def _monomial_rows(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(col, val) of a (d, n, n) family with at most one non-zero entry
+    per row and per column, b[i, a, col[i, a]] = val[i, a] (val 0 on an
+    empty row), or None for any other family."""
+    nz = basis != 0
+    if nz.sum(axis=-1).max(initial=0) > 1 or nz.sum(axis=-2).max(initial=0) > 1:
+        return None
+    col = np.argmax(nz, axis=-1)
+    return col, _pick(basis, col)
+
+
+def _support_classes(col: np.ndarray, val: np.ndarray):
+    """(cls, reps, owner) of _monomial_rows' (col, val) with no zero
+    matrix, or None unless any two supports are equal or disjoint.
+
+    cls[i] is the class of matrix i.  reps[c] is class c's support as a
+    column a row (n on an empty row), and reps[C], for C classes, the
+    empty support.  owner[a (n + 1) + b] is the class whose support holds
+    the entry (a, b), C where none does and at b = n.  One pass writes
+    each matrix's entries into owner; the supports are equal or disjoint
+    exactly when every matrix finds all its entries owned by one matrix
+    of its own support.
+    """
+    d, n = col.shape
+    key = np.where(val != 0, col, n)
+    i, a = np.nonzero(val)
+    entries = a * (n + 1) + key[i, a]
+    owner = np.full(n * (n + 1), -1, dtype=np.intp)
+    owner[entries] = i
+    head = np.empty(d, dtype=np.intp)
+    head[i] = owner[entries]
+    if np.any(owner[entries] != head[i]) or np.any(key[head] != key):
+        return None
+    is_head = np.zeros(d + 1, dtype=bool)
+    is_head[head] = is_head[d] = True
+    ids = np.cumsum(is_head) - 1
+    owner = ids[owner]
+    return ids[head], np.vstack([key, np.full(n, n)])[is_head], owner
+
+
+def _monomial_tables(basis: np.ndarray, tol: Tolerance):
+    """basis_tables' (mult, star, residual) by index arithmetic, or None.
+
+    Applies when every matrix is monomial (_monomial_rows) and non-zero,
+    and any two supports are equal or disjoint (_support_classes).  The
+    product of members i of class a and j of class b is the row array
+    val_i * val_j[col_a] on a support that depends on (a, b) alone, and
+    an adjoint is the inverse column map with conjugated values.  Each
+    target t is expanded among the members of its support's class, as
+    every other matrix is orthogonal to it: as in expand_table, the member
+    maximising |<f_k, t>| / ||f_k|| is taken, with value
+    <f_k, t> / ||f_k||^2 (an empty support gives 0 e_0), so the result is
+    expand_table's one-term table.  The products of each class pair and
+    the adjoints of each class form one batch of d^2 n entries (classes
+    padded to the largest).  None, so that the GEMM path decides, when a
+    support is not a class's or some one-term defect exceeds eps_eq.
+    """
+    d, n = basis.shape[0], basis.shape[-1]
+    mono = _monomial_rows(basis)
+    if mono is None:
+        return None
+    col, val = mono
+    sq = np.einsum("ij,ij->i", val.conj(), val).real
+    classes = _support_classes(col, val) if np.all(sq > 0.0) else None
+    if classes is None:
+        return None
+    cls, reps, owner = classes
+    size = np.bincount(cls)
+    c_n, k_n = size.size, int(size.max())
+    pairs, t_n = c_n * c_n, k_n * k_n
+    check_size((pairs + c_n) * t_n * n, f"product table of {d} {n}x{n} matrices")
+    # members[c, s] is the s-th matrix of class c; the padding (d, a zero
+    # row) and the empty class c_n (matrix 0 with value 0) add no term
+    order = np.argsort(cls, kind="stable")
+    slot = np.empty(d, dtype=np.intp)
+    slot[order] = np.arange(d) - np.repeat(np.cumsum(size) - size, size)
+    members = np.full((c_n + 1, k_n), d, dtype=np.intp)
+    members[cls, slot] = np.arange(d)
+    members[c_n] = 0
+    vals = np.vstack([val, np.zeros((1, n))])[members]
+    vals[c_n] = 0.0
+    inv_sq = np.append(1.0 / sq, 0.0)[members]
+    inv_sq[c_n] = 0.0
+    live = reps[:c_n] < n
+    cols = np.where(live, reps[:c_n], 0)
+
+    # batch a c_n + b: (b_i b_j)[r] = val_i[r] val_j[cols_a[r]] on the
+    # support r -> reps_b[cols_a[r]]; batch pairs + a: b_i* has row
+    # reps_a[r] holding conj(val_i[r])
+    targets = np.zeros((pairs + c_n, t_n, n), dtype=np.complex128)
+    right = vals[:c_n, :, cols].transpose(2, 0, 1, 3)
+    prods = targets[:pairs].reshape(c_n, c_n, k_n, k_n, n)
+    np.multiply(vals[:c_n, None, :, None], right[:, :, None], out=prods)
+    keys = np.full((pairs + c_n, n), n, dtype=np.intp)
+    right_keys = reps[:c_n, cols].transpose(1, 0, 2)
+    keys[:pairs] = np.where(live[:, None], right_keys, n).reshape(pairs, n)
+    a, r = np.nonzero(live)
+    keys[pairs + a, reps[a, r]] = r
+    targets[pairs + a, :k_n, reps[a, r]] = vals[a, :, r].conj()
+
+    # each batch's class, from the owner of its first entry
+    first = np.argmax(keys < n, axis=1)
+    batch = owner[first * (n + 1) + keys[np.arange(pairs + c_n), first]]
+    if np.any(reps[batch] != keys):
+        return None
+    rows = vals[batch]
+    coef = targets @ rows.conj().swapaxes(1, 2)
+    parts = coef.view(np.float64).reshape(pairs + c_n, t_n, k_n, 2)
+    score = np.einsum("btkc,btkc->btk", parts, parts)
+    score *= inv_sq[batch][:, None, :]
+    k = np.argmax(score, axis=2).reshape(-1)
+    pos = k + np.repeat(np.arange(pairs + c_n) * k_n, t_n)
+    gen = members[batch].reshape(-1)[pos]
+    c = coef.reshape(-1, k_n)[np.arange(k.size), k] / sq[gen]
+    rem = (targets.reshape(-1, n) - c[:, None] * rows.reshape(-1, n)[pos]).view(np.float64)
+    res = float(np.sqrt(np.max(np.einsum("tr,tr->t", rem, rem), initial=0.0)))
+    if res > tol.eps_eq:
+        return None
+    gen, c = gen.reshape(-1, t_n), c.reshape(-1, t_n)
+    i, j = cls[:, None] * c_n + cls[None, :], slot[:, None] * k_n + slot[None, :]
+    mult = OneTerm(gen[i, j], c[i, j], d)
+    return mult, OneTerm(gen[pairs + cls, slot], c[pairs + cls, slot], d), res
+
+
+def basis_tables(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """(mult, star, residual): the product and adjoint tables of a (d, n, n)
+    family of matrices, each held as a OneTerm when one term a row.
+
+    mult expands b_i b_j and star b_i* in the family; residual is the
+    worst defect of either.  A monomial family whose supports are equal
+    or disjoint takes _monomial_tables when its GEMM product stack would
+    exceed INDEX_PATH_ENTRIES.  Any other family, and any whose tables
+    are not one term a row, takes the GEMM path: the d^2 n^2
+    product stack, one GEMM (d n, n) @ (n, d n) whose (i a, j c) entry is
+    (b_i b_j)[a, c], reordered to rows (i, j) (the reordering copy briefly
+    holds a second such array), expanded by expand_table; a table on its
+    one-term path is a OneTerm, else the dense (d, d, d) or (d, d) array.
+    Raises BudgetError before forming the products when they exceed
+    MAX_DENSE_ENTRIES.
     """
     basis = np.asarray(basis, dtype=np.complex128)
     d, n = basis.shape[0], basis.shape[-1]
+    if d * d * n * n > INDEX_PATH_ENTRIES:
+        tables = _monomial_tables(basis, tol)
+        if tables is not None:
+            return tables
     check_size(d * d * n * n, f"product table of {d} {n}x{n} matrices")
     rows = basis.reshape(d, n * n)
     wide = basis.transpose(1, 0, 2).reshape(n, d * n)
     prods = (basis.reshape(d * n, n) @ wide).reshape(d, n, d, n)
     prods = prods.transpose(0, 2, 1, 3).reshape(d * d, n * n)
     mult, mono, res = expand_table(prods, rows, tol)
+    mult = mult.reshape(d, d, d) if mono is None else OneTerm(*mono, d).reshape(d, d)
     adjs = basis.conj().transpose(0, 2, 1).reshape(d, n * n)
-    star, _, s_res = expand_table(adjs, rows, tol)
-    if mono is not None:
-        mono = (mono[0].reshape(d, d), mono[1].reshape(d, d))
-    return mult.reshape(d, d, d), star, max(res, s_res), mono
+    star, s_mono, s_res = expand_table(adjs, rows, tol)
+    return mult, star if s_mono is None else OneTerm(*s_mono, d), max(res, s_res)
+
+
+def structure_tables(
+    basis: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
+    """(mult, star, residual, monomial): basis_tables as dense arrays.
+
+    mult[i, j] expands b_i b_j and star[i] expands b_i* in the family;
+    monomial is None unless the product table is one term a row, then
+    (index, phase) arrays of shape (d, d): b_i b_j ~ phase[i, j] b_index[i, j].
+    """
+    return dense_tables(*basis_tables(basis, tol))
+
+
+def dense_tables(mult, star, residual: float):
+    """basis_tables' (mult, star, residual) in structure_tables' form."""
+    mono = (mult.idx, mult.val) if isinstance(mult, OneTerm) else None
+    return dense_table(mult), dense_table(star), residual, mono
 
 
 def table_defect(mult, star, images, prods, stars) -> tuple[float, float]:

@@ -18,7 +18,9 @@ crossed products from all family products and adjoints, through
 parity oracle for the table check of `boxtimes._family_map`.
 `dense_torus_checks` checks the finite torus's generators as dense
 ambient matrices and its center by an SVD (`svd_center_dim`); it is the
-parity oracle for `apps.finite_torus`.  `loop_translations`,
+parity oracle for `apps.finite_torus`.  `gemm_structure_tables` is the GEMM path of `matspan.basis_tables`
+for any family, the parity oracle for its index path on monomial
+families.  `loop_translations`,
 `loop_rep_residual`, `loop_weyl_residual` and `dense_marking_report` are
 the per-element forms of `qgroup.translations`, `heis._rep_residual`,
 `heis.is_heisenberg` / `is_anti_heisenberg` and `boxtimes._marking_report`,
@@ -90,6 +92,25 @@ def assert_reports_match(got, want):
             assert abs(g - w) <= 1e-12, (key, g, w)
         else:
             assert g == w, (key, g, w)
+
+
+def gemm_structure_tables(basis, tol: Tolerance = DEFAULT_TOL):
+    """(mult, star, residual, monomial) of a (d, n, n) family from its
+    d^2 n^2 product stack, as structure_tables computed them before the
+    index path: one GEMM (d n, n) @ (n, d n), reordered to rows (i, j),
+    then expand_table on the products and on the adjoints."""
+    basis = np.asarray(basis, dtype=np.complex128)
+    d, n = basis.shape[0], basis.shape[-1]
+    rows = basis.reshape(d, n * n)
+    wide = basis.transpose(1, 0, 2).reshape(n, d * n)
+    prods = (basis.reshape(d * n, n) @ wide).reshape(d, n, d, n)
+    prods = prods.transpose(0, 2, 1, 3).reshape(d * d, n * n)
+    mult, mono, res = expand_table(prods, rows, tol)
+    adjs = basis.conj().transpose(0, 2, 1).reshape(d, n * n)
+    star, _, s_res = expand_table(adjs, rows, tol)
+    if mono is not None:
+        mono = (mono[0].reshape(d, d), mono[1].reshape(d, d))
+    return mult.reshape(d, d, d), star, max(res, s_res), mono
 
 
 def dense_algebra(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:

@@ -35,7 +35,7 @@ from qtwist.heis import (
     is_heisenberg,
     rep_pair,
 )
-from qtwist.matspan import DEFAULT_TOL, structure_tables
+from qtwist.matspan import DEFAULT_TOL, OneTerm, structure_tables
 from qtwist.qgroup import build_model, translations
 
 CATALOG = [FinAbGroup(c) for c in cli.group_catalog(8)]
@@ -194,7 +194,7 @@ def test_stacked_pure_coords_equal_per_element_rows(n, k):
 def test_one_shot_gather_equals_dense_contraction(n, k):
     x = finite_torus(n, k).objects["product"]
     legs = x.legs
-    dense = dataclasses.replace(legs, monomial=(None,) * legs.legs)
+    dense = dataclasses.replace(legs, mult_tables=legs.mults)
     rng = np.random.default_rng(n * 10 + k)
     def sparse(rows, density):
         shape = (rows,) + legs.dims
@@ -251,10 +251,11 @@ def test_marking_reports_match_dense_oracle(build, monkeypatch):
 def test_perturbed_leg_phase_fails_markings_on_both_sides():
     x = finite_torus(4, 1).objects["product"]
     legs = x.legs
-    index, phase = legs.monomial[0]
-    phase = phase.copy()
+    table = legs.mult_tables[0]
+    phase = table.val.copy()
     phase[1, 1] *= np.exp(0.1j)  # b_1 b_1 on C's leg picks up a phase
-    bad = dataclasses.replace(legs, monomial=((index, phase),) + legs.monomial[1:])
+    perturbed = OneTerm(table.idx, phase, table.width)
+    bad = dataclasses.replace(legs, mult_tables=(perturbed,) + legs.mult_tables[1:])
     bound = DEFAULT_TOL.eps_eq * max(1.0, x.dim)
     got = _marking_report(x.c_graded, x.iota_c, bad, DEFAULT_TOL)
     want = oracle.dense_marking_report(x.c_graded, x.iota_c, bad)
@@ -280,13 +281,13 @@ def test_torus_markings_take_the_index_path(monkeypatch):
 
 def test_factor_tables_are_formed_once_per_torus(monkeypatch):
     calls = []
-    real = coact.structure_tables
+    real = coact.basis_tables
 
     def counted(basis, tol=DEFAULT_TOL):
         calls.append(basis.shape)
         return real(basis, tol)
 
-    monkeypatch.setattr(coact, "structure_tables", counted)
+    monkeypatch.setattr(coact, "basis_tables", counted)
     res = finite_torus(5, 2)
     assert res.passed
     # C and D are one GradedAlgebra: its table serves both markings

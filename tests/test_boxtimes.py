@@ -61,6 +61,7 @@ from qtwist.heis import (
 from qtwist.matspan import (
     DEFAULT_TOL,
     BudgetError,
+    OneTerm,
     expand_in_rows,
     internal_unit,
     multiplicative_closure,
@@ -162,12 +163,10 @@ def test_monomial_products_match_dense_path(monkeypatch, k, weyl_dim):
     # (the identity repeats lambda_0), and one U_g V_h per distinct
     # monomial on the Weyl leg; every table is monomial
     assert legs.dims == (6, 6, weyl_dim)
-    assert all(t is not None for t in legs.monomial)
+    assert legs.monomial
     calls = count_gathers(monkeypatch)
     sparse = coords_product_pairs(x.family, x.family, legs)
-    dense = coords_product_pairs(
-        x.family, x.family, replace(legs, monomial=(None,) * legs.legs)
-    )
+    dense = coords_product_pairs(x.family, x.family, replace(legs, mult_tables=legs.mults))
     assert len(calls) == 1
     assert np.max(np.abs(sparse - dense)) <= 1e-12
 
@@ -180,7 +179,7 @@ def test_rotated_leg_takes_dense_path(monkeypatch):
     c_leg = list(x.c_graded.ambient.basis) + [np.eye(6)]
     legs = leg_frames([c_leg, c_leg, list(weyl.reshape(36, 6, 6))])
     assert legs.residual < 1e-12
-    assert legs.monomial[2] is None
+    assert not isinstance(legs.mult_tables[2], OneTerm)
     fam = x.family[::5]
     rot = np.stack([matrix_to_coords(x.element_matrix(f), legs)[0] for f in fam])
     calls = count_gathers(monkeypatch)
@@ -211,7 +210,7 @@ def test_dense_certificate_reports_the_star_table_defect():
     legs = leg_frames([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]])
     stars = legs.stars[0].copy()
     stars[0, 1] = delta
-    bad = replace(legs, stars=(stars,))
+    bad = replace(legs, star_tables=(stars,))
     family = np.eye(2, dtype=np.complex128)
     onb, _, star, residuals = boxtimes._dense_certificate(family, family, bad, DEFAULT_TOL)
     star_rows = np.stack([coords_star(f, bad) for f in family])
@@ -450,7 +449,7 @@ def test_unclosed_leg_fails_certification():
     # orthogonal generators whose span misses SZ SX: the leg keeps them,
     # but its table is not snapped to monomial and its residual stays large
     legs = leg_frames([[I2, SX], [I2, SX], [I2, SX, SZ]])
-    assert legs.monomial[2] is None
+    assert not isinstance(legs.mult_tables[2], OneTerm)
     assert legs.residual > 1e-8
     c = delta_grading(Z2)
     pair = canonical_heisenberg(CHI2)

@@ -211,10 +211,10 @@ def test_example_torus_bad_params_exit_2(capsys):
     assert json.loads(err)["error"] == "params"
 
 
-@pytest.mark.parametrize("n", [16, 10**6])
+@pytest.mark.parametrize("n", [26, 10**6])
 def test_example_torus_over_size_budget_exits_2(capsys, monkeypatch, n):
     # the estimate must refuse the torus before any pair product is formed;
-    # n = 16 is the first size it refuses (nine arrays of 16^6 entries)
+    # n = 26 is the first size it refuses (twelve arrays of 26^5 entries)
     def reached(*args):
         raise AssertionError("pair products were allocated")
 

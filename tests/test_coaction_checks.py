@@ -227,7 +227,7 @@ def test_dual_coaction_forms_no_dense_matrix(monkeypatch):
 
 
 def test_dual_coaction_needs_the_structure_table():
-    x = dataclasses.replace(_crossed((2,)), structure=None, star=None)
+    x = dataclasses.replace(_crossed((2,)), structure_table=None, star_table=None)
     with pytest.raises(ValueError, match="structure tensor"):
         dual_coaction(x)
 

@@ -277,7 +277,7 @@ def test_control_perturbed_structure_entry(monkeypatch):
     x, y = _pair()
     structure = y.structure.copy()
     structure[1, 2, 3] += 1e-3
-    y_bad = replace(y, structure=structure)
+    y_bad = replace(y, structure_table=structure)
     table, _ = _both(x, y_bad, [])
     _, dense = _both(x, y, [], monkeypatch, products={(1, 2): 1e-3 * y.family[3]})
     for rep in (table, dense):
@@ -291,7 +291,7 @@ def test_control_perturbed_star_entry(monkeypatch):
     x, y = _pair()
     star = y.star.copy()
     star[2, 0] += 1e-3
-    y_bad = replace(y, star=star)
+    y_bad = replace(y, star_table=star)
     table, _ = _both(x, y_bad, [])
     _, dense = _both(x, y, [], monkeypatch, stars={2: 1e-3 * y.family[0]})
     for rep in (table, dense):

@@ -16,7 +16,7 @@ from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist.apps import _torus_checks, finite_torus, inner_coaction_examples
 from qtwist.boxtimes import build_from_markings, heisenberg_markings, product_center_dim
 from qtwist.coact import delta_grading
-from qtwist.matspan import DEFAULT_TOL, BudgetError
+from qtwist.matspan import DEFAULT_TOL, BudgetError, OneTerm
 
 TORI = [(n, k) for n in range(2, 7) for k in range(n)]
 
@@ -94,10 +94,11 @@ def test_perturbed_weyl_table_fails_on_both_sides(n, k):
     # the Weyl-leg entry of v u, the frame elements of V_1 and U_1
     p = np.flatnonzero(np.abs(good.objects["u"]).sum(axis=(0, 1)))[0]
     q = np.flatnonzero(np.abs(good.objects["v"]).sum(axis=(0, 1)))[0]
-    index, phase = legs.monomial[2]
-    phase = phase.copy()
+    table = legs.mult_tables[2]
+    phase = table.val.copy()
     phase[q, p] *= np.exp(1e-3j)
-    bad = dataclasses.replace(legs, monomial=legs.monomial[:2] + ((index, phase),))
+    perturbed = OneTerm(table.idx, phase, table.width)
+    bad = dataclasses.replace(legs, mult_tables=legs.mult_tables[:2] + (perturbed,))
     x = build_from_markings(c, c, chi, bad, iota_c, iota_d)
     got = _torus_checks(x, n, k, DEFAULT_TOL)
     want = oracle.dense_torus_checks(n, k, product=x)
@@ -114,7 +115,7 @@ def test_torus_forms_no_ambient_matrix(monkeypatch):
     assert res.objects["u"].shape == res.objects["product"].legs.dims
 
 
-def test_size_estimate_admits_15_and_refuses_16(monkeypatch):
+def test_size_estimate_admits_25_and_refuses_26(monkeypatch):
     class Built(Exception):
         pass
 
@@ -123,6 +124,6 @@ def test_size_estimate_admits_15_and_refuses_16(monkeypatch):
 
     monkeypatch.setattr(apps, "build_via_heisenberg", built)
     with pytest.raises(Built):
-        finite_torus(15, 1)
-    with pytest.raises(BudgetError, match="torus n=16"):
-        finite_torus(16, 1)
+        finite_torus(25, 1)
+    with pytest.raises(BudgetError, match="torus n=26"):
+        finite_torus(26, 1)
