@@ -69,7 +69,6 @@ from .matspan import (
     basis_tables,
     check_size,
     cmatrix,
-    dense_table,
     expand_in_rows,
     hs_norm,
     multiplicative_closure,
@@ -305,67 +304,50 @@ def finite_torus(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult
     return _torus_checks(build_via_heisenberg(c, c, chi, tol=tol), n, k, tol)
 
 
-def _table_gap(a, b) -> float:
-    """Largest entry of |a - b| for two tables, each a OneTerm or dense."""
-    if isinstance(a, OneTerm) and isinstance(b, OneTerm):
-        same = a.idx == b.idx
-        gap = np.where(same, np.abs(a.val - b.val), np.maximum(np.abs(a.val), np.abs(b.val)))
-        return float(np.max(gap))
-    return float(np.max(np.abs(dense_table(a) - dense_table(b))))
+def _table_gap(a: OneTerm, b: OneTerm) -> float:
+    """Largest entry of |a - b| for two one-term tables."""
+    same = a.idx == b.idx
+    gap = np.where(same, np.abs(a.val - b.val), np.maximum(np.abs(a.val), np.abs(b.val)))
+    return float(np.max(gap))
 
 
 def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> ScenarioResult:
     """finite_torus's report on x, for generators of order n and the phase of k.
 
     u and v, the images of the translation lambda_1 under iota_C and iota_D,
-    are held as coordinate tensors over x's leg frames.  The Weyl, unitary
-    and order residuals are norms of coordinate tensors: the four products
-    of u and v from coords_product_pairs on the stack (u, v), then a a*
-    and the powers a^n (n - 1 products) of a = u, v.  On one-term legs u,
-    v and the identity are one-term rows, so the latter are index
-    arithmetic (_term_products, _term_stars) and each norm a
-    OneTerm.distance; otherwise they are formed by coords_product_pairs
-    and coords_star.  The frames are orthonormal, so such a norm is the
-    Frobenius norm of the ambient matrix; legs.residual, the worst defect
-    of a leg table row (one product of two unit frame elements), is added
-    to each as slack.  No ambient matrix is formed.
+    are held as coordinate tensors over x's leg frames.  The Weyl residual
+    is the norm of a coordinate tensor from coords_product_pairs on the
+    stack (u, v).  The legs of a torus are one term a row (translations
+    and Weyl monomials) and u, v and the identity are one-term rows, so
+    a a* and the powers a^n (n - 1 products) of a = u, v are index
+    arithmetic (_term_products, _term_stars) and each of their norms a
+    OneTerm.distance; x and the clock-and-shift model are compared on
+    their one-term structure and star tables.  Raises ValueError on legs,
+    generators or tables that are not one term a row.  The frames are
+    orthonormal, so such a norm is the Frobenius norm of the ambient
+    matrix; legs.residual, the worst defect of a leg table row (one
+    product of two unit frame elements), is added to each as slack.  No
+    ambient matrix is formed.
     """
     lam = translations(FinAbGroup((n,)))
     legs = x.legs
     u = x.iota_c_apply(lam[(1,)], tol)
     v = x.iota_d_apply(lam[(1,)], tol)
-    one = legs.identity(tol)
-    gens = np.stack([u, v])
-    pairs = coords_product_pairs(gens, gens, legs)
+    pair = np.stack([u, v])
+    pairs = coords_product_pairs(pair, pair, legs)
     omega = np.exp(-2j * np.pi * k / n)
     weyl = float(np.linalg.norm(pairs[1, 0] - omega * pairs[0, 1])) + legs.residual
 
-    rows = OneTerm.of_rows(np.stack([u, v, one]).reshape(3, -1))
-    if legs.one_term and rows is not None:
-        gens, one = rows[:2], rows[2]
-
-        def mul(a, b):
-            return _term_products(a, b, legs)
-
-        def dist(a, b) -> float:
-            return float(np.max(a.distance(b)))
-
-        stars = _term_stars(gens, legs)
-    else:
-        diag = (np.arange(2), np.arange(2))
-
-        def mul(a, b):
-            return coords_product_pairs(a, b, legs)[diag]
-
-        def dist(a, b) -> float:
-            return float(np.max(np.linalg.norm((a - b).reshape(2, -1), axis=1)))
-
-        stars = np.stack([coords_star(a, legs) for a in gens])
+    rows = OneTerm.of_rows(np.stack([u, v, legs.identity(tol)]).reshape(3, -1))
+    if not legs.one_term or rows is None:
+        raise ValueError("torus checks need one-term leg tables and generators")
+    gens, one = rows[:2], rows[2]
     powers = gens
     for _ in range(n - 1):
-        powers = mul(powers, gens)
-    unitary = dist(mul(gens, stars), one) + legs.residual
-    order = dist(powers, one) + legs.residual
+        powers = _term_products(powers, gens, legs)
+    unitary = float(np.max(_term_products(gens, _term_stars(gens, legs), legs).distance(one)))
+    unitary += legs.residual
+    order = float(np.max(powers.distance(one))) + legs.residual
 
     center = product_center_dim(x, tol)
     g2 = math.gcd(k, n) ** 2
@@ -385,8 +367,8 @@ def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> Scenario
         # clock-and-shift model: u -> diag(w^j), v -> (shift)^k; the powers
         # of the clock's diagonal are running products, those of the shift
         # the translations lambda_{kb}, and target[a n + b] = clock^a shift^kb / n.
-        # Its tables take basis_tables' monomial path, so they are compared
-        # with x's on the (index, value) arrays.
+        # Its tables are one term a row, so they are compared with x's on
+        # the (index, value) arrays.
         w = np.exp(2j * np.pi / n)
         clock = np.ones((n, n), dtype=np.complex128)
         clock[1:] = w ** np.arange(n)
@@ -394,6 +376,9 @@ def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> Scenario
         shifts = np.stack([lam[((k * b) % n,)] for b in range(n)])
         target = (clock[:, None, :, None] * shifts[None] / n).reshape(m, n * n)
         mu_t, star_t, res_t = basis_tables(target.reshape(m, n, n), tol)
+        tables = (mu_t, star_t, x.structure_table, x.star_table)
+        if not all(isinstance(t, OneTerm) for t in tables):
+            raise ValueError("torus checks need one-term structure and star tables")
         res_x = max(x.report["structure_residual"], x.report["adjoint_residual"])
         diff = max(_table_gap(mu_t, x.structure_table), _table_gap(star_t, x.star_table))
         full_rank = rank(target, tol.eps_rank) == m

@@ -129,7 +129,8 @@ class LegFrames:
     frames[l] holds orthonormal rows spanning a subspace of the l-th leg
     matrices; mult_tables[l] and star_tables[l] are the frame's tables as
     matspan.basis_tables gives them, a OneTerm when one term a row, and
-    mults and stars are their dense forms, formed on first read.
+    mults and stars are their dense forms, formed on first read (BudgetError
+    before forming one above MAX_DENSE_ENTRIES).
     residual is the worst table defect over all legs, so coordinate
     arithmetic is faithful up to this number.  identity(tol) gives the
     coordinates of the ambient identity.

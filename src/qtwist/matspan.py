@@ -16,6 +16,7 @@ arrays, which a family of monomial matrices gets by index arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -248,6 +249,9 @@ class OneTerm:
         return OneTerm(self.idx.reshape(*shape), self.val.reshape(*shape), self.width)
 
     def dense(self) -> np.ndarray:
+        """The dense array; raises BudgetError before forming it above
+        MAX_DENSE_ENTRIES."""
+        check_size(prod(self.shape), f"dense one-term table of shape {self.shape}")
         out = np.zeros(self.shape, dtype=np.complex128)
         np.put_along_axis(out, self.idx[..., None], self.val[..., None], axis=-1)
         return out
@@ -328,8 +332,10 @@ def _monomial_tables(basis: np.ndarray, tol: Tolerance):
     <f_k, t> / ||f_k||^2 (an empty support gives 0 e_0), so the result is
     expand_table's one-term table.  The products of each class pair and
     the adjoints of each class form one batch of d^2 n entries (classes
-    padded to the largest).  None, so that the GEMM path decides, when a
-    support is not a class's or some one-term defect exceeds eps_eq.
+    padded to the largest).  None, so that the GEMM path decides, when
+    the padded batch exceeds the GEMM stack's d^2 n^2 entries (uneven
+    classes), a support is not a class's or some one-term defect exceeds
+    eps_eq.
     """
     d, n = basis.shape[0], basis.shape[-1]
     mono = _monomial_rows(basis)
@@ -344,7 +350,12 @@ def _monomial_tables(basis: np.ndarray, tol: Tolerance):
     size = np.bincount(cls)
     c_n, k_n = size.size, int(size.max())
     pairs, t_n = c_n * c_n, k_n * k_n
-    check_size((pairs + c_n) * t_n * n, f"product table of {d} {n}x{n} matrices")
+    # the padded batch and its coefficients; uneven classes can make them
+    # larger than the GEMM stack, whose path then decides
+    batch_entries = (pairs + c_n) * t_n * max(n, k_n)
+    if batch_entries > d * d * n * n:
+        return None
+    check_size(batch_entries, f"product table of {d} {n}x{n} matrices")
     # members[c, s] is the s-th matrix of class c; the padding (d, a zero
     # row) and the empty class c_n (matrix 0 with value 0) add no term
     order = np.argsort(cls, kind="stable")

@@ -22,6 +22,7 @@ from qtwist.boxtimes import build_via_heisenberg, heisenberg_markings
 from qtwist.coact import delta_grading
 from qtwist.matspan import (
     DEFAULT_TOL,
+    BudgetError,
     OneTerm,
     _monomial_rows,
     _support_classes,
@@ -148,6 +149,38 @@ def test_partly_overlapping_supports_take_the_gemm_path():
     assert isinstance(mult, OneTerm) and res <= TOL
 
 
+def _uneven_classes(n):
+    # n diagonal phase matrices form one support class, the n^2 - n
+    # off-diagonal matrix units one class each: the padded index batch has
+    # about n^7 entries, the GEMM stack n^6
+    w = np.exp(2j * np.pi / n)
+    diag = np.stack([np.diag(w ** (j * np.arange(n))) for j in range(n)])
+    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    units = np.zeros((a.size, n, n), dtype=np.complex128)
+    units[np.arange(a.size), a, b] = 1.0
+    return np.concatenate([diag, units])
+
+
+def test_uneven_support_classes_take_the_gemm_path():
+    basis = _uneven_classes(6)
+    mono = _monomial_rows(basis)
+    assert mono is not None and _support_classes(*mono) is not None
+    assert matspan._monomial_tables(basis, DEFAULT_TOL) is None
+    _assert_tables_match(*basis_tables(basis), oracle.gemm_structure_tables(basis))
+    # at n = 20 the padded batch (1.3e9 entries) would exceed the budget;
+    # the index path declines instead of raising, so the GEMM path decides
+    assert matspan._monomial_tables(_uneven_classes(20), DEFAULT_TOL) is None
+
+
+def test_densifying_a_one_term_table_checks_the_budget(monkeypatch):
+    legs = finite_torus(4, 1).objects["product"].legs
+    # the Weyl leg's dense product table has 16^3 entries
+    monkeypatch.setattr(matspan, "MAX_DENSE_ENTRIES", 16**3 - 1)
+    with pytest.raises(BudgetError):
+        legs.mults
+    assert legs.mult_tables[0].dense().shape == (4, 4, 4)
+
+
 def _dense_rebuild(x, monkeypatch):
     """x assembled again with its products formed and the dense certificate."""
     real = boxtimes._pair_products
@@ -194,18 +227,18 @@ def test_densified_tables_match_the_dense_certificate(make, monkeypatch):
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2)])
-def test_torus_on_dense_leg_tables_matches_the_index_path(n, k):
-    # the same markings on legs whose tables are held dense: the family,
-    # certificate, center and torus checks take their formed paths
-    res = finite_torus(n, k)
-    x = res.objects["product"]
+def test_torus_checks_refuse_dense_leg_tables(n, k):
+    # the same markings on legs whose tables are held dense: the torus
+    # checks run on one-term rows only and refuse them
+    x = finite_torus(n, k).objects["product"]
     legs = replace(x.legs, mult_tables=x.legs.mults, star_tables=x.legs.stars)
     extra = {"pair_residual": x.report["pair_residual"]}
     y = boxtimes.build_from_markings(
         x.c_graded, x.d_graded, x.chi, legs, x.iota_c, x.iota_d, x.provenance, extra
     )
-    assert not legs.one_term and not isinstance(y.structure_table, OneTerm)
-    oracle.assert_reports_match(apps._torus_checks(y, n, k, DEFAULT_TOL).report, res.report)
+    assert not legs.one_term
+    with pytest.raises(ValueError, match="one-term"):
+        apps._torus_checks(y, n, k, DEFAULT_TOL)
 
 
 def test_dense_forms_are_formed_on_first_read():
