@@ -69,6 +69,7 @@ from .matspan import (
     basis_tables,
     check_size,
     cmatrix,
+    dense_table,
     expand_in_rows,
     hs_norm,
     multiplicative_closure,
@@ -134,16 +135,15 @@ def _report(name: str, inputs: dict, dims: dict, residuals: dict, verdicts: dict
 
 def sparse_triplets(tensor: np.ndarray, eps: float = 1e-12) -> list:
     """Nonzero entries of a 2- or 3-index tensor as {i,j,(k,)value} dicts."""
-    out = []
-    it = np.nditer(tensor, flags=["multi_index"])
-    for v in it:
-        z = complex(v)
-        if abs(z) <= eps:
-            continue
-        entry = dict(zip("ijk", (int(i) for i in it.multi_index)))
-        entry["value"] = [float(z.real), float(z.imag)]
-        out.append(entry)
-    return out
+    tensor = np.asarray(tensor)
+    where = np.nonzero(np.abs(tensor) > eps)
+    vals = tensor[where].astype(np.complex128)
+    return [
+        {**dict(zip("ijk", at)), "value": [re, im]}
+        for at, re, im in zip(
+            np.transpose(where).tolist(), vals.real.tolist(), vals.imag.tolist()
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +176,30 @@ def cocycle_twist_table(
     chi: Bicharacter,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TwistedProductTable:
-    """Twisted structure constants built from the factor tables alone."""
+    """Twisted structure constants built from the factor tables alone.
+
+    Reads each factor's cached tables, so raises ValueError on a grading
+    whose ambient basis is not its homogeneous basis (one that failed
+    validation).
+    """
+    for graded, name in ((c_graded, "C"), (d_graded, "D")):
+        if not graded.homogeneous_ambient:
+            raise ValueError(f"factor {name} grading failed validation")
     lab_c = c_graded.homogeneous_basis()
     lab_d = d_graded.homogeneous_basis()
-    a_mu, a_star, res_a, _ = c_graded.homogeneous_tables(tol)
-    b_mu, b_star, res_b, _ = d_graded.homogeneous_tables(tol)
+    a_mu, a_star, res_a = c_graded.tables(tol)
+    b_mu, b_star, res_b = d_graded.tables(tol)
     mc, md = len(lab_c), len(lab_d)
     m = mc * md
 
     # spin[k, j] = chi(deg c_k, deg d_j)^-1; |chi| = 1 so inverse = conj
     degs = np.ix_(c_graded.degree_indices(), d_graded.degree_indices())
     spin = chi.value_table().conj()[degs]
-    mu = np.einsum("ikp,jlq->ijklpq", a_mu, b_mu)
+    mu = np.einsum("ikp,jlq->ijklpq", dense_table(a_mu), dense_table(b_mu))
     mu = mu * spin.T[None, :, :, None, None, None]
     mu = mu.reshape(m, m, m)
 
-    star = np.einsum("ip,jq->ijpq", a_star, b_star)
+    star = np.einsum("ip,jq->ijpq", dense_table(a_star), dense_table(b_star))
     star = star * spin[:, :, None, None]
     star = star.reshape(m, m)
 
@@ -225,9 +233,9 @@ def tensor_structure_residual(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -
     """
     if x.structure is None:
         raise ValueError("tensor comparison needs the structure tensor")
-    a_mu, _, res_a, _ = x.c_graded.tables(tol)
-    b_mu, _, res_b, _ = x.d_graded.tables(tol)
-    model = np.einsum("ikp,jlq->ijklpq", a_mu, b_mu)
+    a_mu, _, res_a = x.c_graded.tables(tol)
+    b_mu, _, res_b = x.d_graded.tables(tol)
+    model = np.einsum("ikp,jlq->ijklpq", dense_table(a_mu), dense_table(b_mu))
     m = x.structure.shape[0]
     diff = float(np.max(np.abs(x.structure - model.reshape(m, m, m))))
     return max(diff, res_a, res_b)

@@ -273,33 +273,26 @@ def coords_product(x: np.ndarray, y: np.ndarray, legs: LegFrames) -> np.ndarray:
 
 
 def _gathered_pairs(xs: np.ndarray, ys: np.ndarray, legs: LegFrames) -> np.ndarray:
-    # Each pair of non-zero entries x_p, y_q adds x_p y_q prod_l phase_l[p_l, q_l]
-    # to the single output entry (index_l[p_l, q_l])_l of its row pair;
-    # scatter-add them in place (np.add.at sums in pair order, as a
-    # bincount would).  The pairs of all left rows go in one scatter, split
-    # only when they outnumber the output's entries.
-    dims = legs.dims
-    size = prod(dims)
+    # Each pair of non-zero entries x_p, y_q is one term of its row pair's
+    # product (_term_products); scatter-add the terms in place (np.add.at
+    # sums in pair order, as a bincount would).  The pairs of all left rows
+    # go in one scatter, split only when they outnumber the output's entries.
+    size = prod(legs.dims)
     m, k = xs.shape[0], ys.shape[0]
-    out = np.zeros((m, k) + dims, dtype=np.complex128)
-    yb, *yq = np.nonzero(ys)
-    y_vals = ys[(yb, *yq)]
+    out = np.zeros((m, k) + legs.dims, dtype=np.complex128)
+    xs, ys = xs.reshape(m, size), ys.reshape(k, size)
+    xa, xp = np.nonzero(xs)
+    x_terms = OneTerm(xp, xs[xa, xp].astype(np.complex128, copy=False), size)
+    yb, yq = np.nonzero(ys)
+    y_terms = OneTerm(yq, ys[yb, yq], size)
     y_base = yb * size
-    xa, *xp = np.nonzero(xs)
-    x_vals = xs[(xa, *xp)].astype(np.complex128, copy=False)
-    step = max(1, out.size // max(1, y_vals.size))
-    for start in range(0, x_vals.size, step):
+    step = max(1, out.size // max(1, yb.size))
+    for start in range(0, xa.size, step):
         block = slice(start, start + step)
-        vals = np.multiply.outer(x_vals[block], y_vals)
-        flat = np.zeros(vals.shape, dtype=np.intp)
-        for l, t in enumerate(legs.mult_tables):
-            i, j = xp[l][block, None], yq[l][None, :]
-            flat *= dims[l]
-            flat += t.idx[i, j]
-            vals *= t.val[i, j]
-        flat += y_base
+        terms = _term_products(x_terms[block, None], y_terms[None, :], legs)
+        flat = terms.idx + y_base
         flat += (xa[block] * (k * size))[:, None]
-        np.add.at(out.reshape(-1), flat.ravel(), vals.ravel())
+        np.add.at(out.reshape(-1), flat.ravel(), terms.val.ravel())
     return out
 
 
@@ -475,7 +468,7 @@ def graded_morphism(
         max(target.ambient.space.contains_residual(m) for m in images)
     )
     m = len(basis)
-    mult, star, _, _ = source.tables(tol)
+    mult, star, _ = source.tables(tol)
     prods = np.matmul(images[:, None], images[None, :])
     adjs = images.conj().transpose(0, 2, 1)
     rep["homomorphism"], rep["star"] = table_defect(mult, star, images, prods, adjs)
@@ -675,8 +668,8 @@ def _term_products(xs: OneTerm, ys: OneTerm, legs: LegFrames) -> OneTerm:
 
     Needs one-term product tables (legs.monomial): leg by leg, frame
     elements a and b multiply to mult.val[a, b] times element
-    mult.idx[a, b], so each product is one (index, value) pair, the sum
-    _gathered_pairs would scatter.
+    mult.idx[a, b], so each product is one (index, value) pair;
+    _gathered_pairs scatters these terms of sparse rows.
     """
     idx, val = 0, xs.val * ys.val
     dims = legs.dims
@@ -720,7 +713,7 @@ def _marking_report(
     m = iota.shape[0]
     if rows is None:
         rows = OneTerm.of_rows(iota.reshape(m, -1))
-    mult, star, _ = graded.term_tables(tol)
+    mult, star, _ = graded.tables(tol)
     if (
         legs.one_term
         and rows is not None
@@ -736,7 +729,6 @@ def _marking_report(
         star_res = float(np.max(adjs.distance(want_adj), initial=0.0))
         inj = np.count_nonzero(_kept_units(rows, tol)) == m
         return hom, star_res, bool(inj)
-    mult, star, _, _ = graded.tables(tol)
     prods = coords_product_pairs(iota, iota, legs)
     hom, star_res = table_defect(mult, star, iota, prods, _star_stack(iota, legs))
     inj = rank(iota.reshape(m, -1), tol.eps_rank) == m

@@ -19,12 +19,12 @@ from .abgroup import Bicharacter, FinAbGroup, GroupHom, dual_group, pairing_tabl
 from .matspan import (
     DEFAULT_TOL,
     AlgebraBasis,
+    OneTerm,
     Subspace,
     Tolerance,
     basis_tables,
     check_size,
     cmatrix,
-    dense_tables,
     expand_in_rows,
     hs_norm,
     _closure_round,
@@ -34,7 +34,6 @@ from .matspan import (
     rank,
     residual_outside,
     span_basis,
-    structure_tables,
     table_defect,
 )
 from .qgroup import QuantumGroupModel, build_model, translations
@@ -99,37 +98,25 @@ class GradedAlgebra:
     report: dict = field(default_factory=dict)
     homogeneous_ambient: bool = False
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _term_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
         return self.ambient.ambient_dim
 
-    def term_tables(self, tol: Tolerance = DEFAULT_TOL):
-        """basis_tables(ambient.basis, tol), formed once per tolerance."""
-        if tol not in self._term_tables:
-            self._term_tables[tol] = basis_tables(self.ambient.basis, tol)
-        return self._term_tables[tol]
-
     def tables(self, tol: Tolerance = DEFAULT_TOL):
-        """structure_tables' (mult, star, residual, monomial) of ambient.basis,
-        formed once per tolerance from term_tables.
+        """basis_tables' (mult, star, residual) of ambient.basis, formed
+        once per tolerance.
 
-        The arrays are shared by every caller, so they are read-only.
+        The tables are shared by every caller, so their arrays (a
+        OneTerm's idx and val, or the dense table) are read-only.
         """
         if tol not in self._tables:
-            tables = dense_tables(*self.term_tables(tol))
-            for a in tables[:2] + (tables[3] or ()):
-                a.flags.writeable = False
+            tables = basis_tables(self.ambient.basis, tol)
+            for t in tables[:2]:
+                for a in (t.idx, t.val) if isinstance(t, OneTerm) else (t,):
+                    a.flags.writeable = False
             self._tables[tol] = tables
         return self._tables[tol]
-
-    def homogeneous_tables(self, tol: Tolerance = DEFAULT_TOL):
-        """structure_tables of the homogeneous basis: the cached tables()
-        when that basis is the ambient one, else formed on the call."""
-        if self.homogeneous_ambient:
-            return self.tables(tol)
-        return structure_tables(np.stack([m for _, m in self.homogeneous_basis()]), tol)
 
     def degree_indices(self) -> np.ndarray:
         """Position in group.elements() of each homogeneous_basis() degree."""
@@ -615,7 +602,7 @@ def table_grading(
 
     rows (m, S) are the family in orthonormal coordinates, so coordinate
     norms are Frobenius norms; structure[i, j] and star[i] expand f_i f_j
-    and f_i* in the family (matspan.structure_tables' convention), and
+    and f_i* in the family (matspan.basis_tables' convention), and
     closure_residual is the worst distance of a product or adjoint from
     the span that certified them.  identity holds the coordinates of the
     ambient identity.  The family is a basis, so the index sets are an
@@ -863,13 +850,13 @@ def verify_covariant(rep: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> dict:
     """Certify *-homomorphism, faithfulness and the covariance condition.
 
     homomorphism and star are the table_defect of the images against the
-    structure_tables of the ambient basis, as in graded_morphism.
+    tables of the ambient basis, as in graded_morphism.
     """
     graded = rep.graded
     basis = graded.ambient.basis
     d = len(basis)
     out: dict = {}
-    mult, star, _, _ = graded.tables(tol)
+    mult, star, _ = graded.tables(tol)
     prods = np.matmul(rep.images[:, None], rep.images[None, :])
     adjs = rep.images.conj().transpose(0, 2, 1)
     out["homomorphism"], out["star"] = table_defect(mult, star, rep.images, prods, adjs)
@@ -929,10 +916,14 @@ def action_from_bicharacter(
     a dict degree -> scalar, since the map acts by a scalar on each
     component.  theta_h is diagonal on the homogeneous basis: the report
     holds the table_defect of its images chi(deg b, h) b against the
-    basis's structure_tables, and additive_in_h reads chi's values.
+    basis's tables, and additive_in_h reads chi's values.  Raises
+    ValueError on a grading whose ambient basis is not its homogeneous
+    basis (one that failed validation).
     """
     if chi.group_g != graded.group:
         raise ValueError("bicharacter first leg must match the grading group")
+    if not graded.homogeneous_ambient:
+        raise ValueError("grading failed validation: no homogeneous tables")
     H = chi.group_h
     table = chi.value_table()
     degs = graded.degrees()
@@ -942,9 +933,8 @@ def action_from_bicharacter(
         for y, h in enumerate(H.elements())
     }
 
-    labeled = graded.homogeneous_basis()
-    basis = np.stack([m for _, m in labeled])
-    mult, star, _, _ = graded.homogeneous_tables(tol)
+    basis = graded.ambient.basis
+    mult, star, _ = graded.tables(tol)
     prods = np.matmul(basis[:, None], basis[None, :])
     adjs = basis.conj().transpose(0, 2, 1)
     rep: dict = {"multiplicative": 0.0}

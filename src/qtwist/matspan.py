@@ -37,9 +37,7 @@ __all__ = [
     "subspace_equal",
     "OneTerm",
     "dense_table",
-    "dense_tables",
     "basis_tables",
-    "structure_tables",
     "multiplicative_closure",
     "internal_unit",
 ]
@@ -443,36 +441,26 @@ def basis_tables(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     return mult, star if s_mono is None else OneTerm(*s_mono, d), max(res, s_res)
 
 
-def structure_tables(
-    basis: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
-    """(mult, star, residual, monomial): basis_tables as dense arrays.
-
-    mult[i, j] expands b_i b_j and star[i] expands b_i* in the family;
-    monomial is None unless the product table is one term a row, then
-    (index, phase) arrays of shape (d, d): b_i b_j ~ phase[i, j] b_index[i, j].
-    """
-    return dense_tables(*basis_tables(basis, tol))
-
-
-def dense_tables(mult, star, residual: float):
-    """basis_tables' (mult, star, residual) in structure_tables' form."""
-    mono = (mult.idx, mult.val) if isinstance(mult, OneTerm) else None
-    return dense_table(mult), dense_table(star), residual, mono
-
-
 def table_defect(mult, star, images, prods, stars) -> tuple[float, float]:
     """(product, adjoint) defect of images against a basis's tables.
 
-    images[k] is the image of basis element k, prods[i, j] the product of
-    images i and j, stars[i] the adjoint of image i, each of any shape;
-    the defects are the worst row norms of prods - mult . images and
-    stars - star . images, zero exactly for a *-homomorphism b_k -> images[k].
+    mult and star are basis_tables' tables, OneTerm or dense; images[k] is
+    the image of basis element k, prods[i, j] the product of images i and
+    j, stars[i] the adjoint of image i, each of any shape.  The defects are
+    the worst row norms of prods - mult . images and stars - star . images,
+    zero exactly for a *-homomorphism b_k -> images[k]; a OneTerm row is
+    read by gather, val times the image it indexes.
     """
     m = images.shape[0]
     img = images.reshape(m, -1)
-    hom = np.linalg.norm(prods.reshape(m * m, -1) - mult.reshape(m * m, m) @ img, axis=1)
-    adj = np.linalg.norm(stars.reshape(m, -1) - star @ img, axis=1)
+
+    def expand(table, rows):
+        if isinstance(table, OneTerm):
+            return (table.val[..., None] * img[table.idx]).reshape(rows, -1)
+        return table.reshape(rows, m) @ img
+
+    hom = np.linalg.norm(prods.reshape(m * m, -1) - expand(mult, m * m), axis=1)
+    adj = np.linalg.norm(stars.reshape(m, -1) - expand(star, m), axis=1)
     return float(np.max(hom)), float(np.max(adj))
 
 

@@ -66,7 +66,9 @@ from qtwist.matspan import (
     Subspace,
     Tolerance,
     _cut,
+    basis_tables,
     cmatrix,
+    dense_table,
     expand_in_rows,
     expand_table,
     hs_norm,
@@ -75,7 +77,6 @@ from qtwist.matspan import (
     rank,
     residual_outside,
     span_basis,
-    structure_tables,
     table_defect,
 )
 from qtwist.qgroup import translations
@@ -96,9 +97,11 @@ def assert_reports_match(got, want):
 
 def gemm_structure_tables(basis, tol: Tolerance = DEFAULT_TOL):
     """(mult, star, residual, monomial) of a (d, n, n) family from its
-    d^2 n^2 product stack, as structure_tables computed them before the
-    index path: one GEMM (d n, n) @ (n, d n), reordered to rows (i, j),
-    then expand_table on the products and on the adjoints."""
+    d^2 n^2 product stack, as basis_tables' GEMM path computes them: one
+    GEMM (d n, n) @ (n, d n), reordered to rows (i, j), then expand_table
+    on the products and on the adjoints.  The tables are dense; monomial
+    is the product table's (index, value) arrays when it is one term a
+    row, else None."""
     basis = np.asarray(basis, dtype=np.complex128)
     d, n = basis.shape[0], basis.shape[-1]
     rows = basis.reshape(d, n * n)
@@ -334,7 +337,8 @@ def dense_torus_checks(
                 for b in range(n)
             ]
         )
-        mu_t, smat_t, res_t, _ = structure_tables(target.reshape(m, n, n), tol)
+        mu_t, smat_t, res_t = basis_tables(target.reshape(m, n, n), tol)
+        mu_t, smat_t = dense_table(mu_t), dense_table(smat_t)
         res_x = max(x.report["structure_residual"], x.report["adjoint_residual"])
         diff = float(
             max(np.max(np.abs(mu_t - x.structure)), np.max(np.abs(smat_t - x.star)))
@@ -832,9 +836,9 @@ def dense_marking_report(
     graded: GradedAlgebra, iota: np.ndarray, legs, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[float, float, bool]:
     """(homomorphism, star, injective) of a marking from every product and
-    adjoint: table_defect against structure_tables of the ambient basis,
+    adjoint: table_defect against the dense tables of the ambient basis,
     and the rank of the rows."""
-    mult, star, _, _ = structure_tables(graded.ambient.basis, tol)
+    mult, star, _ = (dense_table(t) for t in basis_tables(graded.ambient.basis, tol))
     prods = coords_product_pairs(iota, iota, legs)
     adjs = np.stack([coords_star(v, legs) for v in iota])
     hom, star_res = table_defect(mult, star, iota, prods, adjs)

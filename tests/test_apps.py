@@ -41,7 +41,7 @@ from qtwist.coact import (
     grading_to_coaction,
     make_cocycle,
 )
-from qtwist.matspan import DEFAULT_TOL, expand_in_rows
+from qtwist.matspan import DEFAULT_TOL, dense_table, expand_in_rows
 from qtwist.qgroup import translations
 
 from dense_oracle import center, dense_algebra
@@ -151,18 +151,20 @@ def test_blocked_associativity_matches_einsum(build):
 def test_non_associative_table_fails_two_cocycle(monkeypatch):
     # b_1 b_1 gains 0.1 b_0 in the first factor's table as the cocycle
     # table reads it (b_k the normalised lambda_k), so (b_1 b_1) b_2 and
-    # b_1 (b_1 b_2) differ; the product's own certificate keeps the true table
+    # b_1 (b_1 b_2) differ; the product is built, and certified, before
+    # the table is perturbed
     c = delta_grading(Z3)
-    real = c.homogeneous_tables
+    x = build_via_heisenberg(c, delta_grading(Z3), CHI3)
+    real = c.tables
 
     def perturbed(tol=DEFAULT_TOL):
-        mult, star, res, mono = real(tol)
-        mult = mult.copy()
+        mult, star, res = real(tol)
+        mult = dense_table(mult).copy()
         mult[1, 1, 0] += 0.1
-        return mult, star, res, mono
+        return mult, star, res
 
-    monkeypatch.setattr(c, "homogeneous_tables", perturbed)
-    res = rieffel_twist_compare(c, delta_grading(Z3), CHI3)
+    monkeypatch.setattr(c, "tables", perturbed)
+    res = apps._rieffel_result(x, DEFAULT_TOL)
     table = res.objects["table"]
     want = einsum_associativity(table.structure)
     assert want > 1e-3

@@ -66,8 +66,8 @@ from qtwist.matspan import (
     internal_unit,
     multiplicative_closure,
     orthonormal_rows,
+    basis_tables,
     residual_outside,
-    structure_tables,
 )
 from qtwist.qgroup import translations
 
@@ -440,7 +440,7 @@ def test_product_table_over_budget_stops_before_the_tables(monkeypatch):
     monkeypatch.setattr("qtwist.matspan.MAX_DENSE_ENTRIES", 255)
     message = "product table of 4 4x4 matrices: 256 complex entries"
     with pytest.raises(BudgetError, match=message):
-        structure_tables(np.zeros((4, 4, 4)))
+        basis_tables(np.zeros((4, 4, 4)))
     with pytest.raises(BudgetError, match=message):
         build_via_covariant(rep, rep, CHI2)
 

@@ -27,13 +27,15 @@ from qtwist.coact import (
     verify_coaction,
     verify_covariant,
 )
+from qtwist.apps import cocycle_twist_table
 from qtwist.matspan import (
     BudgetError,
+    basis_tables,
+    dense_table,
     expand_in_rows,
     internal_unit,
     multiplicative_closure,
     residual_outside,
-    structure_tables,
     subspace_equal,
 )
 from qtwist.qgroup import build_model, translations
@@ -239,8 +241,10 @@ def _skewed_family(graded, seed):
 
 def _table_report(graded, rows, deg):
     n = graded.ambient_dim
-    mult, star, res, _ = structure_tables(rows.reshape(-1, n, n))
-    return table_grading(graded.group, deg, rows, mult, star, res, np.eye(n).reshape(-1))
+    mult, star, res = basis_tables(rows.reshape(-1, n, n))
+    return table_grading(
+        graded.group, deg, rows, dense_table(mult), dense_table(star), res, np.eye(n).reshape(-1)
+    )
 
 
 def test_table_grading_of_a_skewed_family_matches_graded_algebra():
@@ -414,6 +418,20 @@ def test_action_from_bicharacter_sign_action():
         parts = graded.decompose(m)
         got = sum(thetas[(1,)][g] * cg for g, cg in parts.items())
         assert np.allclose(got, sz @ m @ sz)
+
+
+def test_action_and_twist_table_refuse_a_failed_grading():
+    # overlapping components: the ambient basis is not the homogeneous one,
+    # so the grading has no tables to read
+    overlapping = graded_algebra(Z2, {(0,): [E11], (1,): [E11, E22]})
+    assert not overlapping.homogeneous_ambient
+    chi = Bicharacter(Z2, Z2, ((1,),))
+    with pytest.raises(ValueError, match="failed validation"):
+        action_from_bicharacter(overlapping, chi)
+    with pytest.raises(ValueError, match="factor C grading failed validation"):
+        cocycle_twist_table(overlapping, delta_grading(Z2), chi)
+    with pytest.raises(ValueError, match="factor D grading failed validation"):
+        cocycle_twist_table(delta_grading(Z2), overlapping, chi)
 
 
 def test_corep_cocycle_for_trivial_coaction():

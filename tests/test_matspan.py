@@ -16,8 +16,10 @@ from qtwist.matspan import (
     orthonormal_rows,
     rank,
     residual_outside,
+    OneTerm,
+    basis_tables,
+    dense_table,
     span_basis,
-    structure_tables,
     subspace_equal,
     table_defect,
 )
@@ -227,18 +229,18 @@ def rebase(mult, star, t):
     )
 
 
-def test_structure_tables_monomial_and_dense_paths_agree():
+def test_basis_tables_monomial_and_dense_paths_agree():
     graded = character_grading(FinAbGroup((6,)))
     homs = np.stack([m for _, m in graded.homogeneous_basis()])
     rotated = span_basis(list(homs)).basis
-    mu_h, st_h, res_h, mono = structure_tables(homs)
-    mu_r, st_r, res_r, mono_r = structure_tables(rotated)
+    mono, st_h, res_h = basis_tables(homs)
+    mu_r, st_r, res_r = basis_tables(rotated)
     # the homogeneous basis multiplies monomially, its rotation does not
-    assert mono is not None and mono_r is None
-    index, phase = mono
-    i, j = np.indices(index.shape)
-    assert np.array_equal(mu_h[i, j, index], phase)
-    assert np.count_nonzero(mu_h) == index.size
+    assert isinstance(mono, OneTerm) and not isinstance(mu_r, OneTerm)
+    mu_h, st_h = dense_table(mono), dense_table(st_h)
+    i, j = np.indices(mono.idx.shape)
+    assert np.array_equal(mu_h[i, j, mono.idx], mono.val)
+    assert np.count_nonzero(mu_h) == mono.idx.size
     assert max(res_h, res_r) < 1e-12
     t = homs.reshape(6, -1) @ rotated.reshape(6, -1).conj().T
     assert np.linalg.norm(t @ t.conj().T - np.eye(6)) < 1e-12
@@ -247,7 +249,7 @@ def test_structure_tables_monomial_and_dense_paths_agree():
     assert np.max(np.abs(st - st_h)) <= 1e-12
 
 
-def test_structure_tables_unnormalised_rows_take_the_monomial_path():
+def test_basis_tables_unnormalised_rows_take_the_monomial_path():
     # clock and shift monomials divided by n: orthogonal rows of norm
     # n^-1/2, whose products are single rows times phase / n, so the
     # one-term test divides by the squared row norm
@@ -262,9 +264,10 @@ def test_structure_tables_unnormalised_rows_take_the_monomial_path():
         ]
     )
     m = n * n
-    mult, star, res, mono = structure_tables(fam)
-    assert mono is not None
+    mult, star, res = basis_tables(fam)
+    assert isinstance(mult, OneTerm)
     assert res < 1e-12
+    mult, star = dense_table(mult), dense_table(star)
     rows = fam.reshape(m, -1)
     prods = np.einsum("iab,jbc->ijac", fam, fam).reshape(m * m, -1)
     want_mult, _ = expand_in_rows(prods, rows)
@@ -285,30 +288,34 @@ def test_rank_counts_the_rows_orthonormal_rows_returns():
     assert rank(deficient, DEFAULT_TOL.eps_rank) == rank(sparse, DEFAULT_TOL.eps_rank) == 3
 
 
-def test_structure_tables_unclosed_span_reports_its_residual():
+def test_basis_tables_unclosed_span_reports_its_residual():
     # SX SZ = -i SY lies outside span(1, SX, SZ)
-    _, _, res, mono = structure_tables(np.stack([I2, SX, SZ]) / np.sqrt(2))
-    assert mono is None
+    mult, _, res = basis_tables(np.stack([I2, SX, SZ]) / np.sqrt(2))
+    assert not isinstance(mult, OneTerm)
     assert res > DEFAULT_TOL.eps_eq
 
 
 def test_table_defect_separates_homomorphisms_from_transposition():
     basis = np.stack([I2, SX, SY, SZ]) / np.sqrt(2)
-    mult, star, _, _ = structure_tables(basis)
+    mult, star, _ = basis_tables(basis)
+    # the Pauli basis multiplies one term a row: table_defect reads the
+    # OneTerm tables by gather and their dense forms by GEMM, alike
+    assert isinstance(mult, OneTerm) and isinstance(star, OneTerm)
 
-    def defect(images):
+    def defect(images, tables):
         return table_defect(
-            mult,
-            star,
+            *tables,
             images,
             np.einsum("iab,jbc->ijac", images, images),
             images.conj().transpose(0, 2, 1),
         )
 
     u = haar_unitary(2, np.random.default_rng(5))
-    hom, adj = defect(np.einsum("ab,ibc,cd->iad", u, basis, u.conj().T))
-    assert max(hom, adj) < 1e-12
-    # transposition keeps adjoints but reverses products
-    hom, adj = defect(basis.transpose(0, 2, 1))
-    assert adj < 1e-12
-    assert hom > 0.1
+    dense = (dense_table(mult), dense_table(star))
+    for tables in ((mult, star), dense):
+        hom, adj = defect(np.einsum("ab,ibc,cd->iad", u, basis, u.conj().T), tables)
+        assert max(hom, adj) < 1e-12
+        # transposition keeps adjoints but reverses products
+        hom, adj = defect(basis.transpose(0, 2, 1), tables)
+        assert adj < 1e-12
+        assert hom > 0.1

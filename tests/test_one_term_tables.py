@@ -7,6 +7,9 @@ on each monomial one, matspan._monomial_tables must give the GEMM oracle's
 index arrays, with values and residual within 1e-12.  Negative controls
 perturb one generator entry or use partly overlapping supports and must
 leave the index path for the GEMM path, with the oracle's verdict.
+table_defect, which reads a one-term table by gather, must match its
+result on the dense table within 1e-15 for every grading kind over
+cli.group_catalog(8), and a perturbed image must fail on both.
 """
 
 from dataclasses import replace
@@ -278,3 +281,64 @@ def test_matrix_grading_legs_are_monomial(kind, monkeypatch):
     monkeypatch.setattr(boxtimes, "_dense_certificate", refused)
     x = build_via_heisenberg(c, d, chi)
     assert x.report["passed"] and isinstance(x.structure_table, OneTerm)
+
+
+# ---------------------------------------------------------------------------
+# table_defect reads one-term tables by gather
+
+
+def _gradings():
+    rng = np.random.default_rng(0)
+    for cycles in cli.group_catalog(8):
+        G = FinAbGroup(cycles)
+        for kind in cli.GRADING_KINDS:
+            yield pytest.param(
+                cli.random_grading(kind, G, rng, DEFAULT_TOL), id=f"{kind} {cycles}"
+            )
+
+
+def _conjugated(graded):
+    """(images, products, adjoints) of b -> u b u* for a fixed unitary u."""
+    n = graded.ambient_dim
+    rng = np.random.default_rng(n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    images = u @ graded.ambient.basis @ u.conj().T
+    prods = np.matmul(images[:, None], images[None, :])
+    return images, prods, images.conj().transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("graded", _gradings())
+def test_one_term_table_defect_matches_the_dense_tables(graded):
+    mult, star, _ = graded.tables()
+    assert isinstance(mult, OneTerm) and isinstance(star, OneTerm)
+    images, prods, adjs = _conjugated(graded)
+    got = matspan.table_defect(mult, star, images, prods, adjs)
+    want = matspan.table_defect(dense_table(mult), dense_table(star), images, prods, adjs)
+    assert abs(got[0] - want[0]) <= 1e-15 and abs(got[1] - want[1]) <= 1e-15
+    assert max(got) < TOL
+    # one image moved off its place fails the product and adjoint checks
+    bad = images.copy()
+    bad[-1] += 1e-3j * np.eye(graded.ambient_dim)
+    bad_prods = np.matmul(bad[:, None], bad[None, :])
+    bad_adjs = bad.conj().transpose(0, 2, 1)
+    got = matspan.table_defect(mult, star, bad, bad_prods, bad_adjs)
+    want = matspan.table_defect(dense_table(mult), dense_table(star), bad, bad_prods, bad_adjs)
+    assert min(got) > 1e-4 and min(want) > 1e-4
+    assert abs(got[0] - want[0]) <= TOL and abs(got[1] - want[1]) <= TOL
+
+
+def test_cached_tables_are_read_only():
+    graded = delta_grading(FinAbGroup((4,)))
+    mult, star, _ = graded.tables()
+    for a in (mult.idx, mult.val, star.idx, star.val):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    # a dense table, that of a rotated basis, is read-only too
+    graded = coact.character_grading(FinAbGroup((6,)))
+    space = matspan.span_basis(list(graded.ambient.basis))
+    rotated = replace(graded, ambient=replace(graded.ambient, space=space))
+    rot_mult, rot_star, _ = rotated.tables()
+    assert not isinstance(rot_mult, OneTerm) and not isinstance(rot_star, OneTerm)
+    for a in (rot_mult, rot_star):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
