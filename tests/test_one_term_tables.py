@@ -287,42 +287,29 @@ def test_matrix_grading_legs_are_monomial(kind, monkeypatch):
 # table_defect reads one-term tables by gather
 
 
-def _gradings():
-    rng = np.random.default_rng(0)
-    for cycles in cli.group_catalog(8):
-        G = FinAbGroup(cycles)
-        for kind in cli.GRADING_KINDS:
-            yield pytest.param(
-                cli.random_grading(kind, G, rng, DEFAULT_TOL), id=f"{kind} {cycles}"
-            )
+def _defects(tables, images):
+    prods = np.matmul(images[:, None], images[None, :])
+    return matspan.table_defect(*tables, images, prods, images.conj().transpose(0, 2, 1))
 
 
-def _conjugated(graded):
-    """(images, products, adjoints) of b -> u b u* for a fixed unitary u."""
+@pytest.mark.parametrize("kind", cli.GRADING_KINDS)
+@pytest.mark.parametrize("cycles", cli.group_catalog(8))
+def test_one_term_table_defect_matches_the_dense_tables(cycles, kind):
+    graded = cli.random_grading(kind, FinAbGroup(cycles), np.random.default_rng(0), DEFAULT_TOL)
+    mult, star, _ = graded.tables()
+    assert isinstance(mult, OneTerm) and isinstance(star, OneTerm)
+    dense = (dense_table(mult), dense_table(star))
+    # the images u b u* of a *-homomorphism, for a fixed unitary u
     n = graded.ambient_dim
     rng = np.random.default_rng(n)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     images = u @ graded.ambient.basis @ u.conj().T
-    prods = np.matmul(images[:, None], images[None, :])
-    return images, prods, images.conj().transpose(0, 2, 1)
-
-
-@pytest.mark.parametrize("graded", _gradings())
-def test_one_term_table_defect_matches_the_dense_tables(graded):
-    mult, star, _ = graded.tables()
-    assert isinstance(mult, OneTerm) and isinstance(star, OneTerm)
-    images, prods, adjs = _conjugated(graded)
-    got = matspan.table_defect(mult, star, images, prods, adjs)
-    want = matspan.table_defect(dense_table(mult), dense_table(star), images, prods, adjs)
+    got, want = _defects((mult, star), images), _defects(dense, images)
     assert abs(got[0] - want[0]) <= 1e-15 and abs(got[1] - want[1]) <= 1e-15
     assert max(got) < TOL
     # one image moved off its place fails the product and adjoint checks
-    bad = images.copy()
-    bad[-1] += 1e-3j * np.eye(graded.ambient_dim)
-    bad_prods = np.matmul(bad[:, None], bad[None, :])
-    bad_adjs = bad.conj().transpose(0, 2, 1)
-    got = matspan.table_defect(mult, star, bad, bad_prods, bad_adjs)
-    want = matspan.table_defect(dense_table(mult), dense_table(star), bad, bad_prods, bad_adjs)
+    images[-1] += 1e-3j * np.eye(n)
+    got, want = _defects((mult, star), images), _defects(dense, images)
     assert min(got) > 1e-4 and min(want) > 1e-4
     assert abs(got[0] - want[0]) <= TOL and abs(got[1] - want[1]) <= TOL
 
