@@ -68,13 +68,14 @@ from .coact import (
 from .heis import RepPair, canonical_heisenberg, is_heisenberg
 from .matspan import (
     DEFAULT_TOL,
+    Frame,
     OneTerm,
     Tolerance,
-    basis_tables,
     cmatrix,
     dense_table,
     expand_in_rows,
     expand_table,
+    frame,
     orthonormal_rows,
     rank,
     residual_outside,
@@ -128,12 +129,13 @@ class LegFrames:
 
     frames[l] holds orthonormal rows spanning a subspace of the l-th leg
     matrices; mult_tables[l] and star_tables[l] are the frame's tables as
-    matspan.basis_tables gives them, a OneTerm when one term a row, and
-    mults and stars are their dense forms, formed on first read (BudgetError
-    before forming one above MAX_DENSE_ENTRIES).
-    residual is the worst table defect over all legs, so coordinate
-    arithmetic is faithful up to this number.  identity(tol) gives the
-    coordinates of the ambient identity.
+    matspan.basis_tables gives them, a OneTerm when one term a row.  These
+    are the arrays of the leg's matspan.Frame, read-only (a factor's leg is
+    shared with its GradedAlgebra.leg).  mults and stars are the tables'
+    dense forms, formed on first read (BudgetError before forming one
+    above MAX_DENSE_ENTRIES).  residual is the worst table defect over all
+    legs, so coordinate arithmetic is faithful up to this number.
+    identity(tol) gives the coordinates of the ambient identity.
     """
 
     sizes: tuple[int, ...]
@@ -185,71 +187,24 @@ class LegFrames:
         return self._identity[tol]
 
 
-def _kept_generators(rows: np.ndarray, tol: Tolerance) -> np.ndarray | None:
-    """The normalised generators as a frame, or None if they need rotating.
+def leg_frames(legs, tol: Tolerance = DEFAULT_TOL) -> LegFrames:
+    """Certified frames, one per tensor leg.
 
-    Generators below the eps_rank cut are ignored, as orthonormal_rows
-    would.  Every two of the others must overlap, |<u_i, u_j>| of the unit
-    rows, below eps_eq or above 1 - eps_eq (phase repeats); the first of
-    each class of repeats is kept, in order, found in one pass over the
-    overlap matrix.  None when some pair overlaps partially or some input
-    is not certified to lie in the span of the kept rows.
+    An entry of legs is a list of the leg's spanning matrices, whose
+    frame matspan.frame builds, or a matspan.Frame already built (a
+    factor's GradedAlgebra.leg), taken as it is.  A frame keeps the
+    generators, normalised, when it can, else it is an SVD basis; each
+    leg's span must be closed under products and adjoints, and the tables
+    are one term a row when each row is one term within eps_eq (see
+    LegFrames and matspan.frame).
     """
-    norms = np.linalg.norm(rows, axis=1)
-    live = np.flatnonzero(norms > tol.eps_rank * float(np.max(norms)))
-    unit = rows[live] / norms[live, None]
-    overlap = np.abs(unit.conj() @ unit.T)
-    if np.any((overlap > tol.eps_eq) & (overlap < 1.0 - tol.eps_eq)):
-        return None
-    kept = unit[~np.tril(overlap >= 1.0 - tol.eps_eq, -1).any(axis=1)]
-    if np.any(residual_outside(rows, kept) > tol.eps_eq * np.maximum(1.0, norms)):
-        return None
-    return kept
-
-
-def leg_frames(leg_mats, tol: Tolerance = DEFAULT_TOL) -> LegFrames:
-    """Build certified frames from spanning matrices for each leg.
-
-    A leg keeps its generators, normalised, when they are orthogonal up
-    to eps_eq apart from phase repeats (which are dropped) and every
-    generator is certified to lie in the span of the kept ones; otherwise
-    its frame is the SVD basis of orthonormal_rows.  Each leg's span must
-    be closed under products and adjoints; the recorded residual measures
-    how well the stored tables hold, it is never assumed.  The tables come
-    from basis_tables, one term a row when each row is one term within
-    eps_eq, see LegFrames.
-    """
-    frames, mults, stars, sizes = [], [], [], []
-    worst = 0.0
-    built: list[tuple[np.ndarray, tuple]] = []
-    for mats in leg_mats:
-        mats = [cmatrix(m) for m in mats]
-        if not mats:
-            raise ValueError("every leg needs at least one matrix")
-        n = mats[0].shape[0]
-        given = np.stack([cmatrix(m, n).reshape(-1) for m in mats])
-        # a leg with the same generators as an earlier one (C boxtimes C)
-        # shares its frame and tables
-        same = next((leg for g, leg in built if np.array_equal(g, given)), None)
-        if same is not None:
-            rows, (mult, star, res) = same
-        else:
-            rows = _kept_generators(given, tol)
-            if rows is None:
-                rows = orthonormal_rows(given, tol.eps_rank)
-            mult, star, res = basis_tables(rows.reshape(-1, n, n), tol)
-            built.append((given, (rows, (mult, star, res))))
-        worst = max(worst, res)
-        frames.append(rows)
-        mults.append(mult)
-        stars.append(star)
-        sizes.append(n)
+    frames = [leg if isinstance(leg, Frame) else frame(leg, tol) for leg in legs]
     return LegFrames(
-        sizes=tuple(sizes),
-        frames=tuple(frames),
-        mult_tables=tuple(mults),
-        star_tables=tuple(stars),
-        residual=worst,
+        sizes=tuple(f.size for f in frames),
+        frames=tuple(f.rows for f in frames),
+        mult_tables=tuple(f.mult for f in frames),
+        star_tables=tuple(f.star for f in frames),
+        residual=max([0.0] + [f.residual for f in frames]),
     )
 
 
@@ -982,18 +937,6 @@ def _assemble(
     )
 
 
-def _unital_leg(basis: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
-    """An orthonormal basis as leg generators, with the identity added only
-    when residual_outside puts it outside the span by more than
-    eps_eq * sqrt(n), the bound pure_coords projects it within.  A
-    factor's basis contains its identity, so a matrix-grading leg keeps
-    its matrix units, which no partial overlap with the identity rotates."""
-    n = basis.shape[-1]
-    eye = np.eye(n)
-    out = residual_outside(eye.reshape(1, -1), basis.reshape(basis.shape[0], -1))[0]
-    return [*basis, eye] if out > tol.eps_eq * np.sqrt(n) else [*basis]
-
-
 def heisenberg_markings(
     c_graded: GradedAlgebra,
     d_graded: GradedAlgebra,
@@ -1005,7 +948,9 @@ def heisenberg_markings(
 
     Homogeneous c of degree g embeds as c (x) 1 (x) U_g and homogeneous
     d of degree h as 1 (x) d (x) V_h; the pair is re-certified before
-    use.  Returns (legs, iota_c, iota_d, pair, pair_residual) without
+    use.  The factor legs are the factors' own GradedAlgebra.leg, formed
+    once per algebra and tolerance, so only the Weyl leg is built here.
+    Returns (legs, iota_c, iota_d, pair, pair_residual) without
     assembling or certifying the product algebra.
     """
     _require_factor(c_graded, chi.group_g, "C")
@@ -1022,11 +967,9 @@ def heisenberg_markings(
     vs = np.stack([pair.V[h] for h in H.elements()])
     # the Weyl monomials U_g V_h, g-major, in one batched product
     t_mats = np.matmul(us[:, None], vs[None, :]).reshape(-1, *us.shape[1:])
-    # the ambient bases are homogeneous and orthonormal, so these legs
-    # usually keep them
     eye_c, eye_d = np.eye(n_c), np.eye(n_d)
     c_basis, d_basis = c_graded.ambient.basis, d_graded.ambient.basis
-    legs = leg_frames([_unital_leg(c_basis, tol), _unital_leg(d_basis, tol), t_mats], tol)
+    legs = leg_frames([c_graded.leg(tol), d_graded.leg(tol), t_mats], tol)
     # one pure tensor per ambient (= homogeneous) row, placed on the Weyl
     # leg by its degree, one projection a leg for the whole stack
     iota_c = pure_coords_stack(legs, [c_basis, eye_d, us[c_graded.degree_indices()]], tol)

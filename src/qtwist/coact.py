@@ -11,6 +11,7 @@ comultiplication of the quantum-group model, never assumed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,19 +20,21 @@ from .abgroup import Bicharacter, FinAbGroup, GroupHom, dual_group, pairing_tabl
 from .matspan import (
     DEFAULT_TOL,
     AlgebraBasis,
-    OneTerm,
+    Frame,
     Subspace,
     Tolerance,
     basis_tables,
     check_size,
     cmatrix,
     expand_in_rows,
+    frame,
     hs_norm,
     _closure_round,
     internal_unit,
     multiplicative_closure,
     orthonormal_rows,
     rank,
+    read_only,
     residual_outside,
     span_basis,
     table_defect,
@@ -90,6 +93,9 @@ class GradedAlgebra:
     of degree homogeneous_basis()[k][0], and homogeneous_ambient is True.
     Any other grading fails validation and keeps an orthonormal basis of
     the span of its inputs.
+
+    delta_grading and character_grading return one shared grading per
+    (group, tolerance), with read-only arrays.
     """
 
     group: FinAbGroup
@@ -98,6 +104,7 @@ class GradedAlgebra:
     report: dict = field(default_factory=dict)
     homogeneous_ambient: bool = False
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _legs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -112,11 +119,21 @@ class GradedAlgebra:
         """
         if tol not in self._tables:
             tables = basis_tables(self.ambient.basis, tol)
-            for t in tables[:2]:
-                for a in (t.idx, t.val) if isinstance(t, OneTerm) else (t,):
-                    a.flags.writeable = False
+            read_only(*tables[:2])
             self._tables[tol] = tables
         return self._tables[tol]
+
+    def leg(self, tol: Tolerance = DEFAULT_TOL) -> Frame:
+        """The algebra as a factor leg of a twisted product: matspan.frame
+        of _unital_leg(ambient.basis), formed once per tolerance and
+        read-only.
+
+        The ambient basis is homogeneous and orthonormal, so the frame
+        usually keeps it, normalised, with one-term tables.
+        """
+        if tol not in self._legs:
+            self._legs[tol] = frame(_unital_leg(self.ambient.basis, tol), tol)
+        return self._legs[tol]
 
     def degree_indices(self) -> np.ndarray:
         """Position in group.elements() of each homogeneous_basis() degree."""
@@ -182,6 +199,18 @@ class GradedAlgebra:
         total = max(norms.values(), default=0.0)
         live = [g for g, v in norms.items() if v > tol.eps_eq * max(1.0, total)]
         return live[0] if len(live) == 1 else None
+
+
+def _unital_leg(basis: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
+    """An orthonormal basis as leg generators, with the identity added only
+    when residual_outside puts it outside the span by more than
+    eps_eq * sqrt(n), the bound pure_coords projects it within.  A
+    factor's basis contains its identity, so a matrix-grading leg keeps
+    its matrix units, which no partial overlap with the identity rotates."""
+    n = basis.shape[-1]
+    eye = np.eye(n)
+    out = residual_outside(eye.reshape(1, -1), basis.reshape(basis.shape[0], -1))[0]
+    return [*basis, eye] if out > tol.eps_eq * np.sqrt(n) else [*basis]
 
 
 def graded_algebra(
@@ -285,22 +314,45 @@ def trivial_grading(
     return graded_algebra(group, {group.zero(): list(mats)}, tol)
 
 
+def _shared(graded: GradedAlgebra) -> GradedAlgebra:
+    """graded with its basis arrays read-only, to be shared by every caller."""
+    read_only(graded.ambient.basis, *(c.basis for c in graded.components.values()))
+    return graded
+
+
 def delta_grading(group: FinAbGroup, tol: Tolerance = DEFAULT_TOL) -> GradedAlgebra:
-    """The group algebra of G on l2(G), graded by deg lambda_g = g."""
+    """The group algebra of G on l2(G), graded by deg lambda_g = g.
+
+    One grading per (group, tolerance) is built and shared by every
+    caller, with its tables and leg; its arrays are read-only.
+    _delta_grading.cache_clear() drops it.
+    """
+    return _delta_grading(group, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _delta_grading(group: FinAbGroup, tol: Tolerance) -> GradedAlgebra:
     lam = translations(group)
-    return graded_algebra(group, {g: [lam[g]] for g in group.elements()}, tol)
+    return _shared(graded_algebra(group, {g: [lam[g]] for g in group.elements()}, tol))
 
 
 def character_grading(group: FinAbGroup, tol: Tolerance = DEFAULT_TOL) -> GradedAlgebra:
     """The function algebra of G on l2(G), graded over the dual group.
 
     The degree-p component is spanned by the character function
-    k |-> <k, p>, acting as a diagonal matrix.
+    k |-> <k, p>, acting as a diagonal matrix.  Shared per (group,
+    tolerance) as delta_grading is; _character_grading.cache_clear()
+    drops it.
     """
+    return _character_grading(group, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _character_grading(group: FinAbGroup, tol: Tolerance) -> GradedAlgebra:
     dg = dual_group(group)
     table = pairing_table(group)
     parts = {p: [np.diag(table[:, x])] for x, p in enumerate(dg.elements())}
-    return graded_algebra(dg, parts, tol)
+    return _shared(graded_algebra(dg, parts, tol))
 
 
 def ad_grading(
@@ -678,28 +730,41 @@ class TableCoaction:
     def apply(self, c: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """(|G|, S) coefficient tensor of gamma(c): row g holds the
         coordinates of c_g, the part of c on the index set of degree g.
-        Raises outside the algebra, with decompose's bound."""
+
+        c may be a (k, S) stack of coordinate rows, projected on the basis
+        in one product, giving (k, |G|, S).  Raises when a row is outside
+        the algebra, with decompose's bound on each row."""
         basis = self.graded.basis
-        coeffs = basis.conj() @ c
-        res = float(np.linalg.norm(c - coeffs @ basis))
-        if res > tol.eps_eq * max(1.0, float(np.linalg.norm(c))):
+        # c basis*, with the conjugates taken of c and the product, not of
+        # the whole basis
+        coeffs = np.conj(basis @ c.conj().T).T
+        res = np.linalg.norm(c - coeffs @ basis, axis=-1)
+        if np.any(res > tol.eps_eq * np.maximum(1.0, np.linalg.norm(c, axis=-1))):
             raise ValueError("element is not in the graded algebra")
         parts = np.arange(self.graded.group.order)[:, None] == self.graded.deg
-        return (parts * coeffs) @ basis
+        return (parts * coeffs[..., None, :]) @ basis
+
+
+# verify_table_coaction maps the basis rows in blocks whose images hold at
+# most this many entries (1 MB): every row of the dual coactions up to
+# order 4 in one block, and at order 8 and above about the memory of the
+# per-row images
+IMAGE_BLOCK_ENTRIES = 2**16
 
 
 def verify_table_coaction(gamma: TableCoaction, tol: Tolerance = DEFAULT_TOL) -> dict:
     """Check the coaction axioms of a TableCoaction; returns a report.
 
-    The map is applied to each basis row c_t and its (|G|, S) image
-    Y[g] (gamma(c_t) = sum_g Y[g] (x) lambda_g, or lambda_g (x) Y[g]) is
-    projected on the orthonormal basis: K[t] on qa_s (x) c_u, as in
-    verify_coaction, and r_t = sqrt(|G|) ||Y - projection||, the distance
-    of the image from C (x) A since ||lambda_g||^2 = |G|.  J[t] is
-    lambda_{deg t} (x) c_t, the unit is the ambient identity when the
-    algebra contains it (else the Podles check fails), and
-    coaction_checks states the checks and bounds.  No dense matrix of
-    the algebra is formed.
+    The map is applied to the basis rows c_t, all in one call when their
+    images fit in IMAGE_BLOCK_ENTRIES, else block by block, and each
+    (|G|, S) image Y[g] (gamma(c_t) = sum_g Y[g] (x) lambda_g, or
+    lambda_g (x) Y[g]) is projected on the orthonormal basis: K[t] on
+    qa_s (x) c_u, as in verify_coaction, and r_t = sqrt(|G|)
+    ||Y - projection||, the distance of the image from C (x) A since
+    ||lambda_g||^2 = |G|.  J[t] is lambda_{deg t} (x) c_t, the unit is
+    the ambient identity when the algebra contains it (else the Podles
+    check fails), and coaction_checks states the checks and bounds.  No
+    dense matrix of the algebra is formed.
     """
     graded = gamma.graded
     group = graded.group
@@ -712,11 +777,14 @@ def verify_table_coaction(gamma: TableCoaction, tol: Tolerance = DEFAULT_TOL) ->
     basis_h = basis.conj().T
     coeffs = np.empty((m, qa.shape[0], m), dtype=np.complex128)
     member = np.empty(m)
-    for t, b in enumerate(basis):
-        img = gamma.apply(b, tol)
+    step = max(1, IMAGE_BLOCK_ENTRIES // (group.order * basis.shape[1]))
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        img = gamma.apply(basis[rows], tol)
         c = img @ basis_h
-        coeffs[t] = to_qa @ c
-        member[t] = np.sqrt(group.order) * np.linalg.norm(img - c @ basis)
+        coeffs[rows] = to_qa @ c
+        diff = (img - c @ basis).reshape(len(img), -1)
+        member[rows] = np.sqrt(group.order) * np.linalg.norm(diff, axis=1)
     outer = np.zeros_like(coeffs)
     outer[np.arange(m), :, np.arange(m)] = to_qa[:, graded.deg].T
     unit_mult = np.eye(m, dtype=np.complex128) if graded.contains_identity else None

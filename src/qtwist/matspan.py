@@ -11,6 +11,8 @@ tensor-leg machinery elsewhere can reuse them without densifying.  A
 basis's product and adjoint tables come from `basis_tables`; a table
 with one term a row is held as a `OneTerm`, an (index, value) pair of
 arrays, which a family of monomial matrices gets by index arithmetic.
+`frame` turns spanning matrices into an orthonormal frame with its
+tables, a read-only `Frame`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ __all__ = [
     "OneTerm",
     "dense_table",
     "basis_tables",
+    "read_only",
+    "Frame",
+    "frame",
     "multiplicative_closure",
     "internal_unit",
 ]
@@ -439,6 +444,72 @@ def basis_tables(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     adjs = basis.conj().transpose(0, 2, 1).reshape(d, n * n)
     star, s_mono, s_res = expand_table(adjs, rows, tol)
     return mult, star if s_mono is None else OneTerm(*s_mono, d), max(res, s_res)
+
+
+def read_only(*tables) -> None:
+    """Mark arrays, and the idx and val of OneTerm tables, read-only, so
+    that an object shared by every caller cannot be written through."""
+    for t in tables:
+        for a in (t.idx, t.val) if isinstance(t, OneTerm) else (t,):
+            a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class Frame:
+    """Orthonormal rows spanning a *-algebra of size x size matrices, with
+    their basis_tables: mult, star and the worst defect of either,
+    residual.  Every array is read-only."""
+
+    size: int
+    rows: np.ndarray
+    mult: OneTerm | np.ndarray
+    star: OneTerm | np.ndarray
+    residual: float
+
+
+def _kept_generators(rows: np.ndarray, tol: Tolerance) -> np.ndarray | None:
+    """The normalised generators as a frame, or None if they need rotating.
+
+    Generators below the eps_rank cut are ignored, as orthonormal_rows
+    would.  Every two of the others must overlap, |<u_i, u_j>| of the unit
+    rows, below eps_eq or above 1 - eps_eq (phase repeats); the first of
+    each class of repeats is kept, in order, found in one pass over the
+    overlap matrix.  None when some pair overlaps partially or some input
+    is not certified to lie in the span of the kept rows.
+    """
+    norms = np.linalg.norm(rows, axis=1)
+    live = np.flatnonzero(norms > tol.eps_rank * float(np.max(norms)))
+    unit = rows[live] / norms[live, None]
+    overlap = np.abs(unit.conj() @ unit.T)
+    if np.any((overlap > tol.eps_eq) & (overlap < 1.0 - tol.eps_eq)):
+        return None
+    kept = unit[~np.tril(overlap >= 1.0 - tol.eps_eq, -1).any(axis=1)]
+    if np.any(residual_outside(rows, kept) > tol.eps_eq * np.maximum(1.0, norms)):
+        return None
+    return kept
+
+
+def frame(mats, tol: Tolerance = DEFAULT_TOL) -> Frame:
+    """The certified frame of the span of some square matrices.
+
+    The frame keeps the generators, normalised, when they are orthogonal
+    up to eps_eq apart from phase repeats (which are dropped) and every
+    generator is certified to lie in the span of the kept ones; otherwise
+    it is the SVD basis of orthonormal_rows.  The span must be closed
+    under products and adjoints: residual measures how well the tables
+    hold, it is never assumed.
+    """
+    mats = [cmatrix(m) for m in mats]
+    if not mats:
+        raise ValueError("every leg needs at least one matrix")
+    n = mats[0].shape[0]
+    given = np.stack([cmatrix(m, n).reshape(-1) for m in mats])
+    rows = _kept_generators(given, tol)
+    if rows is None:
+        rows = orthonormal_rows(given, tol.eps_rank)
+    mult, star, res = basis_tables(rows.reshape(-1, n, n), tol)
+    read_only(rows, mult, star)
+    return Frame(n, rows, mult, star, res)
 
 
 def table_defect(mult, star, images, prods, stars) -> tuple[float, float]:

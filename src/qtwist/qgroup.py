@@ -12,7 +12,9 @@ at build time and the residuals kept on the model report.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .matspan import (
     AlgebraBasis,
     Tolerance,
     multiplicative_closure,
+    read_only,
     span_basis,
     subspace_equal,
 )
@@ -39,16 +42,24 @@ MAX_MODEL_ORDER = 16
 _FULL_CHECK_ORDER = 8  # dense three-leg identities only up to this order
 
 
-def translations(group: FinAbGroup) -> dict[tuple[int, ...], np.ndarray]:
+def translations(group: FinAbGroup) -> Mapping[tuple[int, ...], np.ndarray]:
     """Left regular representation g -> lambda_g on l2(G).
 
     lambda_g sends e_h to e_{g+h}: row add_table[g, h] of column h is 1.
+    One read-only mapping of read-only matrices per group, shared by every
+    caller; _translations.cache_clear() drops it.
     """
+    return _translations(group)
+
+
+@functools.lru_cache(maxsize=64)
+def _translations(group: FinAbGroup) -> Mapping[tuple[int, ...], np.ndarray]:
     n = group.order
     stack = np.zeros((n, n, n), dtype=np.complex128)
     cols = np.arange(n)
     stack[cols[:, None], group.add_table, cols[None, :]] = 1.0
-    return dict(zip(group.elements(), stack))
+    read_only(stack)
+    return MappingProxyType(dict(zip(group.elements(), stack)))
 
 
 def indicators(group: FinAbGroup) -> dict[tuple[int, ...], np.ndarray]:
@@ -115,8 +126,8 @@ class QuantumGroupModel:
 
     group: FinAbGroup
     W: np.ndarray
-    basis: dict[tuple[int, ...], np.ndarray]
-    hat_basis: dict[tuple[int, ...], np.ndarray]
+    basis: Mapping[tuple[int, ...], np.ndarray]
+    hat_basis: Mapping[tuple[int, ...], np.ndarray]
     algebra: AlgebraBasis
     hat_algebra: AlgebraBasis
     coproduct_kind: str = "grouplike"

@@ -24,7 +24,8 @@ families.  `loop_translations`,
 `loop_rep_residual`, `loop_weyl_residual` and `dense_marking_report` are
 the per-element forms of `qgroup.translations`, `heis._rep_residual`,
 `heis.is_heisenberg` / `is_anti_heisenberg` and `boxtimes._marking_report`,
-and `loop_commutation_check` that of `heis.commutation_check`:
+`loop_commutation_check` that of `heis.commutation_check` and
+`loop_verify_table_coaction` that of `coact.verify_table_coaction`:
 one group element, element pair or basis element at a time, with every
 product and adjoint formed.  `assert_reports_match` compares a library
 report with an oracle's.
@@ -57,6 +58,7 @@ from qtwist.coact import (
     CovariantRep,
     GradedAlgebra,
     GradedHilbertSpace,
+    coaction_checks,
     grading_to_coaction,
     verify_coaction,
 )
@@ -82,15 +84,15 @@ from qtwist.matspan import (
 from qtwist.qgroup import translations
 
 
-def assert_reports_match(got, want):
-    """Key by key: floats within 1e-12, everything else identical."""
+def assert_reports_match(got, want, tol: float = 1e-12):
+    """Key by key: floats within tol, everything else identical."""
     assert set(got) == set(want)
     for key, w in want.items():
         g = got[key]
         if isinstance(w, dict):
-            assert_reports_match(g, w)
+            assert_reports_match(g, w, tol)
         elif isinstance(w, float):
-            assert abs(g - w) <= 1e-12, (key, g, w)
+            assert abs(g - w) <= tol, (key, g, w)
         else:
             assert g == w, (key, g, w)
 
@@ -872,3 +874,30 @@ def loop_commutation_check(p1, p2, model_g, model_h) -> float:
         for b in dv.values():
             worst = max(worst, float(np.linalg.norm(a @ b - b @ a)))
     return worst
+
+
+def loop_verify_table_coaction(gamma, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """coact.verify_table_coaction with the map applied to one basis row
+    at a time, each image projected on its own."""
+    graded = gamma.graded
+    group = graded.group
+    lam = translations(group)
+    lams = np.stack([lam[g].reshape(-1) for g in group.elements()])
+    qa = orthonormal_rows(lams, tol.eps_rank)
+    to_qa = qa.conj() @ lams.T
+    basis = graded.basis
+    m = basis.shape[0]
+    coeffs = np.empty((m, qa.shape[0], m), dtype=np.complex128)
+    member = np.empty(m)
+    for t, b in enumerate(basis):
+        img = gamma.apply(b, tol)
+        c = img @ basis.conj().T
+        coeffs[t] = to_qa @ c
+        member[t] = np.sqrt(group.order) * np.linalg.norm(img - c @ basis)
+    outer = np.zeros_like(coeffs)
+    outer[np.arange(m), :, np.arange(m)] = to_qa[:, graded.deg].T
+    unit_mult = np.eye(m, dtype=np.complex128) if graded.contains_identity else None
+    return coaction_checks(
+        coeffs, member, outer, unit_mult, qa, gamma.model, gamma.side,
+        graded.report["passed"], tol,
+    )

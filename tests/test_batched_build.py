@@ -279,20 +279,31 @@ def test_torus_markings_take_the_index_path(monkeypatch):
 # tables computed once, maps formed on demand
 
 
-def test_factor_tables_are_formed_once_per_torus(monkeypatch):
-    calls = []
-    real = coact.basis_tables
+def test_factor_tables_are_formed_once_per_process(monkeypatch):
+    coact._delta_grading.cache_clear()
+    tables, legs = [], []
+    real_tables, real_frame = coact.basis_tables, coact.frame
 
-    def counted(basis, tol=DEFAULT_TOL):
-        calls.append(basis.shape)
-        return real(basis, tol)
+    def counted_tables(basis, tol=DEFAULT_TOL):
+        tables.append(basis.shape)
+        return real_tables(basis, tol)
 
-    monkeypatch.setattr(coact, "basis_tables", counted)
-    res = finite_torus(5, 2)
-    assert res.passed
-    # C and D are one GradedAlgebra: its table serves both markings
-    assert calls == [(5, 5, 5)]
-    c = res.objects["product"].c_graded
+    def counted_frame(mats, tol=DEFAULT_TOL):
+        legs.append(len(mats))
+        return real_frame(mats, tol)
+
+    monkeypatch.setattr(coact, "basis_tables", counted_tables)
+    monkeypatch.setattr(coact, "frame", counted_frame)
+    first, second = finite_torus(5, 2), finite_torus(5, 3)
+    assert first.passed and second.passed
+    # C and D of both tori are one shared GradedAlgebra: its table serves
+    # every marking, and its leg is the C and D leg of both products
+    x, y = first.objects["product"], second.objects["product"]
+    c = x.c_graded
+    assert x.d_graded is c and y.c_graded is c and y.d_graded is c
+    assert tables == [(5, 5, 5)] and legs == [5]
+    for legs_of in (x.legs, y.legs):
+        assert legs_of.frames[0] is c.leg().rows and legs_of.frames[1] is c.leg().rows
     assert c.tables() is c.tables()
     mult, star, res_t = c.tables()
     want = basis_tables(c.ambient.basis)

@@ -320,7 +320,7 @@ class TableDoubledDegree(TableCoaction):
         els = group.elements()
         out = np.zeros_like(parts)
         for k, g in enumerate(els):
-            out[els.index(group.add(g, g))] += parts[k]
+            out[..., els.index(group.add(g, g)), :] += parts[..., k, :]
         return out
 
 
@@ -330,7 +330,7 @@ class TableLeakyImage(TableCoaction):
     def apply(self, c, tol=DEFAULT_TOL):
         out = super().apply(c, tol)
         outside = np.flatnonzero(~np.any(self.graded.basis != 0, axis=0))[0]
-        out[0, outside] += 1e-6
+        out[..., 0, outside] += 1e-6
         return out
 
 
@@ -339,7 +339,7 @@ class TableDropsDegreeZero(TableCoaction):
 
     def apply(self, c, tol=DEFAULT_TOL):
         out = super().apply(c, tol)
-        out[0] = 0.0
+        out[..., 0, :] = 0.0
         return out
 
 
@@ -400,3 +400,48 @@ def test_coaction_check_refuses_oversized_images(monkeypatch):
     monkeypatch.setattr(gamma, "apply", reached)
     with pytest.raises(ValueError, match="complex entries"):
         verify_coaction(gamma)
+
+
+# ---------------------------------------------------------------------------
+# the table coaction maps all basis rows in one projection
+
+
+@functools.lru_cache(maxsize=None)
+def _dual_grading(cycles):
+    return dual_coaction(_crossed(cycles)).objects["grading"]
+
+
+def _table_coaction(cycles, side):
+    graded = _dual_grading(cycles)
+    return TableCoaction(graded=graded, model=build_model(graded.group), side=side)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("cycles", [(2,), (3,), (2, 2), (8,)])
+def test_batched_table_coaction_matches_the_per_row_apply(cycles, side, monkeypatch):
+    gamma = _table_coaction(cycles, side)
+    basis = gamma.graded.basis
+    rows = np.stack([gamma.apply(b) for b in basis])
+    assert np.max(np.abs(gamma.apply(basis) - rows)) <= 1e-15
+    want = oracle.loop_verify_table_coaction(gamma)
+    assert want["passed"]
+    oracle.assert_reports_match(verify_table_coaction(gamma), want, 1e-15)
+    # blocks of three rows give the same report
+    block = 3 * gamma.graded.group.order * basis.shape[1]
+    monkeypatch.setattr(coact, "IMAGE_BLOCK_ENTRIES", block)
+    oracle.assert_reports_match(verify_table_coaction(gamma), want, 1e-15)
+
+
+def test_table_apply_bounds_each_row_of_a_stack():
+    gamma = _table_coaction((3,), "left")
+    basis = gamma.graded.basis
+    outside = np.flatnonzero(~np.any(basis != 0, axis=0))[0]
+    # a leak of 1e-3 is within eps_eq of a row of norm 1e6, not of a unit row
+    big = 1e6 * basis[0]
+    big[outside] = 1e-3
+    small = basis[1].copy()
+    small[outside] = 1e-3
+    assert gamma.apply(np.stack([big, basis[1]])).shape == (2, 3, basis.shape[1])
+    for stack in (np.stack([big, small]), small):
+        with pytest.raises(ValueError, match="not in the graded algebra"):
+            gamma.apply(stack)
