@@ -231,11 +231,17 @@ class Bicharacter:
 
         The numerators of value() for all pairs at once, as one integer
         product of the digit tables with the weights; each entry equals
-        value() bit for bit.
+        value() bit for bit.  Formed once per bicharacter and read-only.
         """
+        return self._values
+
+    @functools.cached_property
+    def _values(self) -> np.ndarray:
         lcm, weights = self._turns
         num = (self.group_g.digits @ np.array(weights, dtype=np.int64)) @ self.group_h.digits.T
-        return np.exp(2j * np.pi * ((num % lcm) / lcm))
+        table = np.exp(2j * np.pi * ((num % lcm) / lcm))
+        table.flags.writeable = False
+        return table
 
     def as_diagonal(self) -> np.ndarray:
         """Unitary in the function algebras of G and H: diagonal on l2(G x H)."""

@@ -76,6 +76,7 @@ from .matspan import (
     expand_in_rows,
     expand_table,
     frame,
+    frame_coords,
     orthonormal_rows,
     rank,
     residual_outside,
@@ -179,7 +180,8 @@ class LegFrames:
 
     def identity(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """pure_coords of the identity on every leg, formed once per
-        tolerance and read-only."""
+        tolerance and read-only (leg_frames forms it from the frames'
+        identity rows)."""
         if tol not in self._identity:
             one = pure_coords(self, [np.eye(n) for n in self.sizes], tol)
             one.flags.writeable = False
@@ -199,13 +201,21 @@ def leg_frames(legs, tol: Tolerance = DEFAULT_TOL) -> LegFrames:
     LegFrames and matspan.frame).
     """
     frames = [leg if isinstance(leg, Frame) else frame(leg, tol) for leg in legs]
-    return LegFrames(
+    out = LegFrames(
         sizes=tuple(f.size for f in frames),
         frames=tuple(f.rows for f in frames),
         mult_tables=tuple(f.mult for f in frames),
         star_tables=tuple(f.star for f in frames),
         residual=max([0.0] + [f.residual for f in frames]),
     )
+    if all(f.tol == tol for f in frames):
+        # the identity's pure_coords are the outer product of the rows the
+        # frames hold; the frames themselves, with their generators, are
+        # not kept
+        one = _outer_coords([f.identity[None] for f in frames])[0]
+        one.flags.writeable = False
+        out._identity[tol] = one
+    return out
 
 
 def _letters(k: int, start: int = 0) -> list[str]:
@@ -355,24 +365,15 @@ def pure_coords_stack(legs: LegFrames, mats, tol: Tolerance = DEFAULT_TOL) -> np
         n = legs.sizes[l]
         if m.shape[-2:] != (n, n) or m.ndim not in (2, 3):
             raise ValueError(f"leg {l} expects {n}x{n} matrices, got shape {m.shape}")
-        v = m.reshape(-1, n * n)
-        frame = legs.frames[l]
-        c = v @ frame.conj().T
-        bound = tol.eps_eq * np.maximum(1.0, np.linalg.norm(v, axis=1))
-        r = np.arange(v.shape[0])
-        k = np.argmax(np.abs(c), axis=1)
-        ck = c[r, k]
-        one = np.linalg.norm(v - ck[:, None] * frame[k], axis=1) <= bound
-        if not one.all():
-            rest = np.flatnonzero(~one)
-            if np.any(np.linalg.norm(v[rest] - c[rest] @ frame, axis=1) > bound[rest]):
-                raise RuntimeError(f"leg {l} matrix is outside its frame span")
-            r, k, ck = r[one], k[one], ck[one]
-        c[r] = 0.0
-        c[r, k] = ck
-        vecs.append(c)
-    out = vecs[0]
-    for v in vecs[1:]:
+        vecs.append(frame_coords(legs.frames[l], m, tol, f"leg {l} matrix"))
+    return _outer_coords(vecs)
+
+
+def _outer_coords(rows) -> np.ndarray:
+    """(N, *dims) pure tensors of per-leg coordinate rows: rows[l] is an
+    (N, d_l) array, or (1, d_l) for one row shared by all N."""
+    out = rows[0]
+    for v in rows[1:]:
         out = out[..., None] * v.reshape((v.shape[0],) + (1,) * (out.ndim - 1) + v.shape[1:])
     return out
 
@@ -937,6 +938,38 @@ def _assemble(
     )
 
 
+def _weyl_leg(
+    pair: RepPair, chi: Bicharacter, tol: Tolerance
+) -> tuple[Frame, np.ndarray, np.ndarray, float]:
+    """(frame, u_rows, v_rows, residual): the pair's Weyl leg, the
+    coordinate rows of every U_g and V_h in it (G.elements() and
+    H.elements() order) and the pair's Weyl residual for chi.
+
+    A pair read off its group's regular pair for this chi brings the
+    regular leg, where U_g is generator (p(g), 0) and V_h generator
+    (0, h), and its residual.  Any other pair is certified by
+    is_heisenberg, and its leg is the frame of its Weyl monomials
+    (RepPair.weyl_frame), onto which U and V are projected.
+    """
+    reg = pair.regular
+    read_off = reg is not None and reg.tol == tol and pair.chi == chi
+    if read_off:
+        res = pair.weyl_residual
+        ok = res <= tol.eps_eq * max(1.0, pair.space_dim)
+    else:
+        ok, res = is_heisenberg(pair, chi, tol)
+    if not ok:
+        raise ValueError(f"pair fails the Weyl relation (residual {res:.2e})")
+    if read_off:
+        leg, order = reg.leg, chi.group_h.order
+        return leg, leg.coords[pair.characters * order], leg.coords[:order], res
+    leg = pair.weyl_frame(tol)
+    us = np.stack([pair.U[g] for g in chi.group_g.elements()])
+    vs = np.stack([pair.V[h] for h in chi.group_h.elements()])
+    u_rows = frame_coords(leg.rows, us, tol, "the pair's U")
+    return leg, u_rows, frame_coords(leg.rows, vs, tol, "the pair's V"), res
+
+
 def heisenberg_markings(
     c_graded: GradedAlgebra,
     d_graded: GradedAlgebra,
@@ -947,33 +980,28 @@ def heisenberg_markings(
     """Leg frames and marked embeddings of the three-leg realization.
 
     Homogeneous c of degree g embeds as c (x) 1 (x) U_g and homogeneous
-    d of degree h as 1 (x) d (x) V_h; the pair is re-certified before
-    use.  The factor legs are the factors' own GradedAlgebra.leg, formed
-    once per algebra and tolerance, so only the Weyl leg is built here.
-    Returns (legs, iota_c, iota_d, pair, pair_residual) without
-    assembling or certifying the product algebra.
+    d of degree h as 1 (x) d (x) V_h.  The factor legs are the factors'
+    own GradedAlgebra.leg and the Weyl leg is the pair's (_weyl_leg): the
+    canonical pair's is its group's regular leg, formed once per group,
+    with the residual the pair was read off with; any other pair, or one
+    built for another chi, is certified by is_heisenberg here.  Each
+    marking is the outer product of coordinate rows the frames hold: the
+    factor's basis rows, the other factor's identity row and the rows of
+    U_g or V_h at each basis element's degree.  Returns (legs, iota_c,
+    iota_d, pair, pair_residual) without assembling or certifying the
+    product algebra.
     """
     _require_factor(c_graded, chi.group_g, "C")
     _require_factor(d_graded, chi.group_h, "D")
     if pair is None:
         pair = canonical_heisenberg(chi, tol)
-    ok, res = is_heisenberg(pair, chi, tol)
-    if not ok:
-        raise ValueError(f"pair fails the Weyl relation (residual {res:.2e})")
-
-    G, H = chi.group_g, chi.group_h
-    n_c, n_d = c_graded.ambient_dim, d_graded.ambient_dim
-    us = np.stack([pair.U[g] for g in G.elements()])
-    vs = np.stack([pair.V[h] for h in H.elements()])
-    # the Weyl monomials U_g V_h, g-major, in one batched product
-    t_mats = np.matmul(us[:, None], vs[None, :]).reshape(-1, *us.shape[1:])
-    eye_c, eye_d = np.eye(n_c), np.eye(n_d)
-    c_basis, d_basis = c_graded.ambient.basis, d_graded.ambient.basis
-    legs = leg_frames([c_graded.leg(tol), d_graded.leg(tol), t_mats], tol)
-    # one pure tensor per ambient (= homogeneous) row, placed on the Weyl
-    # leg by its degree, one projection a leg for the whole stack
-    iota_c = pure_coords_stack(legs, [c_basis, eye_d, us[c_graded.degree_indices()]], tol)
-    iota_d = pure_coords_stack(legs, [eye_c, d_basis, vs[d_graded.degree_indices()]], tol)
+    weyl, u_rows, v_rows, res = _weyl_leg(pair, chi, tol)
+    c_leg, d_leg = c_graded.leg(tol), d_graded.leg(tol)
+    legs = leg_frames([c_leg, d_leg, weyl], tol)
+    m_c, m_d = c_graded.dim, d_graded.dim
+    deg_c, deg_d = c_graded.degree_indices(), d_graded.degree_indices()
+    iota_c = _outer_coords([c_leg.coords[:m_c], d_leg.identity[None], u_rows[deg_c]])
+    iota_d = _outer_coords([c_leg.identity[None], d_leg.coords[:m_d], v_rows[deg_d]])
     return legs, iota_c, iota_d, pair, res
 
 

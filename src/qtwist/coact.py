@@ -136,11 +136,18 @@ class GradedAlgebra:
         return self._legs[tol]
 
     def degree_indices(self) -> np.ndarray:
-        """Position in group.elements() of each homogeneous_basis() degree."""
+        """Position in group.elements() of each homogeneous_basis() degree,
+        formed once per grading and read-only."""
+        return self._degree_indices
+
+    @functools.cached_property
+    def _degree_indices(self) -> np.ndarray:
         index = {g: x for x, g in enumerate(self.group.elements())}
         degs = self.degrees()
         sizes = [self.components[g].dim for g in degs]
-        return np.repeat(np.array([index[g] for g in degs], dtype=np.intp), sizes)
+        out = np.repeat(np.array([index[g] for g in degs], dtype=np.intp), sizes)
+        out.flags.writeable = False
+        return out
 
     @property
     def dim(self) -> int:

@@ -6,21 +6,28 @@ variant carries the scalar on the other side.  These relations are the
 only way the twist enters the twisted tensor product, so everything
 here is certified numerically: representation axioms at construction,
 the Weyl relation on all element pairs, and the three-leg operator form
-of the same identity as an independent cross-check.
+of the same identity as an independent cross-check.  The canonical pair
+is H's regular pair pulled back along the hom G -> dual(H) that chi
+induces, so it is read off that pair, certified term by term once per
+group (regular_pair).
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abgroup import Bicharacter, FinAbGroup
-from .matspan import DEFAULT_TOL, Tolerance, cmatrix
+from .abgroup import Bicharacter, FinAbGroup, dual_group, hom_g_to_dual_h, pairing_table
+from .matspan import DEFAULT_TOL, Frame, Tolerance, cmatrix, frame, read_only
 from .qgroup import QuantumGroupModel, build_model, indicators, translations
 
 __all__ = [
     "RepPair",
+    "RegularPair",
+    "regular_pair",
     "rep_pair",
     "is_heisenberg",
     "is_anti_heisenberg",
@@ -38,7 +45,15 @@ __all__ = [
 
 @dataclass
 class RepPair:
-    """Unitary representations U of G and V of H on a common space."""
+    """Unitary representations U of G and V of H on a common space.
+
+    A pair read off H's regular pair (canonical_heisenberg) also carries
+    chi, the bicharacter it was built for, weyl_residual, its Weyl
+    residual for chi, regular, the shared RegularPair, and characters,
+    the position in dual_group(H).elements() of p(g) for each g in
+    G.elements(), so that U_g is regular.U[p(g)].  Any other pair has None
+    there.  weyl_frame(tol) is the frame of the pair's own Weyl monomials.
+    """
 
     group_g: FinAbGroup
     group_h: FinAbGroup
@@ -46,6 +61,20 @@ class RepPair:
     U: dict
     V: dict
     report: dict = field(default_factory=dict)
+    chi: Bicharacter | None = None
+    weyl_residual: float | None = None
+    regular: RegularPair | None = None
+    characters: np.ndarray | None = None
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def weyl_frame(self, tol: Tolerance = DEFAULT_TOL) -> Frame:
+        """matspan.frame of the Weyl monomials U_g V_h, g-major, formed
+        once per tolerance and held on the pair."""
+        if tol not in self._frames:
+            us, vs = _stack(self.group_g, self.U), _stack(self.group_h, self.V)
+            t_mats = np.matmul(us[:, None], vs[None, :]).reshape(-1, *us.shape[1:])
+            self._frames[tol] = frame(t_mats, tol)
+        return self._frames[tol]
 
 
 def _stack(group: FinAbGroup, rep: dict) -> np.ndarray:
@@ -58,19 +87,24 @@ def _norms(diff: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
 
 
-def _rep_residual(group: FinAbGroup, rep: dict, dim: int) -> float:
-    """Worst unitarity / homomorphism defect of one family.
+def _rep_norms(group: FinAbGroup, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unitary, homomorphism) defects of a (|G|, d, d) family stack in
+    elements() order: ||U_g U_g* - 1|| for every g and
+    ||U_{g+h} - U_g U_h|| for every (g, h).
 
     The pairs (g, h) are taken one left element g at a time, over the
     stack of all h: rep[g + h] - rep[g] rep[h] is formed for every h at
     once, so a (|G|, d, d) array is the largest held.
     """
-    stack = _stack(group, rep)
-    eye = np.eye(dim)
-    worst = float(np.max(_norms(stack @ stack.conj().transpose(0, 2, 1) - eye)))
-    for x, m in enumerate(stack):
-        worst = max(worst, float(np.max(_norms(stack[group.add_table[x]] - m @ stack))))
-    return worst
+    unitary = _norms(stack @ stack.conj().transpose(0, 2, 1) - np.eye(stack.shape[1]))
+    hom = np.stack([_norms(stack[group.add_table[x]] - m @ stack) for x, m in enumerate(stack)])
+    return unitary, hom
+
+
+def _rep_residual(group: FinAbGroup, rep: dict) -> float:
+    """Worst unitarity / homomorphism defect of one family (_rep_norms)."""
+    unitary, hom = _rep_norms(group, _stack(group, rep))
+    return max(float(np.max(unitary)), float(np.max(hom)))
 
 
 def rep_pair(
@@ -92,8 +126,8 @@ def rep_pair(
     if len(dims) != 1:
         raise ValueError("all representing matrices must act on one space")
     dim = dims.pop()
-    ru = _rep_residual(group_g, U, dim)
-    rv = _rep_residual(group_h, V, dim)
+    ru = _rep_residual(group_g, U)
+    rv = _rep_residual(group_h, V)
     report = {"u_representation": ru, "v_representation": rv}
     report["passed"] = max(ru, rv) <= tol.eps_eq * max(1.0, dim)
     if not report["passed"]:
@@ -113,17 +147,22 @@ def _check_compatible(p: RepPair, chi: Bicharacter) -> None:
         raise ValueError("bicharacter groups must match the pair")
 
 
-def _twisted_commutator(us: np.ndarray, vs: np.ndarray, phases, anti: bool = False) -> float:
-    """Worst ||U_g V_h - phases[g, h] V_h U_g|| over all (g, h), or
+def _twisted_norms(us: np.ndarray, vs: np.ndarray, phases, anti: bool = False) -> np.ndarray:
+    """||U_g V_h - phases[g, h] V_h U_g|| for every (g, h), or
     ||V_h U_g - phases[g, h] U_g V_h|| when anti, for stacks us and vs;
     one left element g at a time, formed for the stack of all V_h at once."""
-    worst = 0.0
-    for u, row in zip(us, phases):
+    out = np.empty((us.shape[0], vs.shape[0]))
+    for x, (u, row) in enumerate(zip(us, phases)):
         uv, vu = u @ vs, vs @ u
         if anti:
             uv, vu = vu, uv
-        worst = max(worst, float(np.max(_norms(uv - row[:, None, None] * vu))))
-    return worst
+        out[x] = _norms(uv - row[:, None, None] * vu)
+    return out
+
+
+def _twisted_commutator(us: np.ndarray, vs: np.ndarray, phases, anti: bool = False) -> float:
+    """The worst of _twisted_norms."""
+    return float(np.max(_twisted_norms(us, vs, phases, anti), initial=0.0))
 
 
 def _weyl_residual(p: RepPair, chi: Bicharacter, anti: bool) -> float:
@@ -149,15 +188,93 @@ def is_anti_heisenberg(
     return worst <= tol.eps_eq * max(1.0, p.space_dim), worst
 
 
-def canonical_heisenberg(chi: Bicharacter, tol: Tolerance = DEFAULT_TOL) -> RepPair:
-    """Clock-and-shift normal form on l2(H).
+@dataclass(frozen=True)
+class RegularPair:
+    """H's regular pair on l2(H), certified term by term, shared and read-only.
 
-    U_g multiplies pointwise by k |-> chi(g,k) and V_h translates by h,
-    so U_g V_h picks up exactly chi(g,h) when moved past V_h.
+    U[p] = diag(<., p>) for p in dual_group(H).elements(), the columns of
+    pairing_table(H), and V = translations(H).  unitary[p] is
+    ||U_p U_p* - 1||, homomorphism[p, q] is ||U_{p+q} - U_p U_q||,
+    v_residual is V's worst such defect, and weyl[p, h] is
+    ||U_p V_h - <h, p> V_h U_p||: the norms that rep_pair (_rep_norms)
+    and is_heisenberg take, term by term, so a pair pulled back along a hom
+    G -> dual(H) reads its residuals off these tables.  leg, the
+    matspan.frame of the |H|^2 monomials U_p V_h, p-major (U_p is
+    generator (p, 0), V_h generator (0, h)), is formed on first read.
     """
-    H = chi.group_h
-    U = dict(zip(chi.group_g.elements(), map(np.diag, chi.value_table())))
-    return rep_pair(chi.group_g, H, U, translations(H), tol)
+
+    group: FinAbGroup
+    tol: Tolerance
+    U: np.ndarray
+    V: Mapping
+    unitary: np.ndarray
+    homomorphism: np.ndarray
+    weyl: np.ndarray
+    v_residual: float
+
+    @functools.cached_property
+    def leg(self) -> Frame:
+        n = self.group.order
+        vs = np.stack(list(self.V.values()))
+        return frame(np.matmul(self.U[:, None], vs[None, :]).reshape(-1, n, n), self.tol)
+
+
+def regular_pair(group: FinAbGroup, tol: Tolerance = DEFAULT_TOL) -> RegularPair:
+    """The regular pair of a group, one per (group, tolerance), shared by
+    every caller; _regular_pair.cache_clear() drops it."""
+    return _regular_pair(group, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _regular_pair(group: FinAbGroup, tol: Tolerance) -> RegularPair:
+    n = group.order
+    dual = dual_group(group)
+    phases = pairing_table(group)
+    us = np.zeros((n, n, n), dtype=np.complex128)
+    idx = np.arange(n)
+    us[:, idx, idx] = phases.T
+    lam = translations(group)
+    unitary, homomorphism = _rep_norms(dual, us)
+    weyl = _twisted_norms(us, np.stack(list(lam.values())), phases.T)
+    read_only(us, unitary, homomorphism, weyl)
+    return RegularPair(
+        group, tol, us, lam, unitary, homomorphism, weyl, _rep_residual(group, lam)
+    )
+
+
+def canonical_heisenberg(chi: Bicharacter, tol: Tolerance = DEFAULT_TOL) -> RepPair:
+    """Clock-and-shift normal form on l2(H), read off H's regular pair.
+
+    chi(g, .) is the character <., p(g)> for p(g) = -hom_g_to_dual_h(chi)(g),
+    so U_g = regular_pair(H).U[p(g)] multiplies pointwise by
+    k |-> chi(g,k) and V_h translates by h: U_g V_h picks up exactly
+    chi(g,h) when moved past V_h.  The representation and Weyl residuals
+    are the regular pair's term tables gathered over p(g), the same norms
+    of the same matrices that rep_pair and is_heisenberg take.
+    """
+    G, H = chi.group_g, chi.group_h
+    reg = regular_pair(H, tol)
+    hom, dual = hom_g_to_dual_h(chi), dual_group(H)
+    images = np.array([hom.apply(g) for g in G.elements()], dtype=np.intp).reshape(G.order, -1)
+    p = dual.neg_table[np.ravel_multi_index(tuple(images.T), dual.cycles)]
+    ru = max(float(np.max(reg.unitary[p])), float(np.max(reg.homomorphism[np.ix_(p, p)])))
+    rv = reg.v_residual
+    report = {"u_representation": ru, "v_representation": rv}
+    report["passed"] = max(ru, rv) <= tol.eps_eq * max(1.0, H.order)
+    if not report["passed"]:
+        raise ValueError(f"families are not unitary representations: {report}")
+    return RepPair(
+        group_g=G,
+        group_h=H,
+        space_dim=H.order,
+        U={g: reg.U[x] for g, x in zip(G.elements(), p)},
+        V=dict(reg.V),
+        report=report,
+        chi=chi,
+        weyl_residual=float(np.max(reg.weyl[p])),
+        regular=reg,
+        characters=p,
+    )
 
 
 def composite_heisenberg(chi: Bicharacter, tol: Tolerance = DEFAULT_TOL) -> RepPair:

@@ -12,11 +12,13 @@ basis's product and adjoint tables come from `basis_tables`; a table
 with one term a row is held as a `OneTerm`, an (index, value) pair of
 arrays, which a family of monomial matrices gets by index arithmetic.
 `frame` turns spanning matrices into an orthonormal frame with its
-tables, a read-only `Frame`.
+tables, a read-only `Frame`, which holds the coordinates of its
+generators and of the identity (`frame_coords`) once read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import prod
 
@@ -43,6 +45,7 @@ __all__ = [
     "read_only",
     "Frame",
     "frame",
+    "frame_coords",
     "multiplicative_closure",
     "internal_unit",
 ]
@@ -458,13 +461,64 @@ def read_only(*tables) -> None:
 class Frame:
     """Orthonormal rows spanning a *-algebra of size x size matrices, with
     their basis_tables: mult, star and the worst defect of either,
-    residual.  Every array is read-only."""
+    residual.  generators are the matrices the frame was built from, at
+    tolerance tol; coords and identity, their frame_coords and those of
+    the identity, are formed on first read.  Every array is read-only."""
 
     size: int
     rows: np.ndarray
     mult: OneTerm | np.ndarray
     star: OneTerm | np.ndarray
     residual: float
+    generators: np.ndarray
+    tol: Tolerance
+
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        """(k, dim) coordinates of the k generators, row i of generator i."""
+        return _held_coords(self.rows, self.generators, self.tol)
+
+    @functools.cached_property
+    def identity(self) -> np.ndarray:
+        """(dim,) coordinates of the identity."""
+        return _held_coords(self.rows, np.eye(self.size), self.tol)[0]
+
+
+def frame_coords(
+    rows: np.ndarray, mats, tol: Tolerance = DEFAULT_TOL, what: str = "matrix"
+) -> np.ndarray:
+    """(N, k) coordinates of N matrices in the k orthonormal rows, one
+    product for the stack.
+
+    mats is one matrix or an (N, n, n) stack.  A matrix within
+    eps_eq * max(1, ||m||) of one c f_k gets the one-hot row c e_k, so
+    monomials stay exactly sparse; any other is its projection, and
+    RuntimeError names what is outside the span when that projection
+    misses by more than the bound.
+    """
+    v = np.asarray(mats, dtype=np.complex128)
+    v = v.reshape(-1, v.shape[-1] * v.shape[-1])
+    c = v @ rows.conj().T
+    bound = tol.eps_eq * np.maximum(1.0, np.linalg.norm(v, axis=1))
+    r = np.arange(v.shape[0])
+    k = np.argmax(np.abs(c), axis=1)
+    ck = c[r, k]
+    one = np.linalg.norm(v - ck[:, None] * rows[k], axis=1) <= bound
+    if not one.all():
+        rest = np.flatnonzero(~one)
+        if np.any(np.linalg.norm(v[rest] - c[rest] @ rows, axis=1) > bound[rest]):
+            raise RuntimeError(f"{what} is outside its frame span")
+        r, k, ck = r[one], k[one], ck[one]
+    c[r] = 0.0
+    c[r, k] = ck
+    return c
+
+
+def _held_coords(rows: np.ndarray, mats, tol: Tolerance) -> np.ndarray:
+    """frame_coords of matrices a frame holds, read-only."""
+    c = frame_coords(rows, mats, tol, "a frame's own matrix")
+    c.flags.writeable = False
+    return c
 
 
 def _kept_generators(rows: np.ndarray, tol: Tolerance) -> np.ndarray | None:
@@ -508,8 +562,9 @@ def frame(mats, tol: Tolerance = DEFAULT_TOL) -> Frame:
     if rows is None:
         rows = orthonormal_rows(given, tol.eps_rank)
     mult, star, res = basis_tables(rows.reshape(-1, n, n), tol)
-    read_only(rows, mult, star)
-    return Frame(n, rows, mult, star, res)
+    generators = given.reshape(-1, n, n)
+    read_only(rows, mult, star, generators)
+    return Frame(n, rows, mult, star, res, generators, tol)
 
 
 def table_defect(mult, star, images, prods, stars) -> tuple[float, float]:

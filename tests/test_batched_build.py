@@ -117,7 +117,7 @@ def test_batched_pair_residuals_match_loops(chi, kind):
     families = ((p.group_g, p.U, "u_representation"), (p.group_h, p.V, "v_representation"))
     for group, rep, key in families:
         want = oracle.loop_rep_residual(group, rep, p.space_dim)
-        assert abs(heis._rep_residual(group, rep, p.space_dim) - want) <= TOL
+        assert abs(heis._rep_residual(group, rep) - want) <= TOL
         assert abs(p.report[key] - want) <= TOL
     bound = DEFAULT_TOL.eps_eq * max(1.0, p.space_dim)
     for check, anti in ((is_heisenberg, False), (is_anti_heisenberg, True)):

@@ -57,6 +57,7 @@ from qtwist.heis import (
     canonical_heisenberg,
     composite_heisenberg,
     conjugate_pair,
+    rep_pair,
 )
 from qtwist.matspan import (
     DEFAULT_TOL,
@@ -155,13 +156,26 @@ def count_gathers(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("k, weyl_dim", [(1, 36), (2, 18)])
+def _torus_product(n, k, weyl_dim):
+    """The torus product of the canonical pair, whose Weyl leg is the
+    regular leg of all n^2 monomials, or, at weyl_dim < n^2, of a rep_pair
+    copy of its families, whose leg keeps one U_g V_h per distinct monomial."""
+    if weyl_dim == n * n:
+        return finite_torus(n, k).objects["product"]
+    G = FinAbGroup((n,))
+    chi = Bicharacter(G, G, ((k,),))
+    p = canonical_heisenberg(chi)
+    c = delta_grading(G)
+    return build_via_heisenberg(c, c, chi, pair=rep_pair(G, G, p.U, p.V))
+
+
+@pytest.mark.parametrize("k, weyl_dim", [(1, 36), (2, 18), (2, 36)])
 def test_monomial_products_match_dense_path(monkeypatch, k, weyl_dim):
-    x = finite_torus(6, k).objects["product"]
+    x = _torus_product(6, k, weyl_dim)
     legs = x.legs
     # the torus legs keep their generators: the lambda_g on C and on D
-    # (the identity repeats lambda_0), and one U_g V_h per distinct
-    # monomial on the Weyl leg; every table is monomial
+    # (the identity repeats lambda_0), and the monomials of the Weyl leg;
+    # every table is monomial
     assert legs.dims == (6, 6, weyl_dim)
     assert legs.monomial
     calls = count_gathers(monkeypatch)

@@ -23,6 +23,7 @@ from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist.apps import finite_torus, reduced_crossed_product
 from qtwist.boxtimes import build_via_heisenberg, heisenberg_markings
 from qtwist.coact import delta_grading
+from qtwist.heis import canonical_heisenberg
 from qtwist.matspan import (
     DEFAULT_TOL,
     BudgetError,
@@ -113,9 +114,13 @@ def test_index_path_matches_the_gemm_oracle(run):
 
 
 def _weyl_leg(n=6, k=2):
-    # k = 2: 18 Weyl monomials, which do not span M_6
-    legs = finite_torus(n, k).objects["product"].legs
-    return legs.frames[2].reshape(-1, n, n).copy()
+    # k = 2: the 36 U_g V_h of the canonical pair are 18 monomials, each
+    # twice up to a phase; their frame keeps the 18, which do not span M_6
+    G = FinAbGroup((n,))
+    p = canonical_heisenberg(Bicharacter(G, G, ((k,),)))
+    rows = matspan.frame([p.U[g] @ p.V[h] for g in G.elements() for h in G.elements()]).rows
+    assert rows.shape[0] == 18
+    return rows.reshape(-1, n, n).copy()
 
 
 def _falls_back_with_the_oracle_verdict(bad):

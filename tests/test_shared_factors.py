@@ -3,7 +3,8 @@
 delta_grading and character_grading return one GradedAlgebra per (group,
 tolerance), translations one mapping per group, and a grading holds its
 factor leg per tolerance.  All of them are shared read-only; a grading
-built by graded_algebra never comes from the memo.
+built by graded_algebra never comes from the memo.  A grading holds its
+degree indices and a bicharacter its value table, read-only.
 """
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 
 import dense_oracle as oracle
 from qtwist import coact, matspan
-from qtwist.abgroup import FinAbGroup
+from qtwist.abgroup import Bicharacter, FinAbGroup, enumerate_bicharacters
 from qtwist.apps import finite_torus, reduced_crossed_product
-from qtwist.coact import character_grading, delta_grading, graded_algebra
+from qtwist.coact import ad_grading, character_grading, delta_grading, graded_algebra
 from qtwist.matspan import DEFAULT_TOL, OneTerm, Tolerance, dense_table
 from qtwist.qgroup import translations
 
@@ -114,3 +115,29 @@ def test_graded_algebra_never_comes_from_the_memo():
         rep = graded_algebra(Z3, bad).report
         assert not rep["passed"]
     assert delta_grading(Z3) is shared and shared.report["passed"]
+
+
+def test_degree_indices_and_value_tables_are_held_read_only():
+    lam = translations(Z4)
+    gradings = [
+        delta_grading(KLEIN),
+        character_grading(Z4),
+        ad_grading(Z4, [(0,), (1,), (3,)]),
+        graded_algebra(Z4, {(0,): [lam[(0,)]], (2,): [lam[(2,)]]}),
+    ]
+    for graded in gradings:
+        got = graded.degree_indices()
+        assert graded.degree_indices() is got
+        _assert_read_only(got)
+        fresh = [graded.group.index(g) for g, _ in graded.homogeneous_basis()]
+        assert got.dtype == np.intp and got.tolist() == fresh
+    for G in (Z4, KLEIN, FinAbGroup((6,))):
+        for H in (Z3, KLEIN, FinAbGroup((4, 2))):
+            for chi in enumerate_bicharacters(G, H):
+                table = chi.value_table()
+                assert chi.value_table() is table
+                _assert_read_only(table)
+                again = Bicharacter(G, H, chi.exponents).value_table()
+                values = [[chi.value(a, b) for b in H.elements()] for a in G.elements()]
+                assert again is not table and again.tobytes() == table.tobytes()
+                assert np.array(values).tobytes() == table.tobytes()
