@@ -23,6 +23,7 @@ from .abgroup import (
 )
 from .boxtimes import (
     CrossedProduct,
+    _dense_marking,
     _family_map,
     _term_products,
     _term_stars,
@@ -61,12 +62,11 @@ from .coact import (
     verify_coaction,
     verify_table_coaction,
 )
-from .heis import RepPair, canonical_heisenberg
+from .heis import RepPair, canonical_heisenberg, regular_pair
 from .matspan import (
     DEFAULT_TOL,
     OneTerm,
     Tolerance,
-    basis_tables,
     check_size,
     cmatrix,
     dense_table,
@@ -299,13 +299,17 @@ def finite_torus(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> ScenarioResult
     """
     if not (isinstance(n, int) and isinstance(k, int) and n >= 2 and 0 <= k < n):
         raise ValueError("torus parameters need n >= 2 and 0 <= k < n")
-    # the family, its products and tables are (index, value) arrays of at
-    # most m^2 = n^4 entries; the largest arrays hold n^5: the markings
-    # iota_C and iota_D (n rows of n^4 coordinates), and the Weyl leg's and
-    # the clock-and-shift model's index-path products of n^2 monomials of
-    # n x n with their coefficients and remainders.  Twelve are counted:
-    # the traced peak is 11.7, 9.5 and 8.7 n^5 entries for n = 8, 10, 12
-    check_size(12 * n**5, f"torus n={n}: twelve arrays of n^5 entries")
+    # the markings (one-term rows), the family, its products and tables
+    # are (index, value) arrays of at most m^2 = n^4 entries, and the
+    # matrix model is read off the regular leg.  The largest arrays hold
+    # n^5: the index-path tables of that leg (matspan._monomial_tables on
+    # its n^2 monomials of n x n), formed once per n and process, whose
+    # targets, coefficients, scores, gathered rows and remainders make
+    # six at once.  The traced peak of a fresh torus is 6.5, 5.9, 5.6 and
+    # 5.3 n^5 entries for n = 8, 10, 12 and 16.  The six are counted
+    # twice, so that an admitted torus peaks under half the budget
+    # (1 GiB): the resident peak is 788 MB at n = 25, the largest admitted
+    check_size(2 * 6 * n**5, f"torus n={n}: twice its six arrays of n^5 entries")
     G = FinAbGroup((n,))
     chi = Bicharacter(G, G, ((k,),))
     c = delta_grading(G, tol)
@@ -319,6 +323,35 @@ def _table_gap(a: OneTerm, b: OneTerm) -> float:
     return float(np.max(gap))
 
 
+def _clock_shift_model(n: int, k: int, tol: Tolerance) -> tuple[OneTerm, OneTerm, float, bool]:
+    """(mult, star, residual, full_rank) of the torus of k's matrix model.
+
+    The model sends u to clock = diag(w^j), w = exp(2 pi i / n), and v to
+    shift^k; its element a n + b is clock^a shift^kb / n = U_a V_kb / n,
+    generator a n + kb of the leg of regular_pair(Z/n) divided by n, that
+    is the generator's frame row divided by sqrt(n).  So its tables are the
+    leg's held one-term tables gathered on those rows, with the products
+    scaled by 1 / sqrt(n) and the adjoints as they are; the residual is
+    the leg's, and the model has full rank when its m = n^2 elements sit
+    on distinct frame rows.  No model matrix is formed.  Raises ValueError
+    unless the leg holds its generators and tables as one-term rows.
+    """
+    leg = regular_pair(FinAbGroup((n,)), tol).leg
+    gens = leg.coord_table
+    if not all(isinstance(t, OneTerm) for t in (gens, leg.mult, leg.star)):
+        raise ValueError("torus checks need a regular leg of one-term rows")
+    m = n * n
+    a, b = np.divmod(np.arange(m), n)
+    model = gens[a * n + (k * b) % n]
+    rows = model.idx
+    at = np.full(gens.width, -1, dtype=np.intp)
+    at[rows] = np.arange(m)
+    pairs = np.ix_(rows, rows)
+    mult = OneTerm(at[leg.mult.idx[pairs]], leg.mult.val[pairs] / math.sqrt(n), m)
+    star = OneTerm(at[leg.star.idx[rows]], leg.star.val[rows], m)
+    return mult, star, leg.residual, model.distinct()
+
+
 def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> ScenarioResult:
     """finite_torus's report on x, for generators of order n and the phase of k.
 
@@ -329,13 +362,15 @@ def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> Scenario
     and Weyl monomials) and u, v and the identity are one-term rows, so
     a a* and the powers a^n (n - 1 products) of a = u, v are index
     arithmetic (_term_products, _term_stars) and each of their norms a
-    OneTerm.distance; x and the clock-and-shift model are compared on
-    their one-term structure and star tables.  Raises ValueError on legs,
-    generators or tables that are not one term a row.  The frames are
-    orthonormal, so such a norm is the Frobenius norm of the ambient
-    matrix; legs.residual, the worst defect of a leg table row (one
-    product of two unit frame elements), is added to each as slack.  No
-    ambient matrix is formed.
+    OneTerm.distance.  The frames are orthonormal, so such a norm is the
+    Frobenius norm of the ambient matrix; legs.residual, the worst defect
+    of a leg table row (one product of two unit frame elements), is added
+    to each as slack.  For gcd(k, n) = 1, x and the clock-and-shift model
+    are compared on their one-term structure and star tables; the model's
+    are read off the regular pair's leg over Z/n (_clock_shift_model), not
+    off x.legs, so no model matrix is built and no SVD runs.  Raises
+    ValueError on legs, generators or tables that are not one term a row.
+    No ambient matrix is formed.
     """
     lam = translations(FinAbGroup((n,)))
     legs = x.legs
@@ -372,24 +407,11 @@ def _torus_checks(x: CrossedProduct, n: int, k: int, tol: Tolerance) -> Scenario
     }
 
     if math.gcd(k, n) == 1:
-        # clock-and-shift model: u -> diag(w^j), v -> (shift)^k; the powers
-        # of the clock's diagonal are running products, those of the shift
-        # the translations lambda_{kb}, and target[a n + b] = clock^a shift^kb / n.
-        # Its tables are one term a row, so they are compared with x's on
-        # the (index, value) arrays.
-        w = np.exp(2j * np.pi / n)
-        clock = np.ones((n, n), dtype=np.complex128)
-        clock[1:] = w ** np.arange(n)
-        clock = np.cumprod(clock, axis=0)
-        shifts = np.stack([lam[((k * b) % n,)] for b in range(n)])
-        target = (clock[:, None, :, None] * shifts[None] / n).reshape(m, n * n)
-        mu_t, star_t, res_t = basis_tables(target.reshape(m, n, n), tol)
-        tables = (mu_t, star_t, x.structure_table, x.star_table)
-        if not all(isinstance(t, OneTerm) for t in tables):
+        mu_t, star_t, res_t, full_rank = _clock_shift_model(n, k, tol)
+        if not all(isinstance(t, OneTerm) for t in (x.structure_table, x.star_table)):
             raise ValueError("torus checks need one-term structure and star tables")
         res_x = max(x.report["structure_residual"], x.report["adjoint_residual"])
         diff = max(_table_gap(mu_t, x.structure_table), _table_gap(star_t, x.star_table))
-        full_rank = rank(target, tol.eps_rank) == m
         residuals["matrix_model"] = max(diff, res_t, res_x)
         verdicts["matrix_algebra_iso"] = diff <= thr and full_rank
 
@@ -801,6 +823,7 @@ def cocycle_conjugacy(
     link_c = _linking_grading(gamma, u_mat, tol)
     link_d = _linking_grading(delta, v_mat, tol)
     legs, ic, idd, _, _ = heisenberg_markings(link_c, link_d, chi, None, tol)
+    ic, idd = _dense_marking(ic, legs), _dense_marking(idd, legs)
 
     n, p = c_graded.ambient_dim, d_graded.ambient_dim
     e00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
@@ -1257,6 +1280,7 @@ def module_composition_example(tol: Tolerance = DEFAULT_TOL) -> ScenarioResult:
     lc = ad_grading(G, [(0,), (0,), (1,), (0,)], tol)
     ld = ad_grading(G, [(0,), (1,), (0,)], tol)
     legs, ic, idd, _, _ = heisenberg_markings(lc, ld, chi, None, tol)
+    ic, idd = _dense_marking(ic, legs), _dense_marking(idd, legs)
 
     def unit(n, i, j):
         e = np.zeros((n, n), dtype=np.complex128)

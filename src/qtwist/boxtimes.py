@@ -26,8 +26,9 @@ f_i f_j = c f_k, and are held exactly so, as matspan.OneTerm (index,
 value) arrays; when every leg is monomial, products of sparse coordinate
 tensors are gathered entry by entry instead of contracted densely.  Each
 factor basis element is marked by one pure tensor, so when the legs keep
-their generators the family iota_C(c_i) iota_D(d_j) is one-hot and a
-crossed product's structure and star tables are one term a row too.
+their generators the markings are one-hot, held as one-term rows, and the
+family iota_C(c_i) iota_D(d_j) is one-hot and a crossed product's
+structure and star tables are one term a row too.
 
 A crossed product is held only in these coordinates: its marked family,
 an orthonormal basis of the family's span and the two tables, with no
@@ -80,6 +81,7 @@ from .matspan import (
     orthonormal_rows,
     rank,
     residual_outside,
+    row_table,
     subspace_equal,
     table_defect,
 )
@@ -378,6 +380,24 @@ def _outer_coords(rows) -> np.ndarray:
     return out
 
 
+def _outer_terms(tables) -> OneTerm | np.ndarray:
+    """_outer_coords of per-leg coordinate rows held as tables (row_table),
+    as (N,) one-term rows over the flattened coordinates when every table
+    is one-term, else the dense tensors.
+
+    A pure tensor of one-hot rows is one-hot: its index is the leg indices
+    raveled, its value the product of the leg values, taken in
+    _outer_coords' order, so the dense form has the same entries.
+    """
+    if not all(isinstance(t, OneTerm) for t in tables):
+        return _outer_coords([dense_table(t) for t in tables])
+    idx, val = tables[0].idx, tables[0].val
+    for t in tables[1:]:
+        idx = idx * t.width + t.idx
+        val = val * t.val
+    return OneTerm(idx, val, prod(t.width for t in tables))
+
+
 # ---------------------------------------------------------------------------
 # graded morphisms
 
@@ -550,20 +570,22 @@ class CrossedProduct:
     order (those with |v_i| above the eps_rank cut), else the SVD basis of
     orthonormal_rows.  structure_table[i, j] expands f_i f_j and
     star_table[i] expands f_i* in the family (matspan's expand_table) when
-    the family is a basis, else both are None.  Each is a OneTerm when
-    one term a row, else a dense array; family (as (m, *legs.dims)
-    coordinate tensors), onb, structure and star are the dense forms,
-    formed on first read.  The algebra is held only in these family
-    coordinates; element_matrix materializes one element when a dense
-    matrix is wanted.
+    the family is a basis, else both are None.  iota_c_table[k] and
+    iota_d_table[k] are the markings of the factors' basis elements b_k as
+    rows over the flattened leg coordinates.  Each table is a OneTerm when
+    one term a row, else a dense array; family and the markings iota_c and
+    iota_d (as (m, *legs.dims) coordinate tensors), onb, structure and
+    star are the dense forms, formed on first read.  The algebra is held
+    only in these family coordinates; element_matrix materializes one
+    element when a dense matrix is wanted.
     """
 
     c_graded: GradedAlgebra
     d_graded: GradedAlgebra
     chi: Bicharacter
     legs: LegFrames
-    iota_c: np.ndarray
-    iota_d: np.ndarray
+    iota_c_table: OneTerm | np.ndarray
+    iota_d_table: OneTerm | np.ndarray
     family_table: OneTerm | np.ndarray
     onb_table: OneTerm | np.ndarray
     structure_table: OneTerm | np.ndarray | None
@@ -574,6 +596,14 @@ class CrossedProduct:
     @functools.cached_property
     def family(self) -> np.ndarray:
         return dense_table(self.family_table).reshape((-1,) + self.legs.dims)
+
+    @functools.cached_property
+    def iota_c(self) -> np.ndarray:
+        return dense_table(self.iota_c_table).reshape((-1,) + self.legs.dims)
+
+    @functools.cached_property
+    def iota_d(self) -> np.ndarray:
+        return dense_table(self.iota_d_table).reshape((-1,) + self.legs.dims)
 
     @functools.cached_property
     def onb(self) -> np.ndarray:
@@ -601,7 +631,7 @@ class CrossedProduct:
             row = self.c_graded.ambient.space.coords_of(c, tol)
         except ValueError as exc:
             raise ValueError("element is not in the factor algebra") from exc
-        return np.einsum("k,k...->...", row, self.iota_c)
+        return _apply_marking(row, self.iota_c_table, self.legs)
 
     def iota_d_apply(self, d, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Coordinates of iota_D(d) for d in the second factor."""
@@ -609,7 +639,7 @@ class CrossedProduct:
             row = self.d_graded.ambient.space.coords_of(d, tol)
         except ValueError as exc:
             raise ValueError("element is not in the factor algebra") from exc
-        return np.einsum("k,k...->...", row, self.iota_d)
+        return _apply_marking(row, self.iota_d_table, self.legs)
 
     def element_matrix(self, coords: np.ndarray) -> np.ndarray:
         return coords_to_matrix(coords, self.legs)
@@ -617,6 +647,28 @@ class CrossedProduct:
     def contains_residual(self, coords: np.ndarray) -> float:
         """Distance of a coordinate tensor from the algebra span."""
         return float(residual_outside(coords.reshape(1, -1), self.onb)[0])
+
+
+def _apply_marking(row: np.ndarray, table: OneTerm | np.ndarray, legs: LegFrames) -> np.ndarray:
+    """The coordinate tensor sum_k row[k] table[k]: gathered from one-term
+    rows, contracted otherwise."""
+    if isinstance(table, OneTerm):
+        out = np.zeros(table.width, dtype=np.complex128)
+        np.add.at(out, table.idx, row * table.val)
+        return out.reshape(legs.dims)
+    return np.einsum("k,k...->...", row, table).reshape(legs.dims)
+
+
+def _dense_marking(iota: OneTerm | np.ndarray, legs: LegFrames) -> np.ndarray:
+    """A marking as (m, *legs.dims) coordinate tensors."""
+    return dense_table(iota).reshape((iota.shape[0],) + legs.dims)
+
+
+def _marking_rows(iota: OneTerm | np.ndarray) -> OneTerm | None:
+    """A marking as one-term rows: itself when held so, else scanned."""
+    if isinstance(iota, OneTerm):
+        return iota
+    return OneTerm.of_rows(iota.reshape(iota.shape[0], -1))
 
 
 def _term_products(xs: OneTerm, ys: OneTerm, legs: LegFrames) -> OneTerm:
@@ -648,27 +700,28 @@ def _term_stars(xs: OneTerm, legs: LegFrames) -> OneTerm:
 
 def _marking_report(
     graded: GradedAlgebra,
-    iota: np.ndarray,
+    iota: OneTerm | np.ndarray,
     legs: LegFrames,
     tol: Tolerance,
     rows: OneTerm | None = None,
 ) -> tuple[float, float, bool]:
     """(homomorphism, star, injective) certification of one marking.
 
-    iota[k] is the image of graded's basis element b_k, checked against
-    graded's tables; rows is iota as one-term rows when known.  When the
-    legs are one-term, the rows are one-hot with distinct supports,
-    f_k = v_k e_{s_k}, and the factor's tables are one term a row,
-    b_i b_j = c b_k and b_i* = c b_k, then each product f_i f_j and
-    adjoint f_i* is one (index, value) pair (_term_products, _term_stars)
-    and the table's image is c v_k e_{s_k}, so each row defect is a
-    OneTerm.distance, as table_defect would find.  The rows are then
-    orthogonal, so the rank is the _kept_units count.  Otherwise the
-    products and adjoints are formed and go through table_defect and rank.
+    iota[k] is the image of graded's basis element b_k, as one-term rows
+    or dense, checked against graded's tables; rows is iota as one-term
+    rows when known.  When the legs are one-term, the rows are one-hot
+    with distinct supports, f_k = v_k e_{s_k}, and the factor's tables
+    are one term a row, b_i b_j = c b_k and b_i* = c b_k, then each
+    product f_i f_j and adjoint f_i* is one (index, value) pair
+    (_term_products, _term_stars) and the table's image is c v_k e_{s_k},
+    so each row defect is a OneTerm.distance, as table_defect would find.
+    The rows are then orthogonal, so the rank is the _kept_units count.
+    Otherwise the products and adjoints are formed and go through
+    table_defect and rank.
     """
     m = iota.shape[0]
     if rows is None:
-        rows = OneTerm.of_rows(iota.reshape(m, -1))
+        rows = _marking_rows(iota)
     mult, star, _ = graded.tables(tol)
     if (
         legs.one_term
@@ -685,6 +738,7 @@ def _marking_report(
         star_res = float(np.max(adjs.distance(want_adj), initial=0.0))
         inj = np.count_nonzero(_kept_units(rows, tol)) == m
         return hom, star_res, bool(inj)
+    iota = _dense_marking(iota, legs)
     prods = coords_product_pairs(iota, iota, legs)
     hom, star_res = table_defect(mult, star, iota, prods, _star_stack(iota, legs))
     inj = rank(iota.reshape(m, -1), tol.eps_rank) == m
@@ -814,15 +868,17 @@ def _dense_certificate(
     return onb, structure, star, residuals
 
 
-def _pair_products(xs: np.ndarray, ys: np.ndarray, legs: LegFrames, rows) -> OneTerm | np.ndarray:
+def _pair_products(xs, ys, legs: LegFrames, rows) -> OneTerm | np.ndarray:
     """The products x_a y_b as (a, b) rows of flattened coordinates.
 
-    rows is (xs, ys) as one-term rows, given only on monomial legs: then
-    the products are index arithmetic.  Otherwise they are formed by
-    coords_product_pairs and held as a OneTerm when one-hot.
+    xs and ys are markings, one-term rows or dense.  rows is (xs, ys) as
+    one-term rows, given only on monomial legs: then the products are
+    index arithmetic.  Otherwise they are formed by coords_product_pairs
+    and held as a OneTerm when one-hot.
     """
     if rows is not None:
         return _term_products(rows[0][:, None], rows[1][None, :], legs)
+    xs, ys = _dense_marking(xs, legs), _dense_marking(ys, legs)
     out = coords_product_pairs(xs, ys, legs).reshape(xs.shape[0], ys.shape[0], -1)
     terms = OneTerm.of_rows(out)
     return out if terms is None else terms
@@ -833,18 +889,21 @@ def _assemble(
     d_graded: GradedAlgebra,
     chi: Bicharacter,
     legs: LegFrames,
-    iota_c: np.ndarray,
-    iota_d: np.ndarray,
+    iota_c: OneTerm | np.ndarray,
+    iota_d: OneTerm | np.ndarray,
     provenance: dict,
     extra_report: dict,
     tol: Tolerance,
 ) -> CrossedProduct:
     """Shared certification and packaging for both construction routes.
 
-    When both markings are one-term rows on legs with one-term product
-    tables, the family iota_C(c_i) iota_D(d_j) and the reversed products
-    are index arithmetic (_term_products); otherwise they are formed and
-    held one-term when one-hot.  The closure certificate (onb, the
+    A marking comes as one-term rows (heisenberg_markings' one-hot
+    markings) or as dense coordinate tensors, scanned for one-term rows;
+    the product holds it as it came.  When both markings are one-term
+    rows on legs with one-term product tables, the family
+    iota_C(c_i) iota_D(d_j) and the reversed products are index
+    arithmetic (_term_products); otherwise they are formed and held
+    one-term when one-hot.  The closure certificate (onb, the
     structure and star tables, and the closure, adjoint, structure and
     C*-equality residuals) comes from _index_certificate when the family
     is one-hot on one-term legs, else from _dense_certificate.  The
@@ -854,8 +913,7 @@ def _assemble(
     """
     m_c, m_d = iota_c.shape[0], iota_d.shape[0]
     m = m_c * m_d
-    rows_c = OneTerm.of_rows(iota_c.reshape(m_c, -1))
-    rows_d = OneTerm.of_rows(iota_d.reshape(m_d, -1))
+    rows_c, rows_d = _marking_rows(iota_c), _marking_rows(iota_d)
     index = legs.monomial and rows_c is not None and rows_d is not None
     ab = _pair_products(iota_c, iota_d, legs, (rows_c, rows_d) if index else None)
     rev = _pair_products(iota_d, iota_c, legs, (rows_d, rows_c) if index else None)
@@ -927,8 +985,8 @@ def _assemble(
         d_graded=d_graded,
         chi=chi,
         legs=legs,
-        iota_c=iota_c,
-        iota_d=iota_d,
+        iota_c_table=iota_c if isinstance(iota_c, OneTerm) else iota_c.reshape(m_c, -1),
+        iota_d_table=iota_d if isinstance(iota_d, OneTerm) else iota_d.reshape(m_d, -1),
         family_table=ab.reshape(m) if isinstance(ab, OneTerm) else ab.reshape(m, -1),
         onb_table=onb,
         structure_table=structure,
@@ -940,10 +998,11 @@ def _assemble(
 
 def _weyl_leg(
     pair: RepPair, chi: Bicharacter, tol: Tolerance
-) -> tuple[Frame, np.ndarray, np.ndarray, float]:
+) -> tuple[Frame, OneTerm | np.ndarray, OneTerm | np.ndarray, float]:
     """(frame, u_rows, v_rows, residual): the pair's Weyl leg, the
     coordinate rows of every U_g and V_h in it (G.elements() and
-    H.elements() order) and the pair's Weyl residual for chi.
+    H.elements() order, as row_table tables) and the pair's Weyl residual
+    for chi.
 
     A pair read off its group's regular pair for this chi brings the
     regular leg, where U_g is generator (p(g), 0) and V_h generator
@@ -962,12 +1021,12 @@ def _weyl_leg(
         raise ValueError(f"pair fails the Weyl relation (residual {res:.2e})")
     if read_off:
         leg, order = reg.leg, chi.group_h.order
-        return leg, leg.coords[pair.characters * order], leg.coords[:order], res
+        return leg, leg.coord_table[pair.characters * order], leg.coord_table[:order], res
     leg = pair.weyl_frame(tol)
     us = np.stack([pair.U[g] for g in chi.group_g.elements()])
     vs = np.stack([pair.V[h] for h in chi.group_h.elements()])
-    u_rows = frame_coords(leg.rows, us, tol, "the pair's U")
-    return leg, u_rows, frame_coords(leg.rows, vs, tol, "the pair's V"), res
+    u_rows = row_table(frame_coords(leg.rows, us, tol, "the pair's U"))
+    return leg, u_rows, row_table(frame_coords(leg.rows, vs, tol, "the pair's V")), res
 
 
 def heisenberg_markings(
@@ -976,7 +1035,7 @@ def heisenberg_markings(
     chi: Bicharacter,
     pair: RepPair | None = None,
     tol: Tolerance = DEFAULT_TOL,
-) -> tuple[LegFrames, np.ndarray, np.ndarray, RepPair, float]:
+) -> tuple[LegFrames, OneTerm | np.ndarray, OneTerm | np.ndarray, RepPair, float]:
     """Leg frames and marked embeddings of the three-leg realization.
 
     Homogeneous c of degree g embeds as c (x) 1 (x) U_g and homogeneous
@@ -987,9 +1046,13 @@ def heisenberg_markings(
     built for another chi, is certified by is_heisenberg here.  Each
     marking is the outer product of coordinate rows the frames hold: the
     factor's basis rows, the other factor's identity row and the rows of
-    U_g or V_h at each basis element's degree.  Returns (legs, iota_c,
-    iota_d, pair, pair_residual) without assembling or certifying the
-    product algebra.
+    U_g or V_h at each basis element's degree.  When those rows are
+    one-hot (every factor leg that keeps its homogeneous basis, with the
+    regular leg) the marking is held as one-term rows, (m, width) with
+    the index of the leg indices raveled and the product of the leg
+    values, and no coordinate tensor is formed; otherwise it is the dense
+    (m, *legs.dims) outer product.  Returns (legs, iota_c, iota_d, pair,
+    pair_residual) without assembling or certifying the product algebra.
     """
     _require_factor(c_graded, chi.group_g, "C")
     _require_factor(d_graded, chi.group_h, "D")
@@ -1000,8 +1063,8 @@ def heisenberg_markings(
     legs = leg_frames([c_leg, d_leg, weyl], tol)
     m_c, m_d = c_graded.dim, d_graded.dim
     deg_c, deg_d = c_graded.degree_indices(), d_graded.degree_indices()
-    iota_c = _outer_coords([c_leg.coords[:m_c], d_leg.identity[None], u_rows[deg_c]])
-    iota_d = _outer_coords([c_leg.identity[None], d_leg.coords[:m_d], v_rows[deg_d]])
+    iota_c = _outer_terms([c_leg.coord_table[:m_c], d_leg.identity_table, u_rows[deg_c]])
+    iota_d = _outer_terms([c_leg.identity_table, d_leg.coord_table[:m_d], v_rows[deg_d]])
     return legs, iota_c, iota_d, pair, res
 
 
@@ -1010,13 +1073,14 @@ def build_from_markings(
     d_graded: GradedAlgebra,
     chi: Bicharacter,
     legs: LegFrames,
-    iota_c: np.ndarray,
-    iota_d: np.ndarray,
+    iota_c: OneTerm | np.ndarray,
+    iota_d: OneTerm | np.ndarray,
     provenance: dict | None = None,
     extra_report: dict | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> CrossedProduct:
-    """Assemble and certify a crossed product from explicit markings."""
+    """Assemble and certify a crossed product from explicit markings,
+    one-term rows or dense coordinate tensors."""
     return _assemble(
         c_graded,
         d_graded,

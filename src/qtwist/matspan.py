@@ -43,6 +43,7 @@ __all__ = [
     "dense_table",
     "basis_tables",
     "read_only",
+    "row_table",
     "Frame",
     "frame",
     "frame_coords",
@@ -278,6 +279,13 @@ def dense_table(table):
     return table.dense() if isinstance(table, OneTerm) else table
 
 
+def row_table(rows: np.ndarray) -> OneTerm | np.ndarray:
+    """Rows (last axis) as a table: a OneTerm when every row has exactly
+    one non-zero entry, else the rows themselves."""
+    terms = OneTerm.of_rows(rows)
+    return rows if terms is None else terms
+
+
 def _pick(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """table[..., idx[...]] along the last axis, for idx of table's leading shape."""
     flat = table.reshape(-1, table.shape[-1])
@@ -463,7 +471,9 @@ class Frame:
     their basis_tables: mult, star and the worst defect of either,
     residual.  generators are the matrices the frame was built from, at
     tolerance tol; coords and identity, their frame_coords and those of
-    the identity, are formed on first read.  Every array is read-only."""
+    the identity, and coord_table and identity_table, the same rows as
+    row_table gives them, are formed on first read.  Every array is
+    read-only."""
 
     size: int
     rows: np.ndarray
@@ -482,6 +492,22 @@ class Frame:
     def identity(self) -> np.ndarray:
         """(dim,) coordinates of the identity."""
         return _held_coords(self.rows, np.eye(self.size), self.tol)[0]
+
+    @functools.cached_property
+    def coord_table(self) -> OneTerm | np.ndarray:
+        """coords as a (k,) table, one-term when every generator is one
+        frame element up to a factor."""
+        table = row_table(self.coords)
+        read_only(table)
+        return table
+
+    @functools.cached_property
+    def identity_table(self) -> OneTerm | np.ndarray:
+        """identity as a (1,) table, one-term when it is one frame element
+        up to a factor."""
+        table = row_table(self.identity[None])
+        read_only(table)
+        return table
 
 
 def frame_coords(

@@ -276,6 +276,31 @@ def svd_center_dim(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> int:
     return m - int(np.sum(s > cutoff))
 
 
+def dense_clock_shift_tables(
+    n: int, k: int, tol: Tolerance = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """(mult, star, residual, full_rank) of the torus of k's matrix model,
+    from dense matrices: basis_tables and rank of clock^a shift^kb / n,
+    with clock = diag(w^j), w = exp(2 pi i / n), as matrix powers."""
+    m = n * n
+    w = np.exp(2j * np.pi / n)
+    clock = np.diag(w ** np.arange(n)).astype(np.complex128)
+    shift = translations(FinAbGroup((n,)))[(1,)]
+    target = np.stack(
+        [
+            (
+                np.linalg.matrix_power(clock, a)
+                @ np.linalg.matrix_power(shift, (k * b) % n)
+                / n
+            ).reshape(-1)
+            for a in range(n)
+            for b in range(n)
+        ]
+    )
+    mult, star, res = basis_tables(target.reshape(m, n, n), tol)
+    return dense_table(mult), dense_table(star), res, rank(target, tol.eps_rank) == m
+
+
 def dense_torus_checks(
     n: int, k: int, tol: Tolerance = DEFAULT_TOL, product: CrossedProduct | None = None
 ) -> ScenarioResult:
@@ -324,28 +349,11 @@ def dense_torus_checks(
     }
 
     if math.gcd(k, n) == 1:
-        # clock-and-shift model: u -> diag(w^j), v -> (shift)^k
-        w = np.exp(2j * np.pi / n)
-        clock = np.diag(w ** np.arange(n)).astype(np.complex128)
-        shift = lam[(1,)]
-        target = np.stack(
-            [
-                (
-                    np.linalg.matrix_power(clock, a)
-                    @ np.linalg.matrix_power(shift, (k * b) % n)
-                    / n
-                ).reshape(-1)
-                for a in range(n)
-                for b in range(n)
-            ]
-        )
-        mu_t, smat_t, res_t = basis_tables(target.reshape(m, n, n), tol)
-        mu_t, smat_t = dense_table(mu_t), dense_table(smat_t)
+        mu_t, smat_t, res_t, full_rank = dense_clock_shift_tables(n, k, tol)
         res_x = max(x.report["structure_residual"], x.report["adjoint_residual"])
         diff = float(
             max(np.max(np.abs(mu_t - x.structure)), np.max(np.abs(smat_t - x.star)))
         )
-        full_rank = rank(target, tol.eps_rank) == m
         residuals["matrix_model"] = max(diff, res_t, res_x)
         verdicts["matrix_algebra_iso"] = diff <= thr and full_rank
 

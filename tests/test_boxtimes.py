@@ -68,6 +68,7 @@ from qtwist.matspan import (
     multiplicative_closure,
     orthonormal_rows,
     basis_tables,
+    dense_table,
     residual_outside,
 )
 from qtwist.qgroup import translations
@@ -413,7 +414,7 @@ def tiny_marking():
     # below the eps_rank cut, so the span has dimension 6 of 9
     c = delta_grading(Z3)
     legs, iota_c, iota_d, _, _ = heisenberg_markings(c, c, CHI3)
-    iota_d = iota_d.copy()
+    iota_d = dense_table(iota_d).reshape((-1,) + legs.dims)
     iota_d[2] *= 1e-12
     return build_from_markings(c, c, CHI3, legs, iota_c, iota_d)
 

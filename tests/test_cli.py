@@ -214,7 +214,7 @@ def test_example_torus_bad_params_exit_2(capsys):
 @pytest.mark.parametrize("n", [26, 10**6])
 def test_example_torus_over_size_budget_exits_2(capsys, monkeypatch, n):
     # the estimate must refuse the torus before any pair product is formed;
-    # n = 26 is the first size it refuses (twelve arrays of 26^5 entries)
+    # n = 26 is the first size it refuses (twice six arrays of 26^5 entries)
     def reached(*args):
         raise AssertionError("pair products were allocated")
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import dense_oracle as oracle
-from qtwist import apps, boxtimes, cli, coact, matspan
+from qtwist import apps, boxtimes, cli, coact, heis, matspan
 from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist.apps import finite_torus, reduced_crossed_product
 from qtwist.boxtimes import build_via_heisenberg, heisenberg_markings
@@ -41,9 +41,11 @@ TORI = [(n, k) for n in range(2, 7) for k in range(n)]
 
 def _recorded(run) -> list[np.ndarray]:
     """The distinct families run() passes to basis_tables, with the shared
-    gradings dropped first so that their tables and legs are formed again."""
+    gradings and regular pairs dropped first so that their tables and legs
+    are formed again."""
     coact._delta_grading.cache_clear()
     coact._character_grading.cache_clear()
+    heis._regular_pair.cache_clear()
     seen: dict = {}
     real = matspan.basis_tables
 
@@ -53,7 +55,7 @@ def _recorded(run) -> list[np.ndarray]:
         return real(basis, tol)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (matspan, coact, apps):
+        for module in (matspan, coact):
             mp.setattr(module, "basis_tables", record)
         run()
     return list(seen.values())
@@ -204,8 +206,8 @@ def _dense_rebuild(x, monkeypatch):
         )
 
 
-def _crossed_box(n):
-    return reduced_crossed_product(delta_grading(FinAbGroup((n,)))).objects["boxtimes"]
+def _crossed_box(*cycles):
+    return reduced_crossed_product(delta_grading(FinAbGroup(cycles))).objects["boxtimes"]
 
 
 def _products():
@@ -237,6 +239,79 @@ def test_densified_tables_match_the_dense_certificate(make, monkeypatch):
     assert np.max(residual_outside(x.onb, y.onb)) <= TOL
 
 
+def _dense_markings(c, d, chi, pair):
+    """heisenberg_markings' markings as the dense outer products of the
+    held coordinate rows, the form they had for every pair before one-hot
+    markings were held as one-term rows."""
+    _, u_rows, v_rows, _ = boxtimes._weyl_leg(pair, chi, DEFAULT_TOL)
+    u_rows, v_rows = dense_table(u_rows), dense_table(v_rows)
+    c_leg, d_leg = c.leg(DEFAULT_TOL), d.leg(DEFAULT_TOL)
+    iota_c = [c_leg.coords[: c.dim], d_leg.identity[None], u_rows[c.degree_indices()]]
+    iota_d = [c_leg.identity[None], d_leg.coords[: d.dim], v_rows[d.degree_indices()]]
+    return boxtimes._outer_coords(iota_c), boxtimes._outer_coords(iota_d)
+
+
+def _rebuilt(x, iota_c, iota_d):
+    extra = {"pair_residual": x.report["pair_residual"]}
+    return boxtimes.build_from_markings(
+        x.c_graded, x.d_graded, x.chi, x.legs, iota_c, iota_d, x.provenance, extra
+    )
+
+
+def _one_hot_marked():
+    out = [
+        pytest.param(lambda n=n, k=k: finite_torus(n, k).objects["product"], id=f"torus-{n}-{k}")
+        for n, k in TORI
+    ]
+    out += [
+        pytest.param(lambda c=c: _crossed_box(*c), id="crossed-" + "x".join(map(str, c)))
+        for c in [(2,), (3,), (4,), (2, 2)]
+    ]
+    return out
+
+
+@pytest.mark.parametrize("make", _one_hot_marked())
+def test_one_term_markings_match_the_dense_outer_products(make):
+    x = make()
+    assert isinstance(x.iota_c_table, OneTerm) and isinstance(x.iota_d_table, OneTerm)
+    old_c, old_d = _dense_markings(x.c_graded, x.d_graded, x.chi, canonical_heisenberg(x.chi))
+    # the dense views are the outer products entry for entry
+    for got, old in ((x.iota_c, old_c), (x.iota_d, old_d)):
+        assert got.shape == old.shape and got.dtype == old.dtype
+        assert np.array_equal(got, old)
+    # the same markings given dense are scanned into the same report
+    assert _rebuilt(x, old_c, old_d).report == x.report
+
+
+def _matrix_units(*degrees):
+    return coact.ad_grading(FinAbGroup((2,)), [(g,) for g in degrees])
+
+
+@pytest.mark.parametrize(
+    "c,d",
+    [
+        # a matrix algebra's identity is not one-hot on its matrix units, so
+        # the other factor's marking stays dense; here only iota_D
+        (lambda: _matrix_units(0, 1), lambda: delta_grading(FinAbGroup((2,)))),
+        (lambda: _matrix_units(0, 1), lambda: _matrix_units(0, 1)),
+        (lambda: _matrix_units(0, 0), lambda: _matrix_units(0, 1)),
+    ],
+    ids=["matrix-units-delta", "matrix-units", "inner-matrix"],
+)
+def test_markings_off_one_hot_rows_stay_dense(c, d):
+    c, d = c(), d()
+    G = FinAbGroup((2,))
+    chi = Bicharacter(G, G, ((1,),))
+    _, iota_c, iota_d, _, _ = heisenberg_markings(c, d, chi)
+    old_c, old_d = _dense_markings(c, d, chi, canonical_heisenberg(chi))
+    assert not isinstance(iota_d, OneTerm) and np.array_equal(iota_d, old_d)
+    assert np.array_equal(dense_table(iota_c).reshape(old_c.shape), old_c)
+    x = build_via_heisenberg(c, d, chi)
+    assert x.report["passed"]
+    assert isinstance(x.iota_d_table, np.ndarray)
+    assert _rebuilt(x, old_c, old_d).report == x.report
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2)])
 def test_torus_checks_refuse_dense_leg_tables(n, k):
     # the same markings on legs whose tables are held dense: the torus
@@ -254,7 +329,7 @@ def test_torus_checks_refuse_dense_leg_tables(n, k):
 
 def test_dense_forms_are_formed_on_first_read():
     x = finite_torus(4, 1).objects["product"]
-    assert not {"family", "onb", "structure", "star"} & set(vars(x))
+    assert not {"family", "onb", "structure", "star", "iota_c", "iota_d"} & set(vars(x))
     assert x.structure is x.structure and "structure" in vars(x)
     assert x.structure.shape == (16, 16, 16) and x.family.shape == (16,) + x.legs.dims
 
@@ -337,3 +412,10 @@ def test_cached_tables_are_read_only():
     for a in (rot_mult, rot_star):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+    # a frame's coordinate rows held as one-term tables are read-only too
+    leg = delta_grading(FinAbGroup((4,))).leg(DEFAULT_TOL)
+    for table in (leg.coord_table, leg.identity_table):
+        assert isinstance(table, OneTerm)
+        for a in (table.idx, table.val):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0

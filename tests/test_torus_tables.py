@@ -6,12 +6,13 @@ dense_torus_checks forms u and v as ambient matrices and takes an SVD.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import dense_oracle as oracle
-from qtwist import apps, boxtimes
+from qtwist import apps, boxtimes, coact, matspan
 from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist.apps import _torus_checks, finite_torus, inner_coaction_examples
 from qtwist.boxtimes import build_from_markings, heisenberg_markings, product_center_dim
@@ -19,6 +20,8 @@ from qtwist.coact import delta_grading
 from qtwist.matspan import DEFAULT_TOL, BudgetError, OneTerm
 
 TORI = [(n, k) for n in range(2, 7) for k in range(n)]
+# the tori with a matrix model, n = 2..12
+MODEL_TORI = [(n, k) for n in range(2, 13) for k in range(n) if math.gcd(k, n) == 1]
 
 
 @pytest.mark.parametrize("n,k", TORI)
@@ -103,6 +106,35 @@ def test_perturbed_weyl_table_fails_on_both_sides(n, k):
     got = _torus_checks(x, n, k, DEFAULT_TOL)
     want = oracle.dense_torus_checks(n, k, product=x)
     assert not got.passed and not want.passed
+    if math.gcd(k, n) == 1:
+        # the model is not read off the product's own (perturbed) legs
+        assert not got.report["verdicts"]["matrix_algebra_iso"]
+        assert not want.report["verdicts"]["matrix_algebra_iso"]
+
+
+@pytest.mark.parametrize("n,k", MODEL_TORI)
+def test_model_tables_match_the_dense_clock_and_shift(n, k):
+    mult, star, res, full_rank = apps._clock_shift_model(n, k, DEFAULT_TOL)
+    w_mult, w_star, w_res, w_full_rank = oracle.dense_clock_shift_tables(n, k)
+    assert isinstance(mult, OneTerm) and isinstance(star, OneTerm)
+    assert np.max(np.abs(mult.dense() - w_mult)) <= 1e-14
+    assert np.max(np.abs(star.dense() - w_star)) <= 1e-14
+    assert abs(res - w_res) <= 1e-14
+    assert full_rank and full_rank == w_full_rank
+
+
+@pytest.mark.parametrize("n,k", TORI)
+def test_torus_checks_build_no_model_and_take_no_svd(n, k, monkeypatch):
+    res = finite_torus(n, k)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the torus checks formed tables or took an SVD")
+
+    for module in (matspan, coact):
+        monkeypatch.setattr(module, "basis_tables", refused)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    got = _torus_checks(res.objects["product"], n, k, DEFAULT_TOL)
+    assert got.report == res.report
 
 
 def test_torus_forms_no_ambient_matrix(monkeypatch):
