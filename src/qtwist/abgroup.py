@@ -336,7 +336,14 @@ def regular_bicharacter(group: FinAbGroup) -> Bicharacter:
     Defined on G x dual(G) with value <g, p>^{-1}; this is the unique sign
     for which the regular pair (translations, multiplication by characters)
     on l2(G) satisfies the Weyl orientation used throughout this package.
+    One bicharacter per group, with its value_table, is shared by every
+    caller; _regular_bicharacter.cache_clear() drops it.
     """
+    return _regular_bicharacter(group)
+
+
+@functools.lru_cache(maxsize=64)
+def _regular_bicharacter(group: FinAbGroup) -> Bicharacter:
     dg = dual_group(group)
     rows = tuple(
         tuple((-(int(i == j))) % math.gcd(ni, nj) for j, nj in enumerate(dg.cycles))

@@ -18,13 +18,13 @@ from .abgroup import (
     Bicharacter,
     FinAbGroup,
     dual_group,
-    pairing_table,
     regular_bicharacter,
 )
 from .boxtimes import (
     CrossedProduct,
     _dense_marking,
     _family_map,
+    _outer_terms,
     _term_products,
     _term_stars,
     build_from_markings,
@@ -437,25 +437,21 @@ def reduced_crossed_product(
     Built twice: through the Weyl-pair route with the regular
     bicharacter, and directly on carrier (x) l2(G) where C acts through
     its grading and the diagonal characters act on the second leg.  The
-    two crossed products are certified equivalent.
+    two crossed products are certified equivalent.  The direct route's
+    legs are held: C's GradedAlgebra.leg and regular_pair(G).leg, whose
+    monomials chi_p lambda_g include lambda_g as generator (0, g), so
+    iota_C is read off held rows and only D's characters are projected.
     """
     G = c_graded.group
     d = character_grading(G, tol)
     chi = regular_bicharacter(G)
     xb = build_via_heisenberg(c_graded, d, chi, tol=tol)
 
-    lam = np.stack(list(translations(G).values()))
-    # chars[p] = diag(<g, p>) over g, the columns of the pairing table
-    chars = np.stack([np.diag(t) for t in pairing_table(G).T])
-    n_c = c_graded.ambient_dim
-    leg2 = np.matmul(lam[:, None], chars[None, :]).reshape(-1, G.order, G.order)
-    legs = leg_frames(
-        [list(c_graded.ambient.basis) + [np.eye(n_c)], leg2], tol
-    )
-
+    c_leg, reg = c_graded.leg(tol), regular_pair(G, tol).leg
+    legs = leg_frames([c_leg, reg], tol)
     degs = c_graded.degree_indices()
-    iota_c = pure_coords_stack(legs, [c_graded.ambient.basis, lam[degs]], tol)
-    iota_d = pure_coords_stack(legs, [np.eye(n_c), d.ambient.basis], tol)
+    iota_c = _outer_terms([c_leg.coord_table[: c_graded.dim], reg.coord_table[degs]])
+    iota_d = pure_coords_stack(legs, [np.eye(c_graded.ambient_dim), d.ambient.basis], tol)
     xd = build_from_markings(
         c_graded,
         d,
@@ -523,10 +519,8 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     if x.structure is None:
         raise ValueError("the dual grading needs the structure tensor (dimension law failed)")
     ghat = x.d_graded.group
-    where = {p: k for k, p in enumerate(ghat.elements())}
-    deg_d = [where[p] for p, _ in x.d_graded.homogeneous_basis()]
     # the family is i-major: member i * m_d + j has the degree of chi_j
-    deg = np.tile(deg_d, x.iota_c.shape[0])
+    deg = np.tile(x.d_graded.degree_indices(), x.c_graded.dim)
     identity = x.legs.identity(tol)
     graded_hat = table_grading(
         ghat,
@@ -541,7 +535,7 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     gamma = TableCoaction(graded=graded_hat, model=build_model(ghat), side="left")
     co_rep = verify_table_coaction(gamma, tol)
 
-    degree_zero = graded_hat.basis[deg == where[ghat.zero()]]
+    degree_zero = graded_hat.basis[deg == ghat.index(ghat.zero())]
     fix = float(
         np.max(residual_outside(x.iota_c.reshape(x.iota_c.shape[0], -1), degree_zero))
     )
@@ -651,28 +645,26 @@ def embed_in_reduced(
     acts through its grading on legs (1,2); the second acts through its
     grading on legs (3,4) conjugated by the bicharacter kernel
     X = sum chi(x,y) P_x (x) Q_y on legs (2,4).  The span of the two
-    images is a crossed product equivalent to the abstract one.
+    images is a crossed product equivalent to the abstract one.  The legs
+    are held ones, as in reduced_crossed_product's direct route: each
+    factor's GradedAlgebra.leg and the regular legs of G and H.
     """
     G, H = chi.group_g, chi.group_h
     x1 = build_via_heisenberg(c_graded, d_graded, chi, tol=tol)
 
-    lam_g, lam_h = translations(G), translations(H)
-    chars_g = dict(zip(dual_group(G).elements(), map(np.diag, pairing_table(G).T)))
-    chars_h = dict(zip(dual_group(H).elements(), map(np.diag, pairing_table(H).T)))
+    c_leg, d_leg = c_graded.leg(tol), d_graded.leg(tol)
+    reg_g, reg_h = regular_pair(G, tol).leg, regular_pair(H, tol).leg
+    legs = leg_frames([c_leg, reg_g, d_leg, reg_h], tol)
     n_c, n_d = c_graded.ambient_dim, d_graded.ambient_dim
-    legs = leg_frames(
+    # lambda_g is regular generator (0, g), as in reduced_crossed_product
+    iota_c = _outer_terms(
         [
-            list(c_graded.ambient.basis) + [np.eye(n_c)],
-            [lam_g[g] @ chars_g[p] for g in G.elements() for p in dual_group(G).elements()],
-            list(d_graded.ambient.basis) + [np.eye(n_d)],
-            [lam_h[h] @ chars_h[q] for h in H.elements() for q in dual_group(H).elements()],
-        ],
-        tol,
+            c_leg.coord_table[: c_graded.dim],
+            reg_g.coord_table[c_graded.degree_indices()],
+            d_leg.identity_table,
+            reg_h.identity_table,
+        ]
     )
-    eye_d, eye_h = np.eye(n_d), np.eye(H.order)
-
-    lam_c = np.stack(list(lam_g.values()))[c_graded.degree_indices()]
-    iota_c = pure_coords_stack(legs, [c_graded.ambient.basis, lam_c, eye_d, eye_h], tol)
 
     # the kernel is diagonal: chi(x, y) on every basis vector whose leg 2
     # index is x and leg 4 index is y

@@ -32,7 +32,6 @@ from .matspan import (
     _closure_round,
     internal_unit,
     multiplicative_closure,
-    orthonormal_rows,
     rank,
     read_only,
     residual_outside,
@@ -477,7 +476,7 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
     when the dense images (dim * (n |G|)^2 entries) exceed
     matspan.MAX_DENSE_ENTRIES.
     Each basis image gamma(c_t) is computed densely and read as an
-    (A-entries x C-entries) matrix.  qa is an orthonormal basis of
+    (A-entries x C-entries) matrix.  qa is the coaction frame's basis of
     span{lambda_g}, c_u the orthonormal ambient basis of C, and K[t, s, u]
     the coefficients of gamma(c_t) on qa_s (x) c_u, so that
     gamma(c_t) ~ sum K[t, s, u] c_u (x) qa_s (right side; qa_s (x) c_u on
@@ -489,12 +488,10 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
     """
     graded, model, side = gamma.graded, gamma.model, gamma.side
     group = graded.group
-    lam = translations(group)
-    els = group.elements()
     na, n, d = group.order, graded.ambient_dim, graded.dim
     check_size(d * (n * na) ** 2, "dense coaction images")
 
-    qa = orthonormal_rows(np.stack([lam[g].reshape(-1) for g in els]), tol.eps_rank)
+    qa = model.coaction_frame(tol).qa
     qc = graded.ambient.space.coords()
     qa_h, qc_h = qa.conj(), qc.conj().T
     coeffs = np.empty((d, qa.shape[0], d), dtype=np.complex128)
@@ -513,6 +510,7 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
     labeled = graded.homogeneous_basis()
     hom = np.stack([m.reshape(-1) for _, m in labeled])
     in_hom, _ = expand_in_rows(qc, hom)
+    lam = translations(group)
     lam_qa = np.stack([qa.conj() @ lam[g].reshape(-1) for g, _ in labeled])
     outer = np.einsum("tk,ks,ku->tsu", in_hom, lam_qa, hom @ qc.conj().T)
 
@@ -523,7 +521,7 @@ def verify_coaction(gamma: CoactionMap, tol: Tolerance = DEFAULT_TOL) -> dict:
         by_unit = qc3 @ unit if side == "right" else unit @ qc3
         unit_mult = by_unit.reshape(d, n * n) @ qc.conj().T
     return coaction_checks(
-        coeffs, member, outer, unit_mult, qa, model, side,
+        coeffs, member, outer, unit_mult, model, side,
         graded.report.get("passed", True), tol,
     )
 
@@ -533,7 +531,6 @@ def coaction_checks(
     member: np.ndarray,
     outer: np.ndarray,
     unit_mult: np.ndarray | None,
-    qa: np.ndarray,
     model: QuantumGroupModel,
     side: str,
     grading_passed: bool,
@@ -541,8 +538,9 @@ def coaction_checks(
 ) -> dict:
     """The coaction axioms on coefficient tensors; returns a report.
 
-    qa holds an orthonormal basis of span{lambda_g} as rows and c_u is an
-    orthonormal basis of the d-dimensional algebra C.  coeffs[t] = K[t]
+    Everything about the group alone, qa (an orthonormal basis of
+    span{lambda_g} as rows) included, is model.coaction_frame(tol); c_u is
+    an orthonormal basis of the d-dimensional algebra C.  coeffs[t] = K[t]
     holds the coefficients of the map's image gamma(c_t) on qa_s (x) c_u
     (right side; qa_s (x) c_u on the left) and member[t] = r_t its
     distance from C (x) A; outer[t] = J[t] the same coefficients of the
@@ -560,8 +558,8 @@ def coaction_checks(
       (id (x) Delta)(J[t]) = sum J[t, s, v] Delta[s, a, b] in the
       orthonormal basis c_v (x) qa_a (x) qa_b (left side:
       (id (x) gamma) and (Delta (x) id), in qa_a (x) qa_b (x) c_v), where
-      Delta(qa_s) = sum Delta[s, a, b] qa_a (x) qa_b up to a residual e_s;
-      plus ||J[t]|| (sqrt(sum_u r_u^2) + sqrt(sum_s e_s^2)), which bounds
+      Delta(qa_s) = sum Delta[s, a, b] qa_a (x) qa_b up to a residual e_s
+      (the frame's dco and d_res); plus ||J[t]|| (sqrt(sum_u r_u^2) + sqrt(sum_s e_s^2)), which bounds
       what the coefficients leave out.  So the value is an upper bound of
       the dense Frobenius residual of the identity.  Bound
       eps_eq * max(1, d).
@@ -573,30 +571,23 @@ def coaction_checks(
       Singular values of the rows themselves, no Gram matrix, so the
       relative cut is not squared.  podles_dim is -1 without a unit.
     """
-    group = model.group
-    lam = translations(group)
-    els = group.elements()
-    na, d = group.order, coeffs.shape[0]
+    co = model.coaction_frame(tol)
+    na, d = model.order, coeffs.shape[0]
     rep: dict = {"side": side, "grading_passed": grading_passed}
     rep["injective"] = rank(coeffs.reshape(d, -1), tol.eps_rank) == d
     rep["image_in_c_tensor_a"] = float(np.max(member))
 
-    delta = np.stack([model.comultiplication(q.reshape(na, na)) for q in qa])
-    delta = delta.reshape(-1, na, na, na, na).transpose(0, 1, 3, 2, 4)
-    delta = delta.reshape(-1, na * na, na * na)
-    dco = qa.conj() @ delta @ qa.conj().T
-    d_res = np.linalg.norm(delta - qa.T @ dco @ qa, axis=(1, 2))
     if side == "right":
         # c_v (x) qa_a (x) qa_b: the inner gamma gives qa_a, the outer qa_b
         lhs = np.einsum("tbu,uav->tvab", outer, coeffs)
-        rhs = np.einsum("tsv,sab->tvab", outer, dco)
+        rhs = np.einsum("tsv,sab->tvab", outer, co.dco)
     else:
         # qa_a (x) qa_b (x) c_v: the outer gamma gives qa_a, the inner qa_b
         lhs = np.einsum("tau,ubv->tabv", outer, coeffs)
-        rhs = np.einsum("tsv,sab->tabv", outer, dco)
+        rhs = np.einsum("tsv,sab->tabv", outer, co.dco)
     defect = np.linalg.norm((lhs - rhs).reshape(d, -1), axis=1)
     slack = np.linalg.norm(outer.reshape(d, -1), axis=1) * (
-        np.linalg.norm(member) + np.linalg.norm(d_res)
+        np.linalg.norm(member) + np.linalg.norm(co.d_res)
     )
     rep["comodule_identity"] = float(np.max(defect + slack))
 
@@ -604,12 +595,7 @@ def coaction_checks(
         rep["podles_dim"] = -1
         rep["podles_ok"] = False
     else:
-        qa3 = qa.reshape(-1, na, na)
-        if side == "right":
-            by_g = np.stack([qa3 @ lam[g] for g in els])
-        else:
-            by_g = np.stack([lam[g] @ qa3 for g in els])
-        mult_a = by_g.reshape(na, -1, na * na) @ qa.conj().T
+        mult_a = co.right if side == "right" else co.left
         pod = np.einsum("tsu,gsa,uc->tgac", coeffs, mult_a, unit_mult, optimize=True)
         pdim = rank(pod.reshape(d * na, -1), tol.eps_rank)
         rep["podles_dim"] = pdim
@@ -775,14 +761,11 @@ def verify_table_coaction(gamma: TableCoaction, tol: Tolerance = DEFAULT_TOL) ->
     """
     graded = gamma.graded
     group = graded.group
-    lam = translations(group)
-    lams = np.stack([lam[g].reshape(-1) for g in group.elements()])
-    qa = orthonormal_rows(lams, tol.eps_rank)
-    to_qa = qa.conj() @ lams.T  # lambda_g = sum_s to_qa[s, g] qa_s
+    to_qa = gamma.model.coaction_frame(tol).to_qa  # lambda_g = sum_s to_qa[s, g] qa_s
     basis = graded.basis
     m = basis.shape[0]
     basis_h = basis.conj().T
-    coeffs = np.empty((m, qa.shape[0], m), dtype=np.complex128)
+    coeffs = np.empty((m, to_qa.shape[0], m), dtype=np.complex128)
     member = np.empty(m)
     step = max(1, IMAGE_BLOCK_ENTRIES // (group.order * basis.shape[1]))
     for start in range(0, m, step):
@@ -796,7 +779,7 @@ def verify_table_coaction(gamma: TableCoaction, tol: Tolerance = DEFAULT_TOL) ->
     outer[np.arange(m), :, np.arange(m)] = to_qa[:, graded.deg].T
     unit_mult = np.eye(m, dtype=np.complex128) if graded.contains_identity else None
     return coaction_checks(
-        coeffs, member, outer, unit_mult, qa, gamma.model, gamma.side,
+        coeffs, member, outer, unit_mult, gamma.model, gamma.side,
         graded.report["passed"], tol,
     )
 

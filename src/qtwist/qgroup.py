@@ -24,6 +24,7 @@ from .matspan import (
     AlgebraBasis,
     Tolerance,
     multiplicative_closure,
+    orthonormal_rows,
     read_only,
     span_basis,
     subspace_equal,
@@ -31,6 +32,7 @@ from .matspan import (
 
 __all__ = [
     "QuantumGroupModel",
+    "CoactionFrame",
     "build_model",
     "translations",
     "indicators",
@@ -112,6 +114,26 @@ def _lift_two_leg(mat: np.ndarray, n: int, legs: tuple[int, int]) -> np.ndarray:
     raise ValueError(f"unsupported leg pair {legs}")
 
 
+@dataclass(frozen=True)
+class CoactionFrame:
+    """The group-only data of the coaction checks (coact.coaction_checks).
+
+    b_g is the model's distinguished basis: the translations lambda_g for
+    build_model's model.  qa holds an orthonormal basis of span{b_g} as
+    rows, and b_g = sum_s to_qa[s, g] qa_s.  Delta(qa_s) = sum dco[s, a, b]
+    qa_a (x) qa_b up to the residual d_res[s], its Frobenius distance from
+    A (x) A.  right[g, s, a] and left[g, s, a] expand qa_s b_g and b_g qa_s
+    in the qa_a.  Every array is read-only.
+    """
+
+    qa: np.ndarray
+    to_qa: np.ndarray
+    dco: np.ndarray
+    d_res: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+
+
 @dataclass
 class QuantumGroupModel:
     """Concrete quantum-group data attached to a finite abelian group.
@@ -132,10 +154,34 @@ class QuantumGroupModel:
     hat_algebra: AlgebraBasis
     coproduct_kind: str = "grouplike"
     report: dict = field(default_factory=dict)
+    _coaction: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return self.group.order
+
+    def coaction_frame(self, tol: Tolerance = DEFAULT_TOL) -> CoactionFrame:
+        """The model's CoactionFrame, formed once per tolerance and read by
+        every coaction check; _build_cached.cache_clear() drops build_model's
+        model with its frames."""
+        if tol in self._coaction:
+            return self._coaction[tol]
+        na, basis = self.order, list(self.basis.values())
+        lams = np.stack([b.reshape(-1) for b in basis])
+        qa = orthonormal_rows(lams, tol.eps_rank)
+        qa3, qa_h = qa.reshape(-1, na, na), qa.conj().T
+        # Delta(qa_s) as (A-entries x A-entries) matrices, |G|^5 entries not kept
+        delta = np.stack([self.comultiplication(q) for q in qa3])
+        delta = delta.reshape(-1, na, na, na, na).transpose(0, 1, 3, 2, 4)
+        delta = delta.reshape(-1, na * na, na * na)
+        dco = qa.conj() @ delta @ qa_h
+        d_res = np.linalg.norm(delta - qa.T @ dco @ qa, axis=(1, 2))
+        right = np.stack([qa3 @ b for b in basis]).reshape(na, -1, na * na) @ qa_h
+        left = np.stack([b @ qa3 for b in basis]).reshape(na, -1, na * na) @ qa_h
+        to_qa = qa.conj() @ lams.T
+        read_only(qa, to_qa, dco, d_res, right, left)
+        self._coaction[tol] = CoactionFrame(qa, to_qa, dco, d_res, right, left)
+        return self._coaction[tol]
 
     def coefficients(self, x: np.ndarray) -> tuple[dict, float]:
         """Expand x in the distinguished basis; returns (coeffs, residual)."""

@@ -16,6 +16,9 @@ covariant representations and bicharacter actions pair by pair, through
 crossed products from all family products and adjoints, through
 `relation_transport` and `left_null_rows` on the family rows; it is the
 parity oracle for the table check of `boxtimes._family_map`.
+`built_legs_crossed_product` is `apps.reduced_crossed_product` with its
+direct route on leg frames built per call, the parity oracle for the
+route on held legs.
 `dense_torus_checks` checks the finite torus's generators as dense
 ambient matrices and its center by an SVD (`svd_center_dim`); it is the
 parity oracle for `apps.finite_torus`.  `gemm_structure_tables` is the GEMM path of `matspan.basis_tables`
@@ -27,8 +30,10 @@ the per-element forms of `qgroup.translations`, `heis._rep_residual`,
 `loop_commutation_check` that of `heis.commutation_check` and
 `loop_verify_table_coaction` that of `coact.verify_table_coaction`:
 one group element, element pair or basis element at a time, with every
-product and adjoint formed.  `assert_reports_match` compares a library
-report with an oracle's.
+product and adjoint formed.  `inline_coaction_frame` forms the coaction
+checks' group-only data per call, as they once did inline; it is the
+parity oracle for `QuantumGroupModel.coaction_frame`.
+`assert_reports_match` compares a library report with an oracle's.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qtwist import coact
-from qtwist.abgroup import Bicharacter, FinAbGroup
+from qtwist.abgroup import Bicharacter, FinAbGroup, pairing_table, regular_bicharacter
 from qtwist.apps import ScenarioResult, _deg, _report
 from qtwist.boxtimes import (
     CrossedProduct,
@@ -50,9 +55,11 @@ from qtwist.boxtimes import (
     coords_product_pairs,
     coords_star,
     coords_to_matrix,
+    equivalent,
     leg_frames,
     matrix_to_coords,
     pure_coords,
+    pure_coords_stack,
 )
 from qtwist.coact import (
     CovariantRep,
@@ -906,6 +913,75 @@ def loop_verify_table_coaction(gamma, tol: Tolerance = DEFAULT_TOL) -> dict:
     outer[np.arange(m), :, np.arange(m)] = to_qa[:, graded.deg].T
     unit_mult = np.eye(m, dtype=np.complex128) if graded.contains_identity else None
     return coaction_checks(
-        coeffs, member, outer, unit_mult, qa, gamma.model, gamma.side,
+        coeffs, member, outer, unit_mult, gamma.model, gamma.side,
         graded.report["passed"], tol,
     )
+
+
+def inline_coaction_frame(model, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """The group-only data of coact.coaction_checks as the checks formed
+    them inline, per call: qa from the SVD of the lambda_g rows, to_qa,
+    the comultiplication stack of the qa rows with its coefficients dco
+    and residuals d_res, and the matrices of multiplication by lambda_g
+    on qa from the right and the left.  The parity oracle of
+    qgroup.QuantumGroupModel.coaction_frame."""
+    group = model.group
+    lam = translations(group)
+    els = group.elements()
+    na = group.order
+    lams = np.stack([lam[g].reshape(-1) for g in els])
+    qa = orthonormal_rows(lams, tol.eps_rank)
+    delta = np.stack([model.comultiplication(q.reshape(na, na)) for q in qa])
+    delta = delta.reshape(-1, na, na, na, na).transpose(0, 1, 3, 2, 4)
+    delta = delta.reshape(-1, na * na, na * na)
+    dco = qa.conj() @ delta @ qa.conj().T
+    out = {"qa": qa, "to_qa": qa.conj() @ lams.T, "dco": dco}
+    out["d_res"] = np.linalg.norm(delta - qa.T @ dco @ qa, axis=(1, 2))
+    qa3 = qa.reshape(-1, na, na)
+    out["right"] = np.stack([qa3 @ lam[g] for g in els]).reshape(na, -1, na * na) @ qa.conj().T
+    out["left"] = np.stack([lam[g] @ qa3 for g in els]).reshape(na, -1, na * na) @ qa.conj().T
+    return out
+
+
+def built_legs_crossed_product(c_graded: GradedAlgebra, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """apps.reduced_crossed_product's report with the direct route on legs
+    built per call, as it once was: the frame of C's basis with the
+    identity appended and the frame of the monomials lambda_g chi_p,
+    g-major, with both markings projected by pure_coords_stack.  The
+    parity oracle for the direct route on held legs."""
+    G = c_graded.group
+    d = coact.character_grading(G, tol)
+    chi = regular_bicharacter(G)
+    xb = build_via_heisenberg(c_graded, d, chi, tol=tol)
+    lam = np.stack(list(translations(G).values()))
+    chars = np.stack([np.diag(t) for t in pairing_table(G).T])
+    n_c = c_graded.ambient_dim
+    leg2 = np.matmul(lam[:, None], chars[None, :]).reshape(-1, G.order, G.order)
+    legs = leg_frames([list(c_graded.ambient.basis) + [np.eye(n_c)], leg2], tol)
+    degs = c_graded.degree_indices()
+    iota_c = pure_coords_stack(legs, [c_graded.ambient.basis, lam[degs]], tol)
+    iota_d = pure_coords_stack(legs, [np.eye(n_c), d.ambient.basis], tol)
+    xd = build_from_markings(c_graded, d, chi, legs, iota_c, iota_d, tol=tol)
+    pm = equivalent(xb, xd, tol)
+    expected = c_graded.dim * G.order
+    verdicts = {
+        "box_certified": xb.report["passed"],
+        "direct_certified": xd.report["passed"],
+        "equivalence_found": pm is not None and pm.report["passed"],
+        "dim_law": xb.dim == expected and xd.dim == expected,
+    }
+    residuals = {
+        "box_closure": xb.report["closure_residual"],
+        "direct_closure": xd.report["closure_residual"],
+    }
+    if pm is not None:
+        residuals["map_multiplicative"] = pm.report["multiplicative"]
+        residuals["map_markings"] = pm.report["markings"]
+    dims = {
+        "dim": xd.dim,
+        "expected": expected,
+        "ambient_direct": xd.ambient_dim,
+        "ambient_box": xb.ambient_dim,
+    }
+    inputs = {"group": list(G.cycles), "dim_c": c_graded.dim}
+    return _report("reduced_crossed_product", inputs, dims, residuals, verdicts)
