@@ -25,6 +25,7 @@ from .boxtimes import (
     _dense_marking,
     _family_map,
     _outer_terms,
+    _outside,
     _term_products,
     _term_stars,
     build_from_markings,
@@ -39,7 +40,6 @@ from .boxtimes import (
     matrix_to_coords,
     podles_span_check,
     product_center_dim,
-    pure_coords_stack,
 )
 from .coact import (
     CoactionMap,
@@ -439,8 +439,10 @@ def reduced_crossed_product(
     its grading and the diagonal characters act on the second leg.  The
     two crossed products are certified equivalent.  The direct route's
     legs are held: C's GradedAlgebra.leg and regular_pair(G).leg, whose
-    monomials chi_p lambda_g include lambda_g as generator (0, g), so
-    iota_C is read off held rows and only D's characters are projected.
+    monomials chi_p lambda_g include lambda_g as generator (0, g) and
+    chi_p as generator (p, 0), so both markings are read off held rows:
+    iota_C off C's basis rows and the lambda_g rows, iota_D off the
+    identity row and the frame rows of the characters.
     """
     G = c_graded.group
     d = character_grading(G, tol)
@@ -451,7 +453,13 @@ def reduced_crossed_product(
     legs = leg_frames([c_leg, reg], tol)
     degs = c_graded.degree_indices()
     iota_c = _outer_terms([c_leg.coord_table[: c_graded.dim], reg.coord_table[degs]])
-    iota_d = pure_coords_stack(legs, [np.eye(c_graded.ambient_dim), d.ambient.basis], tol)
+    # D's basis element k spans the component of its character, the
+    # regular leg's generator (p, 0) with p = its degree position, which
+    # the leg keeps as one frame row: its coordinate is its inner product
+    # with that row
+    chars = reg.coord_table[d.degree_indices() * G.order]
+    vals = np.einsum("kv,kv->k", reg.rows[chars.idx].conj(), d.ambient.basis.reshape(d.dim, -1))
+    iota_d = _outer_terms([c_leg.identity_table, OneTerm(chars.idx, vals, chars.width)])
     xd = build_from_markings(
         c_graded,
         d,
@@ -501,10 +509,12 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     Family member iota_C(c_i) iota_D(chi_j) has the degree of the
     character chi_j, so degree p is the set of family indices with
     deg chi_j = p.  coact.table_grading validates that grading on
-    x.structure and x.star, with the closure certificate x already holds;
-    the left coaction lambda_p (x) c_p is applied to coordinate tensors
-    and checked by verify_table_coaction; the embedded copy of C must be
-    exactly the degree-zero part.  No dense matrix is formed.  Raises
+    x's family, structure and star tables, as held (one-term rows for a
+    one-hot product), with the closure certificate x already holds; the
+    left coaction lambda_p (x) c_p is applied to coordinate tensors and
+    checked by verify_table_coaction; the embedded copy of C must be
+    exactly the degree-zero part, its distance from it read by gather
+    when both are one-term rows.  No dense matrix is formed.  Raises
     ValueError when x has no structure table (the dimension law failed).
     """
     G = x.c_graded.group
@@ -516,7 +526,7 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
         raise ValueError(
             "input must be a reduced crossed product (regular bicharacter over the dual group)"
         )
-    if x.structure is None:
+    if x.structure_table is None:
         raise ValueError("the dual grading needs the structure tensor (dimension law failed)")
     ghat = x.d_graded.group
     # the family is i-major: member i * m_d + j has the degree of chi_j
@@ -525,9 +535,9 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     graded_hat = table_grading(
         ghat,
         deg,
-        x.family.reshape(deg.size, -1),
-        x.structure,
-        x.star,
+        x.family_table,
+        x.structure_table,
+        x.star_table,
         max(x.report["closure_residual"], x.report["adjoint_residual"]),
         identity,
         tol,
@@ -535,10 +545,8 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     gamma = TableCoaction(graded=graded_hat, model=build_model(ghat), side="left")
     co_rep = verify_table_coaction(gamma, tol)
 
-    degree_zero = graded_hat.basis[deg == ghat.index(ghat.zero())]
-    fix = float(
-        np.max(residual_outside(x.iota_c.reshape(x.iota_c.shape[0], -1), degree_zero))
-    )
+    zero = deg == ghat.index(ghat.zero())
+    fix = _fixed_point(x.iota_c_table, graded_hat.basis_table, zero)
     dims = graded_hat.report["component_dims"]
     verdicts = {
         "grading_passed": graded_hat.report["passed"],
@@ -562,6 +570,21 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
         {"grading": graded_hat, "coaction": gamma, "coaction_report": co_rep},
         rep,
     )
+
+
+def _fixed_point(
+    iota: OneTerm | np.ndarray, basis: OneTerm | np.ndarray, keep: np.ndarray
+) -> float:
+    """Worst distance of the marking rows iota from the span of the basis
+    rows keep.  On one-term marking rows and unit basis rows with phases
+    (distinct supports) a row is in the span exactly when its index is a
+    kept support, else at distance |value|."""
+    if isinstance(iota, OneTerm) and isinstance(basis, OneTerm):
+        kept = np.zeros(basis.width, dtype=bool)
+        kept[basis.idx[keep]] = True
+        return _outside(iota, kept)
+    rows = dense_table(iota).reshape(iota.shape[0], -1)
+    return float(np.max(residual_outside(rows, dense_table(basis)[keep])))
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,11 @@ against the span, so no array of all m^2 products is formed.
 A map between crossed products is fixed by a matrix a expanding the
 images of the source family in the target family, and is certified on
 the two products' structure and star tables alone (_family_map), so no
-product is formed; a product without tables has no certified map.  The
-map's dense matrix on leg coordinates is formed only when read.
+product is formed; a product without tables has no certified map.
+Between two one-hot products and for an a with one term a row, every
+image, product, adjoint and marking is one (index, value) pair, read by
+gather; any other map is certified on the dense forms.  The map's dense
+matrix on leg coordinates is formed only when read.
 """
 
 from __future__ import annotations
@@ -1255,10 +1258,44 @@ class ProductMap:
         return coords_to_matrix(self.apply_coords(coords), self.target.legs)
 
 
-def _onb_coords(x: CrossedProduct) -> np.ndarray:
-    """x's family rows in x's orthonormal basis: f = w @ x.onb."""
-    m = x.family.shape[0]
+def _onb_positions(onb: OneTerm) -> np.ndarray:
+    """Row of onb's unit row at each flattened coordinate, -1 where none."""
+    pos = np.full(onb.width, -1, dtype=np.intp)
+    pos[onb.idx] = np.arange(onb.idx.size)
+    return pos
+
+
+def _onb_coords(x: CrossedProduct) -> OneTerm | np.ndarray:
+    """x's family rows in x's orthonormal basis: f = w @ x.onb.
+
+    One-term rows when the family and onb are: member v e_s is v conj(u)
+    on the onb row u e_s (0 when no onb row has index s)."""
+    fam, onb = x.family_table, x.onb_table
+    if isinstance(fam, OneTerm) and isinstance(onb, OneTerm):
+        p = _onb_positions(onb)[fam.idx]
+        inside = p >= 0
+        p = np.where(inside, p, 0)
+        return OneTerm(p, np.where(inside, fam.val * onb.val[p].conj(), 0.0), onb.idx.size)
+    m = fam.shape[0]
     return x.family.reshape(m, -1) @ x.onb.conj().T
+
+
+def _mix(a: np.ndarray, rows: OneTerm | np.ndarray) -> OneTerm | np.ndarray:
+    """The rows sum_l a[k, l] rows[l]: one-term rows when a has one non-zero
+    entry a row and rows are one-term, else dense (k, S) rows."""
+    terms = OneTerm.of_rows(a) if isinstance(rows, OneTerm) else None
+    if terms is None:
+        return a @ dense_table(rows).reshape(rows.shape[0], -1)
+    return OneTerm(rows.idx[terms.idx], terms.val * rows.val[terms.idx], rows.width)
+
+
+def _one_term_product(x: CrossedProduct) -> bool:
+    """Whether x holds its family, onb, structure and star as one-term
+    tables: the one-hot products of _index_certificate."""
+    return all(
+        isinstance(t, OneTerm)
+        for t in (x.family_table, x.onb_table, x.structure_table, x.star_table)
+    )
 
 
 def _family_map(
@@ -1284,21 +1321,33 @@ def _family_map(
     adjoint_residual (star, k = 1), ||phi|| the operator norm and |a| the
     largest l1 norm of a row of a.  So each value bounds the dense residual
     ||phi(f_i f_j) - g_i g_j|| or ||phi(f_i*) - g_i*|| from above, as long
-    as r bounds each table row's defect, which both residuals do.  markings
-    is the worst ||phi(v1) - v2||, with phi(v1) = ((v1 src.onb*) coef)
-    target.onb, so the map's (source x target) matrix is not formed;
-    alignment is the worst ||phi(f_k) - g_k||, or the caller's expansion
-    residual when larger.
+    as r bounds each table row's defect, which both residuals do.
+    markings is a list of pairs (v1, v2) of marking tables, rows over the
+    flattened leg coordinates of the source and the target (one-term rows
+    or a dense (k, S) array, as _marking_pairs gives them), and its
+    residual is the worst ||phi(v1) - v2|| over their rows, with
+    phi(v1) = ((v1 src.onb*) coef) target.onb, so the map's
+    (source x target) matrix is not formed; alignment is the worst
+    ||phi(f_k) - g_k||, or the caller's expansion residual when larger.
 
     With scale = max(1, largest row norm of f or of the images) and m the
     source family size, the bounds are s = eps_eq * scale * max(1, m) for
     the star, markings and alignment residuals and s * scale for the
     multiplicative one: products scale as the square of the family norms.
+
+    The index path (_index_family_map) runs when both products hold
+    one-term family, onb, structure and star tables and a has one
+    non-zero entry a row: every quantity above is then one (index, value)
+    pair a row, and each defect a OneTerm.distance.  Any other input
+    takes the general path below, on the dense forms.
     """
-    if src.structure is None or target.structure is None:
+    if src.structure_table is None or target.structure_table is None:
         return None
+    terms = OneTerm.of_rows(a)
+    if terms is not None and _one_term_product(src) and _one_term_product(target):
+        return _index_family_map(src, terms, target, require_bijective, markings, tol, expansion)
     m, mt = a.shape
-    w, c1 = _onb_coords(target), _onb_coords(src)
+    w, c1 = dense_table(_onb_coords(target)), dense_table(_onb_coords(src))
     images = a @ w
     if require_bijective and (m != mt or rank(images, tol.eps_rank) < m):
         return None
@@ -1307,6 +1356,53 @@ def _family_map(
     prods = np.matmul(a, (a @ target.structure.reshape(mt, -1)).reshape(m, mt, mt)) @ w
     hom, star = table_defect(src.structure, src.star, images, prods, (a.conj() @ target.star) @ w)
     phi, row_l1 = float(np.linalg.norm(coef, 2)), float(np.max(np.sum(np.abs(a), axis=1)))
+    mark = _markings_residual(markings, src, coef, target)
+    align = float(np.max(np.linalg.norm(c1 @ coef - images, axis=1)))
+    scale = max(
+        1.0,
+        float(np.max(np.linalg.norm(src.family.reshape(m, -1), axis=1))),
+        float(np.max(np.linalg.norm(images, axis=1))),
+    )
+    return _map_report(src, target, coef, (hom, star, mark, align), phi, row_l1, scale, tol, expansion)
+
+
+def _table_rows(v: OneTerm | np.ndarray) -> np.ndarray:
+    """A table of rows as a dense (k, S) array."""
+    return dense_table(v).reshape(v.shape[0], -1)
+
+
+def _markings_residual(
+    markings, src: CrossedProduct, coef: np.ndarray, target: CrossedProduct, terms=None
+) -> float:
+    """The worst ||phi(v1) - v2|| over the rows of the marking pairs, for
+    phi(v1) = ((v1 src.onb*) coef) target.onb: by gather (_map_terms) when
+    terms, coef as one-term rows, is given and both tables are one-term,
+    else through the dense forms."""
+    worst = 0.0
+    for v1, v2 in markings:
+        if terms is not None and isinstance(v1, OneTerm) and isinstance(v2, OneTerm):
+            gap = _map_terms(v1, src.onb_table, terms, target.onb_table).distance(v2)
+        else:
+            img = ((_table_rows(v1) @ src.onb.conj().T) @ coef) @ target.onb
+            gap = np.linalg.norm(img - _table_rows(v2), axis=1)
+        worst = max(worst, float(np.max(gap, initial=0.0)))
+    return worst
+
+
+def _map_report(
+    src: CrossedProduct,
+    target: CrossedProduct,
+    coef: np.ndarray,
+    defects: tuple[float, float, float, float],
+    phi: float,
+    row_l1: float,
+    scale: float,
+    tol: Tolerance,
+    expansion: float,
+) -> ProductMap:
+    """The ProductMap with _family_map's report: the (multiplicative,
+    star, markings, alignment) defects with their slack and bounds."""
+    hom, star, mark, align = defects
     r1, r2 = src.report, target.report
     rep: dict = {
         "multiplicative": hom
@@ -1314,19 +1410,9 @@ def _family_map(
         + row_l1**2 * r2["structure_residual"],
         "star": star + phi * r1["adjoint_residual"] + row_l1 * r2["adjoint_residual"],
     }
-    mark = 0.0
-    src_h = src.onb.conj().T
-    for v1, v2 in markings:
-        img = ((v1.reshape(-1) @ src_h) @ coef) @ target.onb
-        mark = max(mark, float(np.linalg.norm(img - v2.reshape(-1))))
     rep["markings"] = mark
-    rep["alignment"] = max(float(np.max(np.linalg.norm(c1 @ coef - images, axis=1))), expansion)
-    scale = max(
-        1.0,
-        float(np.max(np.linalg.norm(src.family.reshape(m, -1), axis=1))),
-        float(np.max(np.linalg.norm(images, axis=1))),
-    )
-    s = tol.eps_eq * scale * max(1.0, m)
+    rep["alignment"] = max(align, expansion)
+    s = tol.eps_eq * scale * max(1.0, src.family_table.shape[0])
     rep["passed"] = (
         rep["multiplicative"] <= s * scale
         and rep["star"] <= s
@@ -1334,6 +1420,76 @@ def _family_map(
         and rep["alignment"] <= s
     )
     return ProductMap(source=src, target=target, coef=coef, report=rep)
+
+
+def _index_family_map(
+    src: CrossedProduct,
+    a: OneTerm,
+    target: CrossedProduct,
+    require_bijective: bool,
+    markings,
+    tol: Tolerance,
+    expansion: float,
+) -> ProductMap | None:
+    """_family_map on one-term tables, for a with one term a row,
+    a[k] = alpha_k e_{p_k}.
+
+    The families are one-hot with distinct supports and onb is their unit
+    rows, so w and c1 (the families in onb coordinates) are one term a
+    row and c1 is a scaled permutation.  Then image k is alpha_k w[p_k],
+    coef's row at member k's onb row is image k / c1[k], the product of
+    images i, j is alpha_i alpha_j T[p_i, p_j] read through w and the
+    adjoint conj(alpha_k) tau[p_k] read through w: each one (index,
+    value) pair, compared with the source tables' image by
+    OneTerm.distance, as table_defect would find.  The rows of images are
+    orthogonal when distinct, so the rank is the _kept_units count, and a
+    shared or zero row leaves it below m.  ||coef|| is the largest column
+    norm, exact for a matrix with one term a row.  A marking pair of
+    one-term rows is mapped by gather; any other pair as in the general
+    path.
+    """
+    m, mt = a.idx.size, target.dim
+    w, c1 = _onb_coords(target), _onb_coords(src)
+    images = OneTerm(w.idx[a.idx], a.val * w.val[a.idx], mt)
+    if require_bijective and (
+        m != mt or not images.distinct() or np.count_nonzero(_kept_units(images, tol)) < m
+    ):
+        return None
+    owner = np.empty(m, dtype=np.intp)
+    owner[c1.idx] = np.arange(m)
+    coef = OneTerm(images.idx[owner], images.val[owner] / c1.val[owner], mt)
+
+    T, tau = target.structure_table, target.star_table
+    S, sigma = src.structure_table, src.star_table
+    pa = a.idx
+    n = T.idx[pa[:, None], pa[None, :]]
+    prods = OneTerm(w.idx[n], np.multiply.outer(a.val, a.val) * T.val[pa[:, None], pa[None, :]] * w.val[n], mt)
+    hom = prods.distance(OneTerm(images.idx[S.idx], S.val * images.val[S.idx], mt))
+    ns = tau.idx[pa]
+    stars = OneTerm(w.idx[ns], a.val.conj() * tau.val[pa] * w.val[ns], mt)
+    star = stars.distance(OneTerm(images.idx[sigma.idx], sigma.val * images.val[sigma.idx], mt))
+    col = np.bincount(coef.idx, np.abs(coef.val) ** 2, minlength=mt)
+    phi, row_l1 = float(np.sqrt(np.max(col))), float(np.max(np.abs(a.val)))
+
+    coef_dense = coef.dense()
+    mark = _markings_residual(markings, src, coef_dense, target, coef)
+    # c1 @ coef, row k: c1[k] times coef's row at member k's onb row
+    aligned = OneTerm(coef.idx[c1.idx], c1.val * coef.val[c1.idx], mt)
+    align = float(np.max(aligned.distance(images)))
+    scale = max(1.0, float(np.max(np.abs(src.family_table.val))), float(np.max(np.abs(images.val))))
+    defects = (float(np.max(hom)), float(np.max(star)), mark, align)
+    return _map_report(src, target, coef_dense, defects, phi, row_l1, scale, tol, expansion)
+
+
+def _map_terms(v: OneTerm, src_onb: OneTerm, coef: OneTerm, target_onb: OneTerm) -> OneTerm:
+    """phi(v) = ((v src.onb*) coef) target.onb on one-term rows and unit
+    onb rows: a row off every source onb row maps to zero."""
+    p = _onb_positions(src_onb)[v.idx]
+    inside = p >= 0
+    p = np.where(inside, p, 0)
+    q = coef.idx[p]
+    val = v.val * src_onb.val[p].conj() * coef.val[p] * target_onb.val[q]
+    return OneTerm(target_onb.idx[q], np.where(inside, val, 0.0), target_onb.width)
 
 
 def _check_same_factors(x1: CrossedProduct, x2: CrossedProduct, tol: Tolerance):
@@ -1349,22 +1505,40 @@ def _check_same_factors(x1: CrossedProduct, x2: CrossedProduct, tol: Tolerance):
             raise ValueError(f"crossed products do not share factor {name}")
 
 
-def _factor_coords(target: CrossedProduct, c_mats, d_mats, tol: Tolerance) -> np.ndarray:
-    """P (x) Q, expanding iota_C(c_i) iota_D(d_j) in target's (i-major) family:
-    the coordinates of c_i and d_j in target's factor bases, which coords_of
-    raises outside of."""
-    p = np.stack([target.c_graded.ambient.space.coords_of(c, tol) for c in c_mats])
-    q = np.stack([target.d_graded.ambient.space.coords_of(d, tol) for d in d_mats])
-    return np.kron(p, q)
+def _factor_coords(target: GradedAlgebra, mats, tol: Tolerance) -> np.ndarray:
+    """Rows of coordinates of mats in target's basis, which coords_of
+    raises outside of.  mats is a list of matrices, or a GradedAlgebra
+    for its basis: the exact identity when it is target itself, the same
+    held object in both products."""
+    if mats is target:
+        return np.eye(target.dim)
+    if isinstance(mats, GradedAlgebra):
+        mats = mats.ambient.basis
+    return np.stack([target.ambient.space.coords_of(c, tol) for c in mats])
 
 
-def _marking_pairs(src: CrossedProduct, target: CrossedProduct, tol: Tolerance):
-    pairs = []
-    for i, c in enumerate(src.c_graded.ambient.basis):
-        pairs.append((src.iota_c[i], target.iota_c_apply(c, tol)))
-    for j, d in enumerate(src.d_graded.ambient.basis):
-        pairs.append((src.iota_d[j], target.iota_d_apply(d, tol)))
-    return pairs
+def _marking_pairs(
+    src: CrossedProduct,
+    target: CrossedProduct,
+    tol: Tolerance,
+    coords: tuple[np.ndarray, np.ndarray] | None = None,
+):
+    """[(src.iota_c_table, C's marking in target), (the same for D)]: the
+    markings of src's factor bases in both products, as tables of rows.
+    coords is (P, Q), the _factor_coords of src's factor bases in
+    target's, found here when not given; target's marking rows are mixed
+    by them (_mix), so they stay one-term when P and Q have one term a
+    row."""
+    if coords is None:
+        coords = (
+            _factor_coords(target.c_graded, src.c_graded, tol),
+            _factor_coords(target.d_graded, src.d_graded, tol),
+        )
+    p, q = coords
+    return [
+        (src.iota_c_table, _mix(p, target.iota_c_table)),
+        (src.iota_d_table, _mix(q, target.iota_d_table)),
+    ]
 
 
 def equivalent(
@@ -1376,14 +1550,26 @@ def equivalent(
     certified on the two products' tables to be a *-isomorphism
     intertwining both markings (None when either has no tables).
     Different witnesses or routes for the same construction are
-    equivalent exactly by this check.
+    equivalent exactly by this check.  On factors held by both products
+    the alignment is the identity, so two one-hot products take
+    _family_map's index path.
     """
     _check_same_factors(x1, x2, tol)
-    a = _factor_coords(x2, x1.c_graded.ambient.basis, x1.d_graded.ambient.basis, tol)
-    pm = _family_map(x1, a, x2, True, _marking_pairs(x1, x2, tol), tol)
-    if pm is not None and not pm.report["passed"]:
-        return None
-    return pm
+    return _factor_map(x1, x2, tol)
+
+
+def _factor_map(src: CrossedProduct, target: CrossedProduct, tol: Tolerance) -> ProductMap | None:
+    """The bijection sending src's family member iota_C(c_i) iota_D(d_j)
+    to the same product read in target, pinned by the _factor_coords of
+    src's factor bases in target's and intertwining both markings; None
+    unless it is certified."""
+    coords = (
+        _factor_coords(target.c_graded, src.c_graded, tol),
+        _factor_coords(target.d_graded, src.d_graded, tol),
+    )
+    markings = _marking_pairs(src, target, tol, coords)
+    pm = _family_map(src, np.kron(*coords), target, True, markings, tol)
+    return pm if pm is not None and pm.report["passed"] else None
 
 
 def symmetry(
@@ -1399,10 +1585,10 @@ def symmetry(
     chi_hat = dual_bicharacter(x.chi)
     y = build_via_heisenberg(x.d_graded, x.c_graded, chi_hat, tol=tol)
     # y marks the same factor bases, C second: y.iota_d[i] is C's b_i
-    m = x.family.shape[0]
+    m = x.family_table.shape[0]
     reversed_pairs = coords_product_pairs(y.iota_d, y.iota_c, y.legs).reshape(m, -1)
     a, _, res = expand_table(reversed_pairs, y.family.reshape(m, -1), tol)
-    markings = list(zip(x.iota_c, y.iota_d)) + list(zip(x.iota_d, y.iota_c))
+    markings = [(x.iota_c_table, y.iota_d_table), (x.iota_d_table, y.iota_c_table)]
     pm = _family_map(x, a, y, True, markings, tol, res)
     if pm is None or not pm.report["passed"]:
         raise RuntimeError("symmetry equivalence certification failed")
@@ -1462,14 +1648,14 @@ def functor_map(
             mor.target.ambient.space, dst.ambient.space, tol
         ):
             raise ValueError(f"{name} does not land in the second product's factor")
-    if x1.structure is None or x2.structure is None:
+    if x1.structure_table is None or x2.structure_table is None:
         raise ValueError("the induced map needs both structure tensors (dimension law failed)")
 
     c_imgs = [f.apply(c, tol) for c in x1.c_graded.ambient.basis]
     d_imgs = [g.apply(d, tol) for d in x1.d_graded.ambient.basis]
-    a = _factor_coords(x2, c_imgs, d_imgs, tol)
+    a = np.kron(_factor_coords(x2.c_graded, c_imgs, tol), _factor_coords(x2.d_graded, d_imgs, tol))
     pm = _family_map(x1, a, x2, False, [], tol)
-    rank2 = rank(a @ _onb_coords(x2), tol.eps_rank)
+    rank2 = rank(dense_table(_mix(a, _onb_coords(x2))), tol.eps_rank)
     pm.report["injective"] = rank2 == x1.dim
     pm.report["surjective"] = rank2 == x2.dim
     pm.report["injectivity_matches"] = pm.report["injective"] == (
@@ -1505,8 +1691,4 @@ def qgr_morphism_reparametrize(
     c2 = transport_grading(c_graded, f, tol)
     d2 = transport_grading(d_graded, g, tol)
     xb = build_via_heisenberg(c2, d2, chi2, tol=tol, label="canonical-regraded")
-    a = _factor_coords(xb, c_graded.ambient.basis, d_graded.ambient.basis, tol)
-    pm = _family_map(xa, a, xb, True, _marking_pairs(xa, xb, tol), tol)
-    if pm is not None and not pm.report["passed"]:
-        pm = None
-    return xa, xb, pm
+    return xa, xb, _factor_map(xa, xb, tol)

@@ -21,11 +21,14 @@ from .matspan import (
     DEFAULT_TOL,
     AlgebraBasis,
     Frame,
+    OneTerm,
     Subspace,
     Tolerance,
+    _cut,
     basis_tables,
     check_size,
     cmatrix,
+    dense_table,
     expand_in_rows,
     frame,
     hs_norm,
@@ -570,6 +573,11 @@ def coaction_checks(
       d * |G| rows of length |G| * d (cut eps_rank) equals d * |G|.
       Singular values of the rows themselves, no Gram matrix, so the
       relative cut is not squared.  podles_dim is -1 without a unit.
+
+    This is the general path, for coefficients of any structure: every
+    dense coaction (verify_coaction), and a table coaction whose K is
+    not diagonal in (t, u).  verify_table_coaction runs _diagonal_checks
+    instead when K[t, s, u] is exactly zero for u != t.
     """
     co = model.coaction_frame(tol)
     na, d = model.order, coeffs.shape[0]
@@ -596,11 +604,18 @@ def coaction_checks(
         rep["podles_ok"] = False
     else:
         mult_a = co.right if side == "right" else co.left
-        pod = np.einsum("tsu,gsa,uc->tgac", coeffs, mult_a, unit_mult, optimize=True)
+        # pod[t, g, a, c] = sum K[t, s, u] mult_a[g, s, a] unit_mult[u, c],
+        # as two matrix products: K unit_mult, then mult_a over s
+        by_unit = (coeffs.reshape(d * na, d) @ unit_mult).reshape(d, na, d)
+        pod = np.matmul(mult_a.transpose(0, 2, 1).reshape(na * na, na), by_unit)
         pdim = rank(pod.reshape(d * na, -1), tol.eps_rank)
         rep["podles_dim"] = pdim
         rep["podles_ok"] = pdim == d * na
+    return _passed(rep, d, tol)
 
+
+def _passed(rep: dict, d: int, tol: Tolerance) -> dict:
+    """rep with its passed flag, from coaction_checks' checks and bounds."""
     rep["passed"] = (
         rep["grading_passed"]
         and rep["injective"]
@@ -609,6 +624,64 @@ def coaction_checks(
         and rep["podles_ok"]
     )
     return rep
+
+
+def _diagonal_checks(
+    k: np.ndarray,
+    member: np.ndarray,
+    deg: np.ndarray,
+    model: QuantumGroupModel,
+    side: str,
+    grading_passed: bool,
+    has_unit: bool,
+    tol: Tolerance = DEFAULT_TOL,
+) -> dict:
+    """coaction_checks on coefficients that sit on the diagonal u = t.
+
+    k[t] = K[t, :, t] for K with K[t, s, u] = 0 at every u != t, J[t] is
+    to_qa[:, deg t] at u = t (a table grading's own coaction of its
+    homogeneous basis row c_t), and the unit is the identity (has_unit)
+    or absent.  Every check then splits over t, with coaction_checks'
+    values and bounds:
+
+    - injective: the rows K[t] have disjoint supports, so their singular
+      values are the norms ||k[t]||, cut at eps_rank of the largest.
+    - comodule_identity: per t, the (|G|, |G|) coefficients
+      j_b k_a - sum_s j_s Delta[s, a, b] (right side; j_a k_b on the
+      left), j = J[t, :, t], with the same slack.
+    - podles_dim: the rows of c_t (x) qa_s times 1 (x) lambda_g lie in
+      the columns of c_t alone, so the singular values are those of the
+      |G| x |G| blocks sum_s k[t, s] mult_a[g, s, a], cut at eps_rank of
+      the largest of all blocks.
+    """
+    co = model.coaction_frame(tol)
+    na, d = model.order, k.shape[0]
+    rep: dict = {"side": side, "grading_passed": grading_passed}
+    norms = np.linalg.norm(k, axis=1)
+    rep["injective"] = _cut(np.sort(norms)[::-1], tol.eps_rank) == d
+    rep["image_in_c_tensor_a"] = float(np.max(member))
+
+    j = co.to_qa[:, deg].T
+    if side == "right":
+        lhs = k[:, :, None] * j[:, None, :]
+    else:
+        lhs = j[:, :, None] * k[:, None, :]
+    rhs = (j @ co.dco.reshape(na, na * na)).reshape(d, na, na)
+    defect = np.linalg.norm((lhs - rhs).reshape(d, -1), axis=1)
+    slack = np.linalg.norm(j, axis=1) * (np.linalg.norm(member) + np.linalg.norm(co.d_res))
+    rep["comodule_identity"] = float(np.max(defect + slack))
+
+    if not has_unit:
+        rep["podles_dim"] = -1
+        rep["podles_ok"] = False
+    else:
+        mult_a = co.right if side == "right" else co.left
+        blocks = (k @ mult_a.transpose(1, 0, 2).reshape(na, na * na)).reshape(d, na, na)
+        s = np.linalg.svd(blocks, compute_uv=False)
+        pdim = _cut(np.sort(s, axis=None)[::-1], tol.eps_rank)
+        rep["podles_dim"] = pdim
+        rep["podles_ok"] = pdim == d * na
+    return _passed(rep, d, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -621,24 +694,30 @@ class TableGrading:
 
     deg[k] is the position, in group.elements() order, of the degree of
     family member k, so each component is a set of family indices.
-    basis holds the family rows rotated within each component to an
-    orthonormal homogeneous basis: row k keeps degree deg[k].  The report
+    basis_table holds the family rows rotated within each component to an
+    orthonormal homogeneous basis: row k keeps degree deg[k].  For a
+    one-hot family it is the unit rows with the members' phases, as a
+    OneTerm; basis, the dense rows, is formed on first read.  The report
     has graded_algebra's keys.
     """
 
     group: FinAbGroup
     deg: np.ndarray
-    basis: np.ndarray
+    basis_table: OneTerm | np.ndarray
     contains_identity: bool
     report: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return dense_table(self.basis_table)
 
 
 def table_grading(
     group: FinAbGroup,
     deg: np.ndarray,
-    rows: np.ndarray,
-    structure: np.ndarray,
-    star: np.ndarray,
+    rows: OneTerm | np.ndarray,
+    structure: OneTerm | np.ndarray,
+    star: OneTerm | np.ndarray,
     closure_residual: float,
     identity: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
@@ -650,7 +729,8 @@ def table_grading(
     and f_i* in the family (matspan.basis_tables' convention), and
     closure_residual is the worst distance of a product or adjoint from
     the span that certified them.  identity holds the coordinates of the
-    ambient identity.  The family is a basis, so the index sets are an
+    ambient identity.  Each of rows, structure and star is a OneTerm or a
+    dense array.  The family is a basis, so the index sets are an
     independent direct sum of dimension m.  Never raises on a bad
     grading; as in graded_algebra the violations flip report["passed"]:
 
@@ -660,8 +740,96 @@ def table_grading(
       product b_i b_j outside degree deg i + deg j, and of b_i* outside
       -deg i, read from the tables in the basis b.  Bound eps_eq.
     - closed_under_products: closure_residual <= eps_eq * max(1, m).
+
+    The index path runs when the family is one-hot with distinct
+    supports, f_k = v_k e_{s_k}, and both tables are one-term.  The Gram
+    matrix is then diagonal, so the rotation is diag(1/|v_k|), the basis
+    is the unit rows e_{s_k} with the phases v_k / |v_k|, the overlap is
+    exactly zero, each off-degree residual is one table entry rescaled by
+    |v_k| / (|v_i| |v_j|) (|v_k| / |v_i| for the adjoint), and the
+    identity's distance from the span is its norm outside the supports.
+    Any other input takes the general path: the inverse Cholesky factor
+    of each component's Gram block, on the dense forms.
     """
+    m = rows.shape[0]
+    if (
+        isinstance(rows, OneTerm)
+        and isinstance(structure, OneTerm)
+        and isinstance(star, OneTerm)
+        and rows.distinct()
+    ):
+        basis, off_mult, off_adj, ortho, id_res = _one_term_grading(
+            group, deg, rows, structure, star, identity
+        )
+    else:
+        basis, off_mult, off_adj, ortho, id_res = _dense_grading(
+            group, deg, dense_table(rows), dense_table(structure), dense_table(star), identity
+        )
+
     els = group.elements()
+    rep: dict = {}
+    rep["total_dim"] = m
+    rep["component_dims"] = {els[g]: int(np.count_nonzero(deg == g)) for g in np.unique(deg)}
+    rep["direct_sum_ok"] = True
+    rep["closed_under_products"] = closure_residual <= tol.eps_eq * max(1.0, m)
+    rep["closure_residual"] = closure_residual
+    rep["component_orthogonality"] = ortho
+    rep["multiplication_residual"] = off_mult
+    rep["adjoint_residual"] = off_adj
+    rep["passed"] = (
+        rep["component_orthogonality"] <= tol.eps_eq
+        and rep["closed_under_products"]
+        and rep["multiplication_residual"] <= tol.eps_eq
+        and rep["adjoint_residual"] <= tol.eps_eq
+    )
+    return TableGrading(
+        group=group,
+        deg=deg,
+        basis_table=basis,
+        contains_identity=id_res <= tol.eps_eq * max(1.0, float(np.linalg.norm(identity))),
+        report=rep,
+    )
+
+
+def _one_term_grading(
+    group: FinAbGroup,
+    deg: np.ndarray,
+    rows: OneTerm,
+    structure: OneTerm,
+    star: OneTerm,
+    identity: np.ndarray,
+) -> tuple[OneTerm, float, float, float, float]:
+    """table_grading's (basis, multiplication, adjoint, orthogonality,
+    identity) values of a one-hot family on one-term tables."""
+    mags = np.abs(rows.val)
+    basis = OneTerm(rows.idx, rows.val / mags, rows.width)
+    want = group.add_table[deg[:, None], deg[None, :]]
+    off = deg[structure.idx] != want
+    mult = np.abs(structure.val) * mags[structure.idx] / np.multiply.outer(mags, mags)
+    off_adj = deg[star.idx] != group.neg_table[deg]
+    adj = np.abs(star.val) * mags[star.idx] / mags
+    outside = np.ones(rows.width, dtype=bool)
+    outside[rows.idx] = False
+    id_res = float(np.linalg.norm(identity.reshape(-1)[outside]))
+    return (
+        basis,
+        float(np.max(mult[off], initial=0.0)),
+        float(np.max(adj[off_adj], initial=0.0)),
+        0.0,
+        id_res,
+    )
+
+
+def _dense_grading(
+    group: FinAbGroup,
+    deg: np.ndarray,
+    rows: np.ndarray,
+    structure: np.ndarray,
+    star: np.ndarray,
+    identity: np.ndarray,
+) -> tuple[np.ndarray, float, float, float, float]:
+    """table_grading's (basis, multiplication, adjoint, orthogonality,
+    identity) values of any family, from the dense rows and tables."""
     add, neg = group.add_table, group.neg_table
     m = rows.shape[0]
     gram = rows @ rows.conj().T
@@ -672,36 +840,22 @@ def table_grading(
         block = np.ix_(deg == g, deg == g)
         rot[block] = np.linalg.inv(np.linalg.cholesky(gram[block]))
     back = np.linalg.inv(rot)
-    mult = np.einsum("ia,jb,abc,ck->ijk", rot, rot, structure, back, optimize=True)
+    # mult[i, j, k] = sum rot[i, a] rot[j, b] structure[a, b, c] back[c, k],
+    # one matrix product per index
+    mult = (structure.reshape(m * m, m) @ back).reshape(m, m * m)
+    mult = np.matmul(rot, (rot @ mult).reshape(m, m, m))
     adj = rot.conj() @ star @ back
     basis = rot @ rows
 
     off_mult = np.where(add[deg[:, None], deg[None, :]][:, :, None] == deg, 0.0, mult)
     off_adj = np.where(neg[deg][:, None] == deg, 0.0, adj)
     overlap = np.abs(rot @ gram @ rot.conj().T)[deg[:, None] != deg[None, :]]
-    id_res = float(residual_outside(identity.reshape(1, -1), basis)[0])
-
-    rep: dict = {}
-    rep["total_dim"] = m
-    rep["component_dims"] = {els[g]: int(np.count_nonzero(deg == g)) for g in np.unique(deg)}
-    rep["direct_sum_ok"] = True
-    rep["closed_under_products"] = closure_residual <= tol.eps_eq * max(1.0, m)
-    rep["closure_residual"] = closure_residual
-    rep["component_orthogonality"] = float(np.max(overlap, initial=0.0))
-    rep["multiplication_residual"] = float(np.max(np.linalg.norm(off_mult, axis=2)))
-    rep["adjoint_residual"] = float(np.max(np.linalg.norm(off_adj, axis=1)))
-    rep["passed"] = (
-        rep["component_orthogonality"] <= tol.eps_eq
-        and rep["closed_under_products"]
-        and rep["multiplication_residual"] <= tol.eps_eq
-        and rep["adjoint_residual"] <= tol.eps_eq
-    )
-    return TableGrading(
-        group=group,
-        deg=deg,
-        basis=basis,
-        contains_identity=id_res <= tol.eps_eq * max(1.0, float(np.linalg.norm(identity))),
-        report=rep,
+    return (
+        basis,
+        float(np.max(np.linalg.norm(off_mult, axis=2))),
+        float(np.max(np.linalg.norm(off_adj, axis=1))),
+        float(np.max(overlap, initial=0.0)),
+        float(residual_outside(identity.reshape(1, -1), basis)[0]),
     )
 
 
@@ -725,17 +879,37 @@ class TableCoaction:
         coordinates of c_g, the part of c on the index set of degree g.
 
         c may be a (k, S) stack of coordinate rows, projected on the basis
-        in one product, giving (k, |G|, S).  Raises when a row is outside
-        the algebra, with decompose's bound on each row."""
-        basis = self.graded.basis
-        # c basis*, with the conjugates taken of c and the product, not of
-        # the whole basis
-        coeffs = np.conj(basis @ c.conj().T).T
-        res = np.linalg.norm(c - coeffs @ basis, axis=-1)
+        in one product (by gather on unit rows), giving (k, |G|, S).
+        Raises when a row is outside the algebra, with decompose's bound
+        on each row."""
+        basis, order, deg = self.graded.basis_table, self.graded.group.order, self.graded.deg
+        coeffs, res = _project(c, basis)
         if np.any(res > tol.eps_eq * np.maximum(1.0, np.linalg.norm(c, axis=-1))):
             raise ValueError("element is not in the graded algebra")
-        parts = np.arange(self.graded.group.order)[:, None] == self.graded.deg
+        if isinstance(basis, OneTerm):
+            out = np.zeros(c.shape[:-1] + (order, basis.width), dtype=np.complex128)
+            out[..., deg, basis.idx] = coeffs * basis.val
+            return out
+        parts = np.arange(order)[:, None] == deg
         return (parts * coeffs[..., None, :]) @ basis
+
+
+def _project(c: np.ndarray, basis: OneTerm | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, residuals) of coordinate rows c (last axis) on an
+    orthonormal basis: on unit rows with phases, a gather of c at the
+    supports, else one product with the basis.  The residual is the norm
+    of c minus its projection."""
+    if isinstance(basis, OneTerm):
+        coeffs = c[..., basis.idx] * basis.val.conj()
+        rem = np.array(c, dtype=np.complex128)
+        rem[..., basis.idx] -= coeffs * basis.val
+        # read through a float view, so no further copy of c is made
+        rem = rem.view(np.float64)
+        return coeffs, np.sqrt(np.einsum("...i,...i->...", rem, rem))
+    # c basis*, with the conjugates taken of c and the product, not of
+    # the whole basis
+    coeffs = np.conj(np.conj(c) @ basis.T)
+    return coeffs, np.linalg.norm(c - coeffs @ basis, axis=-1)
 
 
 # verify_table_coaction maps the basis rows in blocks whose images hold at
@@ -751,33 +925,43 @@ def verify_table_coaction(gamma: TableCoaction, tol: Tolerance = DEFAULT_TOL) ->
     The map is applied to the basis rows c_t, all in one call when their
     images fit in IMAGE_BLOCK_ENTRIES, else block by block, and each
     (|G|, S) image Y[g] (gamma(c_t) = sum_g Y[g] (x) lambda_g, or
-    lambda_g (x) Y[g]) is projected on the orthonormal basis: K[t] on
-    qa_s (x) c_u, as in verify_coaction, and r_t = sqrt(|G|)
-    ||Y - projection||, the distance of the image from C (x) A since
-    ||lambda_g||^2 = |G|.  J[t] is lambda_{deg t} (x) c_t, the unit is
-    the ambient identity when the algebra contains it (else the Podles
-    check fails), and coaction_checks states the checks and bounds.  No
+    lambda_g (x) Y[g]) is projected on the orthonormal basis (by gather
+    when the basis is unit rows with phases): K[t] on qa_s (x) c_u, as in
+    verify_coaction, and r_t = sqrt(|G|) ||Y - projection||, the distance
+    of the image from C (x) A since ||lambda_g||^2 = |G|.  J[t] is
+    lambda_{deg t} (x) c_t, and the unit is the ambient identity when the
+    algebra contains it (else the Podles check fails).  Nothing assumes
+    what the map does: the coefficients are tested as computed.  When
+    K[t, s, u] is exactly zero at every u != t (the grading's own map,
+    and any map that keeps each c_t on its own basis row) the checks run
+    on the diagonal, per t (_diagonal_checks); otherwise coaction_checks
+    runs on the whole K.  Both state the same checks and bounds.  No
     dense matrix of the algebra is formed.
     """
     graded = gamma.graded
     group = graded.group
     to_qa = gamma.model.coaction_frame(tol).to_qa  # lambda_g = sum_s to_qa[s, g] qa_s
-    basis = graded.basis
-    m = basis.shape[0]
-    basis_h = basis.conj().T
+    basis = graded.basis_table
+    m, width = basis.shape
     coeffs = np.empty((m, to_qa.shape[0], m), dtype=np.complex128)
     member = np.empty(m)
-    step = max(1, IMAGE_BLOCK_ENTRIES // (group.order * basis.shape[1]))
+    step = max(1, IMAGE_BLOCK_ENTRIES // (group.order * width))
     for start in range(0, m, step):
         rows = slice(start, start + step)
-        img = gamma.apply(basis[rows], tol)
-        c = img @ basis_h
+        img = gamma.apply(dense_table(basis[rows]), tol)
+        c, res = _project(img, basis)
         coeffs[rows] = to_qa @ c
-        diff = (img - c @ basis).reshape(len(img), -1)
-        member[rows] = np.sqrt(group.order) * np.linalg.norm(diff, axis=1)
+        member[rows] = np.sqrt(group.order) * np.linalg.norm(res, axis=1)
+    diag = np.arange(m)
+    k = coeffs[diag, :, diag]
+    has_unit = graded.contains_identity
+    if np.count_nonzero(coeffs) == np.count_nonzero(k):
+        return _diagonal_checks(
+            k, member, graded.deg, gamma.model, gamma.side, graded.report["passed"], has_unit, tol
+        )
     outer = np.zeros_like(coeffs)
-    outer[np.arange(m), :, np.arange(m)] = to_qa[:, graded.deg].T
-    unit_mult = np.eye(m, dtype=np.complex128) if graded.contains_identity else None
+    outer[diag, :, diag] = to_qa[:, graded.deg].T
+    unit_mult = np.eye(m, dtype=np.complex128) if has_unit else None
     return coaction_checks(
         coeffs, member, outer, unit_mult, gamma.model, gamma.side,
         graded.report["passed"], tol,

@@ -465,8 +465,10 @@ def dense_family_map(
     source ones through pinv(rows1) @ rows2.  Returns None when a
     bijection is required but the families satisfy different linear
     relations; raises when a plain (possibly non-injective) extension is
-    not well defined.  The report has boxtimes._family_map's keys and
-    bounds (scale = max(1, largest row norm of either family)).
+    not well defined.  markings are pairs of marking tables, as
+    boxtimes._marking_pairs gives them, mapped one row at a time.  The
+    report has boxtimes._family_map's keys and bounds (scale = max(1,
+    largest row norm of either family)).
     """
     m = src.family.shape[0]
     rows1 = src.family.reshape(m, -1)
@@ -500,7 +502,8 @@ def dense_family_map(
     rep["star"] = float(np.max(np.linalg.norm(s1 @ mat - s2, axis=1)))
     mark = 0.0
     for v1, v2 in markings:
-        mark = max(mark, float(np.linalg.norm(v1.reshape(-1) @ mat - v2.reshape(-1))))
+        for r1, r2 in zip(dense_table(v1).reshape(v1.shape[0], -1), dense_table(v2)):
+            mark = max(mark, float(np.linalg.norm(r1 @ mat - r2.reshape(-1))))
     rep["markings"] = mark
     rep["alignment"] = float(np.max(np.linalg.norm(rows1 @ mat - rows2, axis=1)))
     s = tol.eps_eq * scale * max(1.0, m)

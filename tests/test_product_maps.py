@@ -126,7 +126,7 @@ def _symmetry_case(chi):
         x = build_via_heisenberg(delta_grading(chi.group_g), delta_grading(chi.group_h), chi)
         y, pm = symmetry(x)
         fam2 = coords_product_pairs(y.iota_d, y.iota_c, y.legs).reshape(x.family.shape)
-        markings = list(zip(x.iota_c, y.iota_d)) + list(zip(x.iota_d, y.iota_c))
+        markings = [(x.iota_c_table, y.iota_d_table), (x.iota_d_table, y.iota_c_table)]
         return pm, oracle.dense_family_map(x, fam2, y, True, markings)
 
     return case
@@ -304,8 +304,9 @@ def test_control_perturbed_star_entry(monkeypatch):
 def test_control_swapped_marking():
     x, y = _pair()
     markings = _marking_pairs(x, y, DEFAULT_TOL)
-    (v0, w0), (v1, w1) = markings[:2]
-    swapped = [(v0, w1), (v1, w0)] + markings[2:]
+    # C's b_0 and b_1 sent to each other's marking in the target
+    (v, w), rest = markings[0], markings[1:]
+    swapped = [(v, w[[1, 0]])] + rest
     table, dense = _both(x, y, swapped)
     for rep in (table, dense):
         assert not rep["passed"]
