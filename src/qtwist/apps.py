@@ -26,6 +26,7 @@ from .boxtimes import (
     _family_map,
     _outer_terms,
     _outside,
+    _table_rows,
     _term_products,
     _term_stars,
     build_from_markings,
@@ -71,11 +72,13 @@ from .matspan import (
     cmatrix,
     dense_table,
     expand_in_rows,
+    frame_coords,
     hs_norm,
     multiplicative_closure,
     orthonormal_rows,
     rank,
     residual_outside,
+    row_table,
     table_defect,
 )
 from .qgroup import build_model, translations
@@ -453,13 +456,10 @@ def reduced_crossed_product(
     legs = leg_frames([c_leg, reg], tol)
     degs = c_graded.degree_indices()
     iota_c = _outer_terms([c_leg.coord_table[: c_graded.dim], reg.coord_table[degs]])
-    # D's basis element k spans the component of its character, the
-    # regular leg's generator (p, 0) with p = its degree position, which
-    # the leg keeps as one frame row: its coordinate is its inner product
-    # with that row
-    chars = reg.coord_table[d.degree_indices() * G.order]
-    vals = np.einsum("kv,kv->k", reg.rows[chars.idx].conj(), d.ambient.basis.reshape(d.dim, -1))
-    iota_d = _outer_terms([c_leg.identity_table, OneTerm(chars.idx, vals, chars.width)])
+    # D's basis element k is a multiple of the character chi_k, which the
+    # regular leg keeps as one frame row
+    chars = row_table(frame_coords(reg.rows, d.ambient.basis, tol, "a character"))
+    iota_d = _outer_terms([c_leg.identity_table, chars])
     xd = build_from_markings(
         c_graded,
         d,
@@ -583,8 +583,7 @@ def _fixed_point(
         kept = np.zeros(basis.width, dtype=bool)
         kept[basis.idx[keep]] = True
         return _outside(iota, kept)
-    rows = dense_table(iota).reshape(iota.shape[0], -1)
-    return float(np.max(residual_outside(rows, dense_table(basis)[keep])))
+    return float(np.max(residual_outside(_table_rows(iota), dense_table(basis)[keep])))
 
 
 # ---------------------------------------------------------------------------

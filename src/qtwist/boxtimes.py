@@ -1258,6 +1258,11 @@ class ProductMap:
         return coords_to_matrix(self.apply_coords(coords), self.target.legs)
 
 
+def _table_rows(v: OneTerm | np.ndarray) -> np.ndarray:
+    """A table of rows as a dense (k, S) array."""
+    return dense_table(v).reshape(v.shape[0], -1)
+
+
 def _onb_positions(onb: OneTerm) -> np.ndarray:
     """Row of onb's unit row at each flattened coordinate, -1 where none."""
     pos = np.full(onb.width, -1, dtype=np.intp)
@@ -1265,19 +1270,22 @@ def _onb_positions(onb: OneTerm) -> np.ndarray:
     return pos
 
 
-def _onb_coords(x: CrossedProduct) -> OneTerm | np.ndarray:
-    """x's family rows in x's orthonormal basis: f = w @ x.onb.
+def _onb_terms(v: OneTerm, onb: OneTerm) -> OneTerm:
+    """The one-term rows v in the unit rows onb, v @ onb*: row v e_s is
+    v conj(u) on the onb row u e_s (0 when no onb row has index s)."""
+    p = _onb_positions(onb)[v.idx]
+    inside = p >= 0
+    p = np.where(inside, p, 0)
+    return OneTerm(p, np.where(inside, v.val * onb.val[p].conj(), 0.0), onb.idx.size)
 
-    One-term rows when the family and onb are: member v e_s is v conj(u)
-    on the onb row u e_s (0 when no onb row has index s)."""
+
+def _onb_coords(x: CrossedProduct) -> OneTerm | np.ndarray:
+    """x's family rows in x's orthonormal basis: f = w @ x.onb, one-term
+    rows (_onb_terms) when the family and onb are."""
     fam, onb = x.family_table, x.onb_table
     if isinstance(fam, OneTerm) and isinstance(onb, OneTerm):
-        p = _onb_positions(onb)[fam.idx]
-        inside = p >= 0
-        p = np.where(inside, p, 0)
-        return OneTerm(p, np.where(inside, fam.val * onb.val[p].conj(), 0.0), onb.idx.size)
-    m = fam.shape[0]
-    return x.family.reshape(m, -1) @ x.onb.conj().T
+        return _onb_terms(fam, onb)
+    return _table_rows(fam) @ x.onb.conj().T
 
 
 def _mix(a: np.ndarray, rows: OneTerm | np.ndarray) -> OneTerm | np.ndarray:
@@ -1285,7 +1293,7 @@ def _mix(a: np.ndarray, rows: OneTerm | np.ndarray) -> OneTerm | np.ndarray:
     entry a row and rows are one-term, else dense (k, S) rows."""
     terms = OneTerm.of_rows(a) if isinstance(rows, OneTerm) else None
     if terms is None:
-        return a @ dense_table(rows).reshape(rows.shape[0], -1)
+        return a @ _table_rows(rows)
     return OneTerm(rows.idx[terms.idx], terms.val * rows.val[terms.idx], rows.width)
 
 
@@ -1364,11 +1372,6 @@ def _family_map(
         float(np.max(np.linalg.norm(images, axis=1))),
     )
     return _map_report(src, target, coef, (hom, star, mark, align), phi, row_l1, scale, tol, expansion)
-
-
-def _table_rows(v: OneTerm | np.ndarray) -> np.ndarray:
-    """A table of rows as a dense (k, S) array."""
-    return dense_table(v).reshape(v.shape[0], -1)
 
 
 def _markings_residual(
@@ -1484,12 +1487,9 @@ def _index_family_map(
 def _map_terms(v: OneTerm, src_onb: OneTerm, coef: OneTerm, target_onb: OneTerm) -> OneTerm:
     """phi(v) = ((v src.onb*) coef) target.onb on one-term rows and unit
     onb rows: a row off every source onb row maps to zero."""
-    p = _onb_positions(src_onb)[v.idx]
-    inside = p >= 0
-    p = np.where(inside, p, 0)
-    q = coef.idx[p]
-    val = v.val * src_onb.val[p].conj() * coef.val[p] * target_onb.val[q]
-    return OneTerm(target_onb.idx[q], np.where(inside, val, 0.0), target_onb.width)
+    c = _onb_terms(v, src_onb)
+    q = coef.idx[c.idx]
+    return OneTerm(target_onb.idx[q], c.val * coef.val[c.idx] * target_onb.val[q], target_onb.width)
 
 
 def _check_same_factors(x1: CrossedProduct, x2: CrossedProduct, tol: Tolerance):
@@ -1517,28 +1517,20 @@ def _factor_coords(target: GradedAlgebra, mats, tol: Tolerance) -> np.ndarray:
     return np.stack([target.ambient.space.coords_of(c, tol) for c in mats])
 
 
-def _marking_pairs(
-    src: CrossedProduct,
-    target: CrossedProduct,
-    tol: Tolerance,
-    coords: tuple[np.ndarray, np.ndarray] | None = None,
-):
-    """[(src.iota_c_table, C's marking in target), (the same for D)]: the
-    markings of src's factor bases in both products, as tables of rows.
-    coords is (P, Q), the _factor_coords of src's factor bases in
-    target's, found here when not given; target's marking rows are mixed
-    by them (_mix), so they stay one-term when P and Q have one term a
+def _marking_pairs(src: CrossedProduct, target: CrossedProduct, tol: Tolerance):
+    """((P, Q), markings): P and Q are the _factor_coords of src's C and D
+    bases in target's, and markings is [(src.iota_c_table, C's marking
+    in target), (the same for D)], the markings of src's factor bases in
+    both products as tables of rows.  Target's marking rows are mixed by
+    P and Q (_mix), so they stay one-term when P and Q have one term a
     row."""
-    if coords is None:
-        coords = (
-            _factor_coords(target.c_graded, src.c_graded, tol),
-            _factor_coords(target.d_graded, src.d_graded, tol),
-        )
-    p, q = coords
-    return [
+    p = _factor_coords(target.c_graded, src.c_graded, tol)
+    q = _factor_coords(target.d_graded, src.d_graded, tol)
+    markings = [
         (src.iota_c_table, _mix(p, target.iota_c_table)),
         (src.iota_d_table, _mix(q, target.iota_d_table)),
     ]
+    return (p, q), markings
 
 
 def equivalent(
@@ -1563,12 +1555,8 @@ def _factor_map(src: CrossedProduct, target: CrossedProduct, tol: Tolerance) -> 
     to the same product read in target, pinned by the _factor_coords of
     src's factor bases in target's and intertwining both markings; None
     unless it is certified."""
-    coords = (
-        _factor_coords(target.c_graded, src.c_graded, tol),
-        _factor_coords(target.d_graded, src.d_graded, tol),
-    )
-    markings = _marking_pairs(src, target, tol, coords)
-    pm = _family_map(src, np.kron(*coords), target, True, markings, tol)
+    (p, q), markings = _marking_pairs(src, target, tol)
+    pm = _family_map(src, np.kron(p, q), target, True, markings, tol)
     return pm if pm is not None and pm.report["passed"] else None
 
 

@@ -323,7 +323,7 @@ def test_product_map_matrix_is_formed_on_first_read():
     assert "matrix" in vars(pm) and pm.matrix is pm.matrix
     # the markings residual read through the matrix is the reported one
     worst = 0.0
-    for v1, v2 in boxtimes._marking_pairs(src, target, DEFAULT_TOL):
+    for v1, v2 in boxtimes._marking_pairs(src, target, DEFAULT_TOL)[1]:
         rows1, rows2 = dense_table(v1), dense_table(v2)
         worst = max(worst, float(np.max(np.linalg.norm(rows1 @ pm.matrix - rows2, axis=1))))
     assert abs(worst - pm.report["markings"]) <= TOL

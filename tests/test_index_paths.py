@@ -284,7 +284,7 @@ def test_equivalence_on_index_arrays_matches_the_general_path(cycles, monkeypatc
         fam2 = oracle.dense_aligned_family(
             xd, xb.c_graded.ambient.basis, xb.d_graded.ambient.basis, DEFAULT_TOL
         )
-        markings = _marking_pairs(xb, xd, DEFAULT_TOL)
+        markings = _marking_pairs(xb, xd, DEFAULT_TOL)[1]
         _map_reports(pm, oracle.dense_family_map(xb, fam2, xd, True, markings))
 
 
@@ -300,7 +300,7 @@ def test_held_factors_align_exactly():
     # no longer has one term a row
     near = np.stack([d.ambient.space.coords_of(b) for b in d.ambient.basis])
     assert OneTerm.of_rows(near) is None and np.allclose(near, np.eye(d.dim), atol=1e-15)
-    pairs = _marking_pairs(xb, xd, DEFAULT_TOL)
+    pairs = _marking_pairs(xb, xd, DEFAULT_TOL)[1]
     assert all(isinstance(t, OneTerm) for pair in pairs for t in pair)
 
 
@@ -365,7 +365,7 @@ def test_reparametrize_on_index_arrays_matches_the_general_path(name, monkeypatc
     assert calls["_index_family_map"] == 1
     _map_reports(pm, general)
     fam2 = oracle.dense_aligned_family(xb, c.ambient.basis, c.ambient.basis, DEFAULT_TOL)
-    markings = _marking_pairs(xa, xb, DEFAULT_TOL)
+    markings = _marking_pairs(xa, xb, DEFAULT_TOL)[1]
     _map_reports(pm, oracle.dense_family_map(xa, fam2, xb, True, markings))
 
 
@@ -379,7 +379,7 @@ def test_embedding_takes_the_general_path(monkeypatch):
     x1, xe = res.objects["product"], res.objects["embedded"]
     assert not isinstance(xe.family_table, OneTerm)
     fam2 = oracle.dense_aligned_family(xe, c.ambient.basis, c.ambient.basis, DEFAULT_TOL)
-    dense = oracle.dense_family_map(x1, fam2, xe, True, _marking_pairs(x1, xe, DEFAULT_TOL))
+    dense = oracle.dense_family_map(x1, fam2, xe, True, _marking_pairs(x1, xe, DEFAULT_TOL)[1])
     _map_reports(res.objects["map"], dense)
 
 
@@ -390,7 +390,7 @@ def test_embedding_takes_the_general_path(monkeypatch):
 def _index_and_general(a, monkeypatch):
     objs = _crossed((2, 2)).objects
     xb, xd = objs["boxtimes"], objs["direct"]
-    markings = _marking_pairs(xb, xd, DEFAULT_TOL)
+    markings = _marking_pairs(xb, xd, DEFAULT_TOL)[1]
     calls = _spy(monkeypatch, boxtimes, "_index_family_map")
     pm = _family_map(xb, a, xd, True, markings, DEFAULT_TOL)
     assert calls["_index_family_map"] == 1
@@ -434,13 +434,13 @@ def test_direct_route_reads_iota_d_off_held_rows(cycles):
     assert np.max(np.abs(x.iota_d - want)) <= 1e-15
 
 
-def test_direct_route_projects_no_marking(monkeypatch):
+def test_direct_route_projects_no_pure_tensor(monkeypatch):
     graded = delta_grading(FinAbGroup((2, 2)))
     reduced_crossed_product(graded)
 
     def projected(*args, **kwargs):
-        raise AssertionError("a marking was projected")
+        raise AssertionError("a marking was projected as a pure tensor")
 
-    for name in ("pure_coords_stack", "pure_coords", "frame_coords"):
+    for name in ("pure_coords_stack", "pure_coords"):
         monkeypatch.setattr(boxtimes, name, projected)
     assert reduced_crossed_product(graded).passed

@@ -75,7 +75,7 @@ def _dense_equivalence(x1, x2):
     """The dense oracle on equivalent's input, kept only when it passes, as
     equivalent keeps its map."""
     fam2 = _aligned(x2, x1.c_graded.ambient.basis, x1.d_graded.ambient.basis)
-    dense = oracle.dense_family_map(x1, fam2, x2, True, _marking_pairs(x1, x2, DEFAULT_TOL))
+    dense = oracle.dense_family_map(x1, fam2, x2, True, _marking_pairs(x1, x2, DEFAULT_TOL)[1])
     return dense if dense is not None and dense.report["passed"] else None
 
 
@@ -266,7 +266,7 @@ def test_control_different_twists():
     c = delta_grading(Z2)
     x = build_via_heisenberg(c, c, CHI2)
     y = build_via_heisenberg(c, c, Bicharacter.trivial(Z2, Z2))
-    table, dense = _both(x, y, _marking_pairs(x, y, DEFAULT_TOL))
+    table, dense = _both(x, y, _marking_pairs(x, y, DEFAULT_TOL)[1])
     for rep in (table, dense):
         assert not rep["passed"]
         assert rep["multiplicative"] > 0.1
@@ -303,7 +303,7 @@ def test_control_perturbed_star_entry(monkeypatch):
 
 def test_control_swapped_marking():
     x, y = _pair()
-    markings = _marking_pairs(x, y, DEFAULT_TOL)
+    markings = _marking_pairs(x, y, DEFAULT_TOL)[1]
     # C's b_0 and b_1 sent to each other's marking in the target
     (v, w), rest = markings[0], markings[1:]
     swapped = [(v, w[[1, 0]])] + rest
