@@ -25,8 +25,6 @@ from .boxtimes import (
     _dense_marking,
     _family_map,
     _outer_terms,
-    _outside,
-    _table_rows,
     _term_products,
     _term_stars,
     build_from_markings,
@@ -76,6 +74,7 @@ from .matspan import (
     hs_norm,
     multiplicative_closure,
     orthonormal_rows,
+    project,
     rank,
     residual_outside,
     row_table,
@@ -546,7 +545,8 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
     co_rep = verify_table_coaction(gamma, tol)
 
     zero = deg == ghat.index(ghat.zero())
-    fix = _fixed_point(x.iota_c_table, graded_hat.basis_table, zero)
+    # the distance of the embedded C's rows from the degree-zero basis rows
+    fix = float(np.max(project(x.iota_c_table, graded_hat.basis_table[zero])[1], initial=0.0))
     dims = graded_hat.report["component_dims"]
     verdicts = {
         "grading_passed": graded_hat.report["passed"],
@@ -570,20 +570,6 @@ def dual_coaction(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> ScenarioRe
         {"grading": graded_hat, "coaction": gamma, "coaction_report": co_rep},
         rep,
     )
-
-
-def _fixed_point(
-    iota: OneTerm | np.ndarray, basis: OneTerm | np.ndarray, keep: np.ndarray
-) -> float:
-    """Worst distance of the marking rows iota from the span of the basis
-    rows keep.  On one-term marking rows and unit basis rows with phases
-    (distinct supports) a row is in the span exactly when its index is a
-    kept support, else at distance |value|."""
-    if isinstance(iota, OneTerm) and isinstance(basis, OneTerm):
-        kept = np.zeros(basis.width, dtype=bool)
-        kept[basis.idx[keep]] = True
-        return _outside(iota, kept)
-    return float(np.max(residual_outside(_table_rows(iota), dense_table(basis)[keep])))
 
 
 # ---------------------------------------------------------------------------

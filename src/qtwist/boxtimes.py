@@ -15,8 +15,8 @@ numerically certified product and adjoint tables, so algebra operations
 run on small coordinate arrays instead of large ambient matrices; the
 worst table residual is part of every report.  Every product and adjoint
 table here (frames, factors, a crossed product's structure and star) comes
-from matspan.basis_tables / expand_table or is the index arithmetic below,
-and is checked by table_defect or its one-term form (OneTerm.distance).
+from matspan.basis_tables or matspan.expand_rows and is checked by
+table_defect.
 
 A leg whose generators are already orthonormal up to phase repeats (the
 group unitaries lambda_g, the Weyl monomials U_g V_h, the ambient basis
@@ -30,27 +30,23 @@ their generators the markings are one-hot, held as one-term rows, and the
 family iota_C(c_i) iota_D(d_j) is one-hot and a crossed product's
 structure and star tables are one term a row too.
 
-A crossed product is held only in these coordinates: its marked family,
-an orthonormal basis of the family's span and the two tables, with no
-dense copy of the algebra.  When every leg table is one term a row and
-the family rows are one-hot with distinct supports, f_i = v_i e_{s_i}
-(the torus and the crossed products of delta gradings), every product
-f_i f_j and adjoint f_i* is one (index, value) pair: the family, the
-closure certificate, the identity residual and the commutation law are
-index arithmetic on the leg tables, and all four are held as OneTerm
-arrays (the basis of the span is the unit rows e_{s_i}), formed densely
-only when read.  The same arithmetic certifies one-hot markings against
-one-term factor tables (_marking_report).  Any other family is certified
-densely, one left factor at a time: the m products f_i f_j of each f_i
-against the span, so no array of all m^2 products is formed.
-
-A map between crossed products is fixed by a matrix a expanding the
-images of the source family in the target family, and is certified on
-the two products' structure and star tables alone (_family_map), so no
-product is formed; a product without tables has no certified map.
-Between two one-hot products and for an a with one term a row, every
-image, product, adjoint and marking is one (index, value) pair, read by
-gather; any other map is certified on the dense forms.  The map's dense
+A crossed product is held only in these coordinates, as tables of rows:
+its markings, its marked family, an orthonormal basis of the family's
+span and the structure and star tables, with no dense copy of the
+algebra.  Products and adjoints of rows are _products and _stars, index
+arithmetic on one-term rows over one-term leg tables, else formed
+densely.  Everything else (the closure certificate, the marking reports,
+the identity residual, the commutation law and the maps between crossed
+products: equivalence, symmetry, functoriality, regrading) is written
+once on matspan's table operations (compose, row_distance, row_span,
+project, expand_rows, solve, rank, op_norm), each of which keeps
+one-term tables one-term and takes dense ones densely.  So a one-hot
+family on one-term legs is certified on (index, value) arrays, its basis
+being the unit rows e_{s_i}, and any other family densely, one left
+factor at a time, with no array of all m^2 products.  A map between
+crossed products is fixed by a matrix a expanding the images of the
+source family in the target family and is certified on the two
+products' tables (_family_map), so no product is formed; its dense
 matrix on leg coordinates is formed only when read.
 """
 
@@ -76,15 +72,22 @@ from .matspan import (
     OneTerm,
     Tolerance,
     cmatrix,
+    compose,
+    concat_rows,
     dense_table,
     expand_in_rows,
-    expand_table,
+    expand_rows,
     frame,
     frame_coords,
-    orthonormal_rows,
+    op_norm,
+    project,
     rank,
-    residual_outside,
+    row_blocks,
+    row_distance,
+    row_norms,
+    row_span,
     row_table,
+    solve,
     subspace_equal,
     table_defect,
 )
@@ -568,11 +571,11 @@ class CrossedProduct:
     family_table holds the marked spanning elements iota_C(c_i) iota_D(d_j)
     as rows over the flattened leg coordinates, i-major over the factors'
     homogeneous bases (which are their ambient.basis, see GradedAlgebra);
-    onb_table is an orthonormal basis of their span: for a one-hot family
-    f_i = v_i e_{s_i} on one-term legs the unit rows e_{s_i} in column
+    onb_table is an orthonormal basis of their span, matspan.row_span:
+    for a one-hot family f_i = v_i e_{s_i} the unit rows e_{s_i} in family
     order (those with |v_i| above the eps_rank cut), else the SVD basis of
     orthonormal_rows.  structure_table[i, j] expands f_i f_j and
-    star_table[i] expands f_i* in the family (matspan's expand_table) when
+    star_table[i] expands f_i* in the family (matspan.expand_rows) when
     the family is a basis, else both are None.  iota_c_table[k] and
     iota_d_table[k] are the markings of the factors' basis elements b_k as
     rows over the flattened leg coordinates.  Each table is a OneTerm when
@@ -634,7 +637,7 @@ class CrossedProduct:
             row = self.c_graded.ambient.space.coords_of(c, tol)
         except ValueError as exc:
             raise ValueError("element is not in the factor algebra") from exc
-        return _apply_marking(row, self.iota_c_table, self.legs)
+        return compose(row[None], self.iota_c_table).reshape(self.legs.dims)
 
     def iota_d_apply(self, d, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Coordinates of iota_D(d) for d in the second factor."""
@@ -642,36 +645,20 @@ class CrossedProduct:
             row = self.d_graded.ambient.space.coords_of(d, tol)
         except ValueError as exc:
             raise ValueError("element is not in the factor algebra") from exc
-        return _apply_marking(row, self.iota_d_table, self.legs)
+        return compose(row[None], self.iota_d_table).reshape(self.legs.dims)
 
     def element_matrix(self, coords: np.ndarray) -> np.ndarray:
         return coords_to_matrix(coords, self.legs)
 
     def contains_residual(self, coords: np.ndarray) -> float:
         """Distance of a coordinate tensor from the algebra span."""
-        return float(residual_outside(coords.reshape(1, -1), self.onb)[0])
-
-
-def _apply_marking(row: np.ndarray, table: OneTerm | np.ndarray, legs: LegFrames) -> np.ndarray:
-    """The coordinate tensor sum_k row[k] table[k]: gathered from one-term
-    rows, contracted otherwise."""
-    if isinstance(table, OneTerm):
-        out = np.zeros(table.width, dtype=np.complex128)
-        np.add.at(out, table.idx, row * table.val)
-        return out.reshape(legs.dims)
-    return np.einsum("k,k...->...", row, table).reshape(legs.dims)
+        return float(project(coords.reshape(1, -1), self.onb_table)[1][0])
 
 
 def _dense_marking(iota: OneTerm | np.ndarray, legs: LegFrames) -> np.ndarray:
-    """A marking as (m, *legs.dims) coordinate tensors."""
+    """A table of rows over the flattened leg coordinates as (m, *legs.dims)
+    coordinate tensors."""
     return dense_table(iota).reshape((iota.shape[0],) + legs.dims)
-
-
-def _marking_rows(iota: OneTerm | np.ndarray) -> OneTerm | None:
-    """A marking as one-term rows: itself when held so, else scanned."""
-    if isinstance(iota, OneTerm):
-        return iota
-    return OneTerm.of_rows(iota.reshape(iota.shape[0], -1))
 
 
 def _term_products(xs: OneTerm, ys: OneTerm, legs: LegFrames) -> OneTerm:
@@ -701,51 +688,40 @@ def _term_stars(xs: OneTerm, legs: LegFrames) -> OneTerm:
     return OneTerm(idx, val, xs.width)
 
 
+def _products(xs, ys, legs: LegFrames) -> OneTerm | np.ndarray:
+    """The products x_a y_b of two tables of rows over the flattened leg
+    coordinates, as (a, b) rows: index arithmetic (_term_products) for
+    one-term rows on monomial legs, else coords_product_pairs on the
+    dense coordinate tensors."""
+    if legs.monomial and isinstance(xs, OneTerm) and isinstance(ys, OneTerm):
+        return _term_products(xs[:, None], ys[None, :], legs)
+    xs, ys = _dense_marking(xs, legs), _dense_marking(ys, legs)
+    return coords_product_pairs(xs, ys, legs).reshape(xs.shape[0], ys.shape[0], -1)
+
+
+def _stars(xs, legs: LegFrames) -> OneTerm | np.ndarray:
+    """The adjoints of a table of rows: _term_stars for one-term rows on
+    one-term legs, else _star_stack on the dense coordinate tensors."""
+    if legs.one_term and isinstance(xs, OneTerm):
+        return _term_stars(xs, legs)
+    return _star_stack(_dense_marking(xs, legs), legs).reshape(xs.shape[0], -1)
+
+
 def _marking_report(
-    graded: GradedAlgebra,
-    iota: OneTerm | np.ndarray,
-    legs: LegFrames,
-    tol: Tolerance,
-    rows: OneTerm | None = None,
+    graded: GradedAlgebra, iota: OneTerm | np.ndarray, legs: LegFrames, tol: Tolerance
 ) -> tuple[float, float, bool]:
     """(homomorphism, star, injective) certification of one marking.
 
-    iota[k] is the image of graded's basis element b_k, as one-term rows
-    or dense, checked against graded's tables; rows is iota as one-term
-    rows when known.  When the legs are one-term, the rows are one-hot
-    with distinct supports, f_k = v_k e_{s_k}, and the factor's tables
-    are one term a row, b_i b_j = c b_k and b_i* = c b_k, then each
-    product f_i f_j and adjoint f_i* is one (index, value) pair
-    (_term_products, _term_stars) and the table's image is c v_k e_{s_k},
-    so each row defect is a OneTerm.distance, as table_defect would find.
-    The rows are then orthogonal, so the rank is the _kept_units count.
-    Otherwise the products and adjoints are formed and go through
-    table_defect and rank.
+    iota is a table of rows over the flattened leg coordinates, row k the
+    image of graded's basis element b_k.  Its products and adjoints
+    (_products, _stars) go through table_defect against graded's tables,
+    and it is injective when its rank is full.  One-hot rows on one-term
+    legs and tables stay (index, value) arrays throughout.
     """
-    m = iota.shape[0]
-    if rows is None:
-        rows = _marking_rows(iota)
     mult, star, _ = graded.tables(tol)
-    if (
-        legs.one_term
-        and rows is not None
-        and rows.distinct()
-        and isinstance(mult, OneTerm)
-        and isinstance(star, OneTerm)
-    ):
-        prods = _term_products(rows[:, None], rows[None, :], legs)
-        want = OneTerm(rows.idx[mult.idx], mult.val * rows.val[mult.idx], rows.width)
-        adjs = _term_stars(rows, legs)
-        want_adj = OneTerm(rows.idx[star.idx], star.val * rows.val[star.idx], rows.width)
-        hom = float(np.max(prods.distance(want), initial=0.0))
-        star_res = float(np.max(adjs.distance(want_adj), initial=0.0))
-        inj = np.count_nonzero(_kept_units(rows, tol)) == m
-        return hom, star_res, bool(inj)
-    iota = _dense_marking(iota, legs)
-    prods = coords_product_pairs(iota, iota, legs)
-    hom, star_res = table_defect(mult, star, iota, prods, _star_stack(iota, legs))
-    inj = rank(iota.reshape(m, -1), tol.eps_rank) == m
-    return hom, star_res, inj
+    prods, stars = _products(iota, iota, legs), _stars(iota, legs)
+    hom, star_res = table_defect(mult, star, iota, prods, stars)
+    return hom, star_res, rank(iota, tol.eps_rank) == iota.shape[0]
 
 
 def _require_factor(graded: GradedAlgebra, group: FinAbGroup, name: str) -> None:
@@ -757,134 +733,52 @@ def _require_factor(graded: GradedAlgebra, group: FinAbGroup, name: str) -> None
         raise ValueError(f"factor {name} must contain its ambient identity")
 
 
-def _kept_units(rows: OneTerm, tol: Tolerance) -> np.ndarray:
-    """Which columns the span of the one-term rows keeps.
+def _certificate(fam, rev, legs: LegFrames, tol: Tolerance) -> tuple:
+    """(onb, structure, star, residuals): the closure certificate of the
+    (m, S) family rows fam, with rev the reversed products.
 
-    The rows are orthogonal (distinct columns), so their singular values
-    are the |values|; a column is kept when orthonormal_rows' eps_rank cut
-    would keep its row.
+    onb is the family's row_span.  The products f_i f_j are formed for
+    the left factors of each of row_blocks: all at once for one-hot rows
+    on monomial legs, whose products are index arithmetic, else one left
+    factor at a time, so no (m^2, S) array is held.  Each block is
+    measured against onb and, when the family is a basis, expanded in it
+    (expand_rows).  adjoint_residual is the larger of the adjoints'
+    distance from the span and the star table's defect: on expand_table's
+    one-term path the latter can exceed the former.  cstar_equality is
+    the worst distance of rev from the family's span and of the family
+    from rev's.  For one-hot rows every step is (index, value) arithmetic
+    and onb is the family's unit rows e_{s_i}.
     """
-    mags = np.abs(rows.val)
-    kept = np.zeros(rows.width, dtype=bool)
-    kept[rows.idx[mags > tol.eps_rank * np.max(mags)]] = True
-    return kept
-
-
-def _outside(rows: OneTerm, kept: np.ndarray) -> float:
-    """Worst distance of the one-term rows from the kept unit rows."""
-    return float(np.max(np.abs(rows.val[~kept[rows.idx]]), initial=0.0))
-
-
-def _index_certificate(
-    fam: OneTerm, rev: OneTerm, legs: LegFrames, tol: Tolerance
-) -> tuple[OneTerm, OneTerm | None, OneTerm | None, dict] | None:
-    """(onb, structure, star, residuals) of a one-hot family, or None.
-
-    Applies when the legs are one-term and the family rows
-    f_i = v_i e_{s_i} and the reversed products are one-hot with distinct
-    supports.  Then each product f_i f_j and adjoint f_i* is one
-    (index, value) pair (_term_products, _term_stars), and onb is the unit
-    rows e_{s_i} (the family's span, cut at eps_rank on |v_i|).  A
-    product or adjoint at an index outside onb is at distance |value|
-    from the span, else at distance 0 and expanded exactly:
-    structure[i, j] = (value / v_k) e_k where s_k is its index.
-    """
-    if not (legs.one_term and fam.distinct() and rev.distinct()):
-        return None
-    m = fam.idx.size
-    prods = _term_products(fam[:, None], fam[None, :], legs)
-    stars = _term_stars(fam, legs)
-    kept = _kept_units(fam, tol)
-    units = np.flatnonzero(kept)
-    onb = OneTerm(units, np.ones(units.size, dtype=np.complex128), fam.width)
-    basis = units.size == m
-    closure = _outside(prods, kept)
-    residuals = {
-        "closure_residual": closure,
-        "adjoint_residual": _outside(stars, kept),
-        # a basis spans what onb spans, so a product's one-term defect is
-        # its distance from onb
-        "structure_residual": closure if basis else float("inf"),
-        "cstar_equality": max(_outside(rev, kept), _outside(fam, _kept_units(rev, tol))),
-    }
-    if not basis:
-        return onb, None, None, residuals
-    member = np.full(fam.width, -1, dtype=np.intp)
-    member[fam.idx] = np.arange(m)
-
-    def expand(rows: OneTerm) -> OneTerm:
-        # the rows val e_idx in the family: val / v_k at the member k on idx
-        k = member[rows.idx]
-        inside = k >= 0
-        return OneTerm(np.where(inside, k, 0), np.where(inside, rows.val / fam.val[k], 0.0), m)
-
-    return onb, expand(prods), expand(stars), residuals
-
-
-def _dense_certificate(
-    family: np.ndarray, rev: np.ndarray, legs: LegFrames, tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, dict]:
-    """(onb, structure, star, residuals) of any family, from dense rows.
-
-    onb is the SVD basis of the family's span.  The products f_i f_j are
-    formed for one left factor f_i at a time, so no (m^2, size) array is
-    held; each block of structure rows takes expand_table's exact or
-    least-squares path on its own.  adjoint_residual is the larger of the
-    adjoints' distance from the span and the star table's defect.
-    """
-    m = family.shape[0]
-    rows = family.reshape(m, -1)
-    onb = orthonormal_rows(rows, tol.eps_rank)
+    m = fam.shape[0]
+    onb = row_span(fam, tol.eps_rank)
     basis = onb.shape[0] == m
     closure = structure_res = 0.0
     blocks = []
-    for i in range(m):
-        prods = coords_product_pairs(family[i : i + 1], family, legs).reshape(m, -1)
-        closure = max(closure, float(np.max(residual_outside(prods, onb))))
+    for left in row_blocks(fam, legs.monomial):
+        prods = _products(fam[left], fam, legs)
+        closure = max(closure, float(project(prods, onb)[1].max()))
         if basis:
-            block, _, res = expand_table(prods, rows, tol)
+            block, res = expand_rows(prods, fam, tol)
             blocks.append(block)
             structure_res = max(structure_res, res)
-    star_rows = np.stack([coords_star(f, legs).reshape(-1) for f in family])
-    adjoint = float(np.max(residual_outside(star_rows, onb)))
+    stars = _stars(fam, legs)
+    adjoint = float(project(stars, onb)[1].max())
     star = None
     if basis:
-        # the star table's own defect: on expand_table's one-term path it
-        # can exceed the adjoints' distance from the span
-        star, _, star_res = expand_table(star_rows, rows, tol)
+        star, star_res = expand_rows(stars, fam, tol)
         adjoint = max(adjoint, star_res)
-    onb_rev = orthonormal_rows(rev, tol.eps_rank)
+    onb_rev = row_span(rev, tol.eps_rank)
     residuals = {
         "closure_residual": closure,
         "adjoint_residual": adjoint,
         "structure_residual": structure_res if basis else float("inf"),
         "cstar_equality": float(
-            max(
-                np.max(residual_outside(rev, onb), initial=0.0),
-                np.max(residual_outside(rows, onb_rev), initial=0.0),
-            )
+            max(project(rev, onb)[1].max(initial=0.0), project(fam, onb_rev)[1].max(initial=0.0))
         ),
     }
     if not basis:
         return onb, None, None, residuals
-    structure = np.concatenate(blocks).reshape(m, m, m)
-    return onb, structure, star, residuals
-
-
-def _pair_products(xs, ys, legs: LegFrames, rows) -> OneTerm | np.ndarray:
-    """The products x_a y_b as (a, b) rows of flattened coordinates.
-
-    xs and ys are markings, one-term rows or dense.  rows is (xs, ys) as
-    one-term rows, given only on monomial legs: then the products are
-    index arithmetic.  Otherwise they are formed by coords_product_pairs
-    and held as a OneTerm when one-hot.
-    """
-    if rows is not None:
-        return _term_products(rows[0][:, None], rows[1][None, :], legs)
-    xs, ys = _dense_marking(xs, legs), _dense_marking(ys, legs)
-    out = coords_product_pairs(xs, ys, legs).reshape(xs.shape[0], ys.shape[0], -1)
-    terms = OneTerm.of_rows(out)
-    return out if terms is None else terms
+    return onb, concat_rows(blocks), star, residuals
 
 
 def _assemble(
@@ -901,31 +795,23 @@ def _assemble(
     """Shared certification and packaging for both construction routes.
 
     A marking comes as one-term rows (heisenberg_markings' one-hot
-    markings) or as dense coordinate tensors, scanned for one-term rows;
-    the product holds it as it came.  When both markings are one-term
-    rows on legs with one-term product tables, the family
-    iota_C(c_i) iota_D(d_j) and the reversed products are index
-    arithmetic (_term_products); otherwise they are formed and held
-    one-term when one-hot.  The closure certificate (onb, the
-    structure and star tables, and the closure, adjoint, structure and
-    C*-equality residuals) comes from _index_certificate when the family
-    is one-hot on one-term legs, else from _dense_certificate.  The
-    identity residual is read off onb's unit rows when it has them, and
-    the commutation law off the one-term family and reversed products
-    when they are one-term.
+    markings) or as dense coordinate tensors, and is held as a table of
+    rows (row_table: one-term when one-hot).  The family
+    iota_C(c_i) iota_D(d_j) and the reversed products are _products of
+    the markings, held one-term when one-hot; the closure certificate
+    (onb, the structure and star tables, and the closure, adjoint,
+    structure and C*-equality residuals) is _certificate's.  The identity
+    residual is the identity's distance from onb, and the commutation
+    law the row_distance of the reversed products from the phased family.
     """
     m_c, m_d = iota_c.shape[0], iota_d.shape[0]
     m = m_c * m_d
-    rows_c, rows_d = _marking_rows(iota_c), _marking_rows(iota_d)
-    index = legs.monomial and rows_c is not None and rows_d is not None
-    ab = _pair_products(iota_c, iota_d, legs, (rows_c, rows_d) if index else None)
-    rev = _pair_products(iota_d, iota_c, legs, (rows_d, rows_c) if index else None)
-    terms = isinstance(ab, OneTerm) and isinstance(rev, OneTerm)
-    cert = _index_certificate(ab.reshape(m), rev.reshape(m), legs, tol) if terms else None
-    if cert is None:
-        family = dense_table(ab).reshape((m,) + legs.dims)
-        cert = _dense_certificate(family, dense_table(rev).reshape(m, -1), legs, tol)
-    onb, structure, star, residuals = cert
+    iota_c = row_table(iota_c.reshape(m_c, -1))
+    iota_d = row_table(iota_d.reshape(m_d, -1))
+    ab = row_table(_products(iota_c, iota_d, legs))
+    rev = row_table(_products(iota_d, iota_c, legs))
+    fam = ab.reshape(m, -1)
+    onb, structure, star, residuals = _certificate(fam, rev.reshape(m, -1), legs, tol)
     dim = onb.shape[0]
 
     rep: dict = dict(extra_report)
@@ -936,38 +822,28 @@ def _assemble(
     rep["dim_expected"] = m
     rep["dim_law_ok"] = dim == m
     rep.update(residuals)
-
     one = legs.identity(tol).reshape(1, -1)
-    if isinstance(onb, OneTerm):
-        # the distance from unit rows is the norm of the other entries
-        outside = np.ones(one.size, dtype=bool)
-        outside[onb.idx] = False
-        rep["identity_residual"] = float(np.linalg.norm(one[0, outside]))
-    else:
-        rep["identity_residual"] = float(residual_outside(one, onb)[0])
+    rep["identity_residual"] = float(project(one, onb)[1][0])
 
-    hom_c, star_c, inj_c = _marking_report(c_graded, iota_c, legs, tol, rows_c)
-    hom_d, star_d, inj_d = _marking_report(d_graded, iota_d, legs, tol, rows_d)
+    hom_c, star_c, inj_c = _marking_report(c_graded, iota_c, legs, tol)
+    hom_d, star_d, inj_d = _marking_report(d_graded, iota_d, legs, tol)
     rep["iota_c_hom"], rep["iota_c_star"], rep["iota_c_injective"] = hom_c, star_c, inj_c
     rep["iota_d_hom"], rep["iota_d_star"], rep["iota_d_injective"] = hom_d, star_d, inj_d
 
-    # commutation law on the homogeneous (= ambient) basis pairs, and its
-    # invariant special case (degree position 0 is the zero element)
+    # commutation law on the homogeneous (= ambient) basis pairs,
+    # iota_D(d_j) iota_C(c_i) = phase[i, j] iota_C(c_i) iota_D(d_j), and
+    # its invariant special case (degree position 0 is the zero element)
     deg_c, deg_d = c_graded.degree_indices(), d_graded.degree_indices()
     phase = chi.value_table().conj()[np.ix_(deg_c, deg_d)]
-    if terms:
-        ba = OneTerm(rev.idx.T, rev.val.T, rev.width)
-        comm = ba.distance(OneTerm(ab.idx, phase * ab.val, ab.width))
-        plain = ab.distance(ba)
-    else:
-        fam, ba = dense_table(ab), np.moveaxis(dense_table(rev), 0, 1)
-        comm = np.linalg.norm(ba - phase[..., None] * fam, axis=-1)
-        plain = np.linalg.norm(fam - ba, axis=-1)
+    ba = rev.swapaxes(0, 1).reshape(m, -1)
+    phased = compose(OneTerm(np.arange(m), phase.reshape(-1), m), fam)
+    comm = row_distance(ba, phased)
+    plain = row_distance(fam, ba).reshape(m_c, m_d)
     inv_mask = np.zeros(plain.shape, dtype=bool)
     inv_mask[deg_c == 0, :] = True
     inv_mask[:, deg_d == 0] = True
-    rep["commutation_law"] = comm = float(np.max(comm))
-    rep["invariant_commutators"] = inv_comm = float(np.max(plain[inv_mask], initial=0.0))
+    rep["commutation_law"] = comm = float(comm.max())
+    rep["invariant_commutators"] = inv_comm = float(plain[inv_mask].max(initial=0.0))
 
     scale = tol.eps_eq * max(1.0, m)
     rep["passed"] = (
@@ -988,9 +864,9 @@ def _assemble(
         d_graded=d_graded,
         chi=chi,
         legs=legs,
-        iota_c_table=iota_c if isinstance(iota_c, OneTerm) else iota_c.reshape(m_c, -1),
-        iota_d_table=iota_d if isinstance(iota_d, OneTerm) else iota_d.reshape(m_d, -1),
-        family_table=ab.reshape(m) if isinstance(ab, OneTerm) else ab.reshape(m, -1),
+        iota_c_table=iota_c,
+        iota_d_table=iota_d,
+        family_table=fam,
         onb_table=onb,
         structure_table=structure,
         star_table=star,
@@ -1142,7 +1018,7 @@ def product_center_dim(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> int:
     supports and its singular values are exactly the row norms; otherwise
     they come from an SVD.  On a one-term structure table whose f_i f_j
     and f_j f_i share their index (the one-hot families of
-    _index_certificate), b[i, j] is (val[i, j] - val[j, i]) e_{idx[i, j]},
+    _certificate), b[i, j] is (val[i, j] - val[j, i]) e_{idx[i, j]},
     so the rule reads the m^2 (index, value) pairs.
     """
     t = x.structure_table
@@ -1258,57 +1134,9 @@ class ProductMap:
         return coords_to_matrix(self.apply_coords(coords), self.target.legs)
 
 
-def _table_rows(v: OneTerm | np.ndarray) -> np.ndarray:
-    """A table of rows as a dense (k, S) array."""
-    return dense_table(v).reshape(v.shape[0], -1)
-
-
-def _onb_positions(onb: OneTerm) -> np.ndarray:
-    """Row of onb's unit row at each flattened coordinate, -1 where none."""
-    pos = np.full(onb.width, -1, dtype=np.intp)
-    pos[onb.idx] = np.arange(onb.idx.size)
-    return pos
-
-
-def _onb_terms(v: OneTerm, onb: OneTerm) -> OneTerm:
-    """The one-term rows v in the unit rows onb, v @ onb*: row v e_s is
-    v conj(u) on the onb row u e_s (0 when no onb row has index s)."""
-    p = _onb_positions(onb)[v.idx]
-    inside = p >= 0
-    p = np.where(inside, p, 0)
-    return OneTerm(p, np.where(inside, v.val * onb.val[p].conj(), 0.0), onb.idx.size)
-
-
-def _onb_coords(x: CrossedProduct) -> OneTerm | np.ndarray:
-    """x's family rows in x's orthonormal basis: f = w @ x.onb, one-term
-    rows (_onb_terms) when the family and onb are."""
-    fam, onb = x.family_table, x.onb_table
-    if isinstance(fam, OneTerm) and isinstance(onb, OneTerm):
-        return _onb_terms(fam, onb)
-    return _table_rows(fam) @ x.onb.conj().T
-
-
-def _mix(a: np.ndarray, rows: OneTerm | np.ndarray) -> OneTerm | np.ndarray:
-    """The rows sum_l a[k, l] rows[l]: one-term rows when a has one non-zero
-    entry a row and rows are one-term, else dense (k, S) rows."""
-    terms = OneTerm.of_rows(a) if isinstance(rows, OneTerm) else None
-    if terms is None:
-        return a @ _table_rows(rows)
-    return OneTerm(rows.idx[terms.idx], terms.val * rows.val[terms.idx], rows.width)
-
-
-def _one_term_product(x: CrossedProduct) -> bool:
-    """Whether x holds its family, onb, structure and star as one-term
-    tables: the one-hot products of _index_certificate."""
-    return all(
-        isinstance(t, OneTerm)
-        for t in (x.family_table, x.onb_table, x.structure_table, x.star_table)
-    )
-
-
 def _family_map(
     src: CrossedProduct,
-    a: np.ndarray,
+    a,
     target: CrossedProduct,
     require_bijective: bool,
     markings,
@@ -1317,23 +1145,24 @@ def _family_map(
 ) -> ProductMap | None:
     """Certify f_k -> g_k = sum_l a[k, l] t_l on the two products' tables.
 
-    f and t are the source and target families, both bases, so a fixes a
+    f and t are the source and target families, both bases, so a, a
+    matrix or a table of rows (one-term when one term a row), fixes a
     linear map phi.  None when either product has no tables (its dimension
     law failed), or when a bijection is required and a is not square and
-    invertible.  With w = t @ target.onb*, the images a w, their products
-    ((a (x) a) T) w and their adjoints (conj(a) tau) w, for T and tau the
-    target's tables, go through table_defect against the source's tables:
-    no product is formed, and as onb is orthonormal each defect is a
-    Frobenius norm.  The slack ||phi|| r_S + |a|^k r_T is added, with r the
-    products' structure_residual (multiplicative, k = 2) or
+    invertible.  With w = t @ target.onb* (project), the images a w, their
+    products ((a (x) a) T) w and their adjoints (conj(a) tau) w, for T and
+    tau the target's tables, go through table_defect against the source's
+    tables: no product is formed, and as onb is orthonormal each defect is
+    a Frobenius norm.  The slack ||phi|| r_S + |a|^k r_T is added, with r
+    the products' structure_residual (multiplicative, k = 2) or
     adjoint_residual (star, k = 1), ||phi|| the operator norm and |a| the
     largest l1 norm of a row of a.  So each value bounds the dense residual
     ||phi(f_i f_j) - g_i g_j|| or ||phi(f_i*) - g_i*|| from above, as long
     as r bounds each table row's defect, which both residuals do.
     markings is a list of pairs (v1, v2) of marking tables, rows over the
-    flattened leg coordinates of the source and the target (one-term rows
-    or a dense (k, S) array, as _marking_pairs gives them), and its
-    residual is the worst ||phi(v1) - v2|| over their rows, with
+    flattened leg coordinates of the source and the target, as
+    _marking_pairs gives them, and its residual is the worst
+    ||phi(v1) - v2|| over their rows, with
     phi(v1) = ((v1 src.onb*) coef) target.onb, so the map's
     (source x target) matrix is not formed; alignment is the worst
     ||phi(f_k) - g_k||, or the caller's expansion residual when larger.
@@ -1342,70 +1171,36 @@ def _family_map(
     source family size, the bounds are s = eps_eq * scale * max(1, m) for
     the star, markings and alignment residuals and s * scale for the
     multiplicative one: products scale as the square of the family norms.
-
-    The index path (_index_family_map) runs when both products hold
-    one-term family, onb, structure and star tables and a has one
-    non-zero entry a row: every quantity above is then one (index, value)
-    pair a row, and each defect a OneTerm.distance.  Any other input
-    takes the general path below, on the dense forms.
+    Every step is a matspan table operation, so between one-hot products
+    and for an a with one term a row each quantity is one (index, value)
+    pair a row.
     """
     if src.structure_table is None or target.structure_table is None:
         return None
-    terms = OneTerm.of_rows(a)
-    if terms is not None and _one_term_product(src) and _one_term_product(target):
-        return _index_family_map(src, terms, target, require_bijective, markings, tol, expansion)
+    a = row_table(a)
     m, mt = a.shape
-    w, c1 = dense_table(_onb_coords(target)), dense_table(_onb_coords(src))
-    images = a @ w
+    w = project(target.family_table, target.onb_table)[0]
+    c1 = project(src.family_table, src.onb_table)[0]
+    images = compose(a, w)
     if require_bijective and (m != mt or rank(images, tol.eps_rank) < m):
         return None
     # f = c1 @ src.onb is sent to images @ target.onb
-    coef = np.linalg.solve(c1, images)
-    prods = np.matmul(a, (a @ target.structure.reshape(mt, -1)).reshape(m, mt, mt)) @ w
-    hom, star = table_defect(src.structure, src.star, images, prods, (a.conj() @ target.star) @ w)
-    phi, row_l1 = float(np.linalg.norm(coef, 2)), float(np.max(np.sum(np.abs(a), axis=1)))
-    mark = _markings_residual(markings, src, coef, target)
-    align = float(np.max(np.linalg.norm(c1 @ coef - images, axis=1)))
-    scale = max(
-        1.0,
-        float(np.max(np.linalg.norm(src.family.reshape(m, -1), axis=1))),
-        float(np.max(np.linalg.norm(images, axis=1))),
+    coef = solve(c1, images)
+    # row (i, j): g_i g_j expanded in t, a on both factors of T
+    pairs = compose(a, compose(a, target.structure_table).swapaxes(0, 1)).swapaxes(0, 1)
+    stars = compose(compose(a.conj(), target.star_table), w)
+    hom, star = table_defect(
+        src.structure_table, src.star_table, images, compose(pairs, w), stars
     )
-    return _map_report(src, target, coef, (hom, star, mark, align), phi, row_l1, scale, tol, expansion)
-
-
-def _markings_residual(
-    markings, src: CrossedProduct, coef: np.ndarray, target: CrossedProduct, terms=None
-) -> float:
-    """The worst ||phi(v1) - v2|| over the rows of the marking pairs, for
-    phi(v1) = ((v1 src.onb*) coef) target.onb: by gather (_map_terms) when
-    terms, coef as one-term rows, is given and both tables are one-term,
-    else through the dense forms."""
-    worst = 0.0
+    mark = 0.0
     for v1, v2 in markings:
-        if terms is not None and isinstance(v1, OneTerm) and isinstance(v2, OneTerm):
-            gap = _map_terms(v1, src.onb_table, terms, target.onb_table).distance(v2)
-        else:
-            img = ((_table_rows(v1) @ src.onb.conj().T) @ coef) @ target.onb
-            gap = np.linalg.norm(img - _table_rows(v2), axis=1)
-        worst = max(worst, float(np.max(gap, initial=0.0)))
-    return worst
-
-
-def _map_report(
-    src: CrossedProduct,
-    target: CrossedProduct,
-    coef: np.ndarray,
-    defects: tuple[float, float, float, float],
-    phi: float,
-    row_l1: float,
-    scale: float,
-    tol: Tolerance,
-    expansion: float,
-) -> ProductMap:
-    """The ProductMap with _family_map's report: the (multiplicative,
-    star, markings, alignment) defects with their slack and bounds."""
-    hom, star, mark, align = defects
+        img = compose(compose(project(v1, src.onb_table)[0], coef), target.onb_table)
+        mark = max(mark, float(np.max(row_distance(img, v2), initial=0.0)))
+    align = float(np.max(row_distance(compose(c1, coef), images)))
+    phi, row_l1 = op_norm(coef), float(np.max(row_norms(a, 1)))
+    scale = max(
+        1.0, float(np.max(row_norms(src.family_table))), float(np.max(row_norms(images)))
+    )
     r1, r2 = src.report, target.report
     rep: dict = {
         "multiplicative": hom
@@ -1415,81 +1210,14 @@ def _map_report(
     }
     rep["markings"] = mark
     rep["alignment"] = max(align, expansion)
-    s = tol.eps_eq * scale * max(1.0, src.family_table.shape[0])
+    s = tol.eps_eq * scale * max(1.0, m)
     rep["passed"] = (
         rep["multiplicative"] <= s * scale
         and rep["star"] <= s
         and mark <= s
         and rep["alignment"] <= s
     )
-    return ProductMap(source=src, target=target, coef=coef, report=rep)
-
-
-def _index_family_map(
-    src: CrossedProduct,
-    a: OneTerm,
-    target: CrossedProduct,
-    require_bijective: bool,
-    markings,
-    tol: Tolerance,
-    expansion: float,
-) -> ProductMap | None:
-    """_family_map on one-term tables, for a with one term a row,
-    a[k] = alpha_k e_{p_k}.
-
-    The families are one-hot with distinct supports and onb is their unit
-    rows, so w and c1 (the families in onb coordinates) are one term a
-    row and c1 is a scaled permutation.  Then image k is alpha_k w[p_k],
-    coef's row at member k's onb row is image k / c1[k], the product of
-    images i, j is alpha_i alpha_j T[p_i, p_j] read through w and the
-    adjoint conj(alpha_k) tau[p_k] read through w: each one (index,
-    value) pair, compared with the source tables' image by
-    OneTerm.distance, as table_defect would find.  The rows of images are
-    orthogonal when distinct, so the rank is the _kept_units count, and a
-    shared or zero row leaves it below m.  ||coef|| is the largest column
-    norm, exact for a matrix with one term a row.  A marking pair of
-    one-term rows is mapped by gather; any other pair as in the general
-    path.
-    """
-    m, mt = a.idx.size, target.dim
-    w, c1 = _onb_coords(target), _onb_coords(src)
-    images = OneTerm(w.idx[a.idx], a.val * w.val[a.idx], mt)
-    if require_bijective and (
-        m != mt or not images.distinct() or np.count_nonzero(_kept_units(images, tol)) < m
-    ):
-        return None
-    owner = np.empty(m, dtype=np.intp)
-    owner[c1.idx] = np.arange(m)
-    coef = OneTerm(images.idx[owner], images.val[owner] / c1.val[owner], mt)
-
-    T, tau = target.structure_table, target.star_table
-    S, sigma = src.structure_table, src.star_table
-    pa = a.idx
-    n = T.idx[pa[:, None], pa[None, :]]
-    prods = OneTerm(w.idx[n], np.multiply.outer(a.val, a.val) * T.val[pa[:, None], pa[None, :]] * w.val[n], mt)
-    hom = prods.distance(OneTerm(images.idx[S.idx], S.val * images.val[S.idx], mt))
-    ns = tau.idx[pa]
-    stars = OneTerm(w.idx[ns], a.val.conj() * tau.val[pa] * w.val[ns], mt)
-    star = stars.distance(OneTerm(images.idx[sigma.idx], sigma.val * images.val[sigma.idx], mt))
-    col = np.bincount(coef.idx, np.abs(coef.val) ** 2, minlength=mt)
-    phi, row_l1 = float(np.sqrt(np.max(col))), float(np.max(np.abs(a.val)))
-
-    coef_dense = coef.dense()
-    mark = _markings_residual(markings, src, coef_dense, target, coef)
-    # c1 @ coef, row k: c1[k] times coef's row at member k's onb row
-    aligned = OneTerm(coef.idx[c1.idx], c1.val * coef.val[c1.idx], mt)
-    align = float(np.max(aligned.distance(images)))
-    scale = max(1.0, float(np.max(np.abs(src.family_table.val))), float(np.max(np.abs(images.val))))
-    defects = (float(np.max(hom)), float(np.max(star)), mark, align)
-    return _map_report(src, target, coef_dense, defects, phi, row_l1, scale, tol, expansion)
-
-
-def _map_terms(v: OneTerm, src_onb: OneTerm, coef: OneTerm, target_onb: OneTerm) -> OneTerm:
-    """phi(v) = ((v src.onb*) coef) target.onb on one-term rows and unit
-    onb rows: a row off every source onb row maps to zero."""
-    c = _onb_terms(v, src_onb)
-    q = coef.idx[c.idx]
-    return OneTerm(target_onb.idx[q], c.val * coef.val[c.idx] * target_onb.val[q], target_onb.width)
+    return ProductMap(source=src, target=target, coef=dense_table(coef), report=rep)
 
 
 def _check_same_factors(x1: CrossedProduct, x2: CrossedProduct, tol: Tolerance):
@@ -1521,14 +1249,14 @@ def _marking_pairs(src: CrossedProduct, target: CrossedProduct, tol: Tolerance):
     """((P, Q), markings): P and Q are the _factor_coords of src's C and D
     bases in target's, and markings is [(src.iota_c_table, C's marking
     in target), (the same for D)], the markings of src's factor bases in
-    both products as tables of rows.  Target's marking rows are mixed by
-    P and Q (_mix), so they stay one-term when P and Q have one term a
+    both products as tables of rows.  Target's marking rows are composed
+    with P and Q, so they stay one-term when P and Q have one term a
     row."""
     p = _factor_coords(target.c_graded, src.c_graded, tol)
     q = _factor_coords(target.d_graded, src.d_graded, tol)
     markings = [
-        (src.iota_c_table, _mix(p, target.iota_c_table)),
-        (src.iota_d_table, _mix(q, target.iota_d_table)),
+        (src.iota_c_table, compose(row_table(p), target.iota_c_table)),
+        (src.iota_d_table, compose(row_table(q), target.iota_d_table)),
     ]
     return (p, q), markings
 
@@ -1543,8 +1271,8 @@ def equivalent(
     intertwining both markings (None when either has no tables).
     Different witnesses or routes for the same construction are
     equivalent exactly by this check.  On factors held by both products
-    the alignment is the identity, so two one-hot products take
-    _family_map's index path.
+    the alignment is the identity, which has one term a row, so the map
+    between two one-hot products is (index, value) arithmetic.
     """
     _check_same_factors(x1, x2, tol)
     return _factor_map(x1, x2, tol)
@@ -1567,17 +1295,22 @@ def symmetry(
 
     Builds D boxtimes C for the dual bicharacter and certifies the map
     sending iota_C(c) iota_D(d) to the same monomial read in the flipped
-    product (C now enters through the second marking), expanded in y's
-    family; the expansion residual joins the alignment.
+    product (C now enters through the second marking), a phase times one
+    member of y's family by y's commutation law, whose residual joins the
+    alignment.
     """
     chi_hat = dual_bicharacter(x.chi)
     y = build_via_heisenberg(x.d_graded, x.c_graded, chi_hat, tol=tol)
-    # y marks the same factor bases, C second: y.iota_d[i] is C's b_i
-    m = x.family_table.shape[0]
-    reversed_pairs = coords_product_pairs(y.iota_d, y.iota_c, y.legs).reshape(m, -1)
-    a, _, res = expand_table(reversed_pairs, y.family.reshape(m, -1), tol)
+    # y marks the same factor bases, C second.  x's member (i, j) goes to
+    # iota_D(c_i) iota_C(d_j) in y, which y's certified commutation law
+    # puts at phase[j, i] times y's member (j, i), within its residual
+    m_c, m_d = x.c_graded.dim, x.d_graded.dim
+    deg_c, deg_d = y.c_graded.degree_indices(), y.d_graded.degree_indices()
+    phase = chi_hat.value_table().conj()[np.ix_(deg_c, deg_d)]
+    i, j = np.divmod(np.arange(m_c * m_d), m_d)
+    a = OneTerm(j * m_c + i, phase[j, i], m_c * m_d)
     markings = [(x.iota_c_table, y.iota_d_table), (x.iota_d_table, y.iota_c_table)]
-    pm = _family_map(x, a, y, True, markings, tol, res)
+    pm = _family_map(x, a, y, True, markings, tol, y.report["commutation_law"])
     if pm is None or not pm.report["passed"]:
         raise RuntimeError("symmetry equivalence certification failed")
     return y, pm
@@ -1643,7 +1376,8 @@ def functor_map(
     d_imgs = [g.apply(d, tol) for d in x1.d_graded.ambient.basis]
     a = np.kron(_factor_coords(x2.c_graded, c_imgs, tol), _factor_coords(x2.d_graded, d_imgs, tol))
     pm = _family_map(x1, a, x2, False, [], tol)
-    rank2 = rank(dense_table(_mix(a, _onb_coords(x2))), tol.eps_rank)
+    w = project(x2.family_table, x2.onb_table)[0]
+    rank2 = rank(compose(row_table(a), w), tol.eps_rank)
     pm.report["injective"] = rank2 == x1.dim
     pm.report["surjective"] = rank2 == x2.dim
     pm.report["injectivity_matches"] = pm.report["injective"] == (

@@ -28,6 +28,7 @@ from .matspan import (
     basis_tables,
     check_size,
     cmatrix,
+    compose,
     dense_table,
     expand_in_rows,
     frame,
@@ -35,6 +36,7 @@ from .matspan import (
     _closure_round,
     internal_unit,
     multiplicative_closure,
+    project,
     rank,
     read_only,
     residual_outside,
@@ -883,33 +885,11 @@ class TableCoaction:
         Raises when a row is outside the algebra, with decompose's bound
         on each row."""
         basis, order, deg = self.graded.basis_table, self.graded.group.order, self.graded.deg
-        coeffs, res = _project(c, basis)
+        coeffs, res = project(c, basis)
         if np.any(res > tol.eps_eq * np.maximum(1.0, np.linalg.norm(c, axis=-1))):
             raise ValueError("element is not in the graded algebra")
-        if isinstance(basis, OneTerm):
-            out = np.zeros(c.shape[:-1] + (order, basis.width), dtype=np.complex128)
-            out[..., deg, basis.idx] = coeffs * basis.val
-            return out
         parts = np.arange(order)[:, None] == deg
-        return (parts * coeffs[..., None, :]) @ basis
-
-
-def _project(c: np.ndarray, basis: OneTerm | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficients, residuals) of coordinate rows c (last axis) on an
-    orthonormal basis: on unit rows with phases, a gather of c at the
-    supports, else one product with the basis.  The residual is the norm
-    of c minus its projection."""
-    if isinstance(basis, OneTerm):
-        coeffs = c[..., basis.idx] * basis.val.conj()
-        rem = np.array(c, dtype=np.complex128)
-        rem[..., basis.idx] -= coeffs * basis.val
-        # read through a float view, so no further copy of c is made
-        rem = rem.view(np.float64)
-        return coeffs, np.sqrt(np.einsum("...i,...i->...", rem, rem))
-    # c basis*, with the conjugates taken of c and the product, not of
-    # the whole basis
-    coeffs = np.conj(np.conj(c) @ basis.T)
-    return coeffs, np.linalg.norm(c - coeffs @ basis, axis=-1)
+        return compose(parts * coeffs[..., None, :], basis)
 
 
 # verify_table_coaction maps the basis rows in blocks whose images hold at
@@ -949,7 +929,7 @@ def verify_table_coaction(gamma: TableCoaction, tol: Tolerance = DEFAULT_TOL) ->
     for start in range(0, m, step):
         rows = slice(start, start + step)
         img = gamma.apply(dense_table(basis[rows]), tol)
-        c, res = _project(img, basis)
+        c, res = project(img, basis)
         coeffs[rows] = to_qa @ c
         member[rows] = np.sqrt(group.order) * np.linalg.norm(res, axis=1)
     diag = np.arange(m)

@@ -14,6 +14,15 @@ arrays, which a family of monomial matrices gets by index arithmetic.
 `frame` turns spanning matrices into an orthonormal frame with its
 tables, a read-only `Frame`, which holds the coordinates of its
 generators and of the identity (`frame_coords`) once read.
+
+A table of rows is a `OneTerm` or a dense array, and the choice between
+the two is made here, not by the callers: the table operations
+(`compose`, `row_distance`, `row_norms`, `row_span`, `project`,
+`expand_rows`, `solve`, `rank`, `op_norm`, with `table_defect` written
+on them) each have one branch for one-term tables, by gather, scatter
+and index arithmetic, and one for dense arrays, by matrix products, SVD
+and least squares.  A OneTerm reshapes, indexes, conjugates and swaps
+its leading axes as its dense form does.
 """
 
 from __future__ import annotations
@@ -41,6 +50,16 @@ __all__ = [
     "subspace_equal",
     "OneTerm",
     "dense_table",
+    "compose",
+    "row_distance",
+    "row_norms",
+    "row_span",
+    "project",
+    "expand_rows",
+    "solve",
+    "op_norm",
+    "row_blocks",
+    "concat_rows",
     "basis_tables",
     "read_only",
     "row_table",
@@ -132,7 +151,7 @@ def orthonormal_rows(rows: np.ndarray, eps_rank: float) -> np.ndarray:
     return vh[: _cut(s, eps_rank)]
 
 
-def rank(rows: np.ndarray, eps_rank: float) -> int:
+def rank(rows, eps_rank: float) -> int:
     """Dimension of the row space, cut at eps_rank; singular values only.
 
     Counts the rows orthonormal_rows would return without computing them.
@@ -141,7 +160,11 @@ def rank(rows: np.ndarray, eps_rank: float) -> int:
     a wide array is passed transposed, which has the same singular values
     and which LAPACK factors about twice as fast.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
+    if _distinct(rows):
+        # orthogonal rows: the singular values are the |values|
+        mags = np.abs(rows.val)
+        return int(np.count_nonzero(mags > eps_rank * mags.max()))
+    rows = np.atleast_2d(np.asarray(dense_table(rows), dtype=np.complex128))
     live = np.any(rows != 0, axis=0)
     if not live.all():
         rows = rows[:, live]
@@ -167,7 +190,7 @@ def _remainder_norms(rows, coeffs, onb, out=None) -> np.ndarray:
     np.subtract(rows, rem, out=rem)
     if rem.dtype == np.complex128:
         rem = rem.view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", rem, rem))
+    return np.sqrt(np.einsum("...i,...i->...", rem, rem))
 
 
 def expand_in_rows(
@@ -228,7 +251,8 @@ class OneTerm:
     idx and val share any shape, the table's rows; a zero row has val 0
     (and idx 0).  This is how a monomial product or adjoint table, a
     one-hot family and its basis of unit rows are held: dense() forms the
-    array of shape idx.shape + (width,) when one is wanted.
+    array of shape idx.shape + (width,) when one is wanted.  idx and val
+    are not written after construction, so positions is formed once.
     """
 
     idx: np.ndarray
@@ -253,7 +277,20 @@ class OneTerm:
         return OneTerm(self.idx[key], self.val[key], self.width)
 
     def reshape(self, *shape) -> OneTerm:
-        return OneTerm(self.idx.reshape(*shape), self.val.reshape(*shape), self.width)
+        """The table reshaped as its dense form would be, keeping the last
+        axis: shape ends in width (or -1)."""
+        if shape[-1] not in (-1, self.width):
+            raise ValueError(f"a one-term table keeps its last axis of {self.width}")
+        if shape[:-1] == self.idx.shape:
+            return self
+        return OneTerm(self.idx.reshape(shape[:-1]), self.val.reshape(shape[:-1]), self.width)
+
+    def swapaxes(self, a: int, b: int) -> OneTerm:
+        """Two leading axes exchanged."""
+        return OneTerm(self.idx.swapaxes(a, b), self.val.swapaxes(a, b), self.width)
+
+    def conj(self) -> OneTerm:
+        return OneTerm(self.idx, self.val.conj(), self.width)
 
     def dense(self) -> np.ndarray:
         """The dense array; raises BudgetError before forming it above
@@ -263,10 +300,20 @@ class OneTerm:
         np.put_along_axis(out, self.idx[..., None], self.val[..., None], axis=-1)
         return out
 
+    @functools.cached_property
+    def positions(self) -> np.ndarray | None:
+        """The (flat) row at each column, -1 at a column no row has, when
+        the rows are distinct; else None."""
+        if not self.val.all():
+            return None
+        pos = np.full(self.width, -1, dtype=np.intp)
+        pos[self.idx.reshape(-1)] = np.arange(self.idx.size)
+        pos.flags.writeable = False
+        return pos if np.count_nonzero(pos >= 0) == self.idx.size else None
+
     def distinct(self) -> bool:
         """Whether every row is non-zero and no two rows share a column."""
-        cols = np.sort(self.idx, axis=None)
-        return bool(np.all(self.val != 0) and not np.any(cols[1:] == cols[:-1]))
+        return self.positions is not None
 
     def distance(self, other: OneTerm) -> np.ndarray:
         """Frobenius distance of each row from other's, broadcast."""
@@ -279,9 +326,12 @@ def dense_table(table):
     return table.dense() if isinstance(table, OneTerm) else table
 
 
-def row_table(rows: np.ndarray) -> OneTerm | np.ndarray:
-    """Rows (last axis) as a table: a OneTerm when every row has exactly
-    one non-zero entry, else the rows themselves."""
+def row_table(rows) -> OneTerm | np.ndarray:
+    """Rows (last axis) as a table: a OneTerm as it is, else a OneTerm
+    when every row has exactly one non-zero entry, else the rows
+    themselves."""
+    if isinstance(rows, OneTerm):
+        return rows
     terms = OneTerm.of_rows(rows)
     return rows if terms is None else terms
 
@@ -290,6 +340,153 @@ def _pick(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """table[..., idx[...]] along the last axis, for idx of table's leading shape."""
     flat = table.reshape(-1, table.shape[-1])
     return flat[np.arange(flat.shape[0]), idx.reshape(-1)].reshape(idx.shape)
+
+
+# ---------------------------------------------------------------------------
+# table operations: one branch for one-term tables, one for dense arrays
+
+
+def _distinct(table) -> bool:
+    return isinstance(table, OneTerm) and table.distinct()
+
+
+def compose(a, rows):
+    """The rows sum_l a[..., l] rows[l], for a table a as wide as rows has
+    rows.  One-term a gathers the rows it names, scaled, and keeps one-term
+    rows one-term; dense a scatters its products into one-term rows'
+    columns, and takes one matrix product with dense rows."""
+    if isinstance(a, OneTerm):
+        picked = rows[a.idx]
+        if isinstance(rows, OneTerm):
+            val = a.val.reshape(a.val.shape + (1,) * (rows.idx.ndim - 1))
+            return OneTerm(picked.idx, val * picked.val, rows.width)
+        return a.val.reshape(a.val.shape + (1,) * (rows.ndim - 1)) * picked
+    n = rows.shape[0]
+    coef = a.reshape(-1, n)
+    if not isinstance(rows, OneTerm):
+        return (coef @ rows.reshape(n, -1)).reshape(a.shape[:-1] + rows.shape[1:])
+    out_shape = a.shape[:-1] + rows.shape[1:]
+    check_size(prod(out_shape), "composed rows")
+    r = prod(rows.idx.shape[1:])
+    cols = np.arange(r) * rows.width + rows.idx.reshape(n, r)
+    out = np.zeros((coef.shape[0], r * rows.width), dtype=np.complex128)
+    np.add.at(out, (slice(None), cols), coef[:, :, None] * rows.val.reshape(n, r))
+    return out.reshape(out_shape)
+
+
+def row_distance(x, y) -> np.ndarray:
+    """Frobenius distance of each row of x from y's, broadcast over the
+    leading axes: OneTerm.distance for two one-term tables, else the norm
+    of the difference of the dense forms."""
+    if isinstance(x, OneTerm) and isinstance(y, OneTerm):
+        return x.distance(y)
+    return np.linalg.norm(dense_table(x) - dense_table(y), axis=-1)
+
+
+def row_norms(rows, ord=None) -> np.ndarray:
+    """Norm of each row (numpy.linalg.norm's ord): |value| of a one-term row."""
+    if isinstance(rows, OneTerm):
+        return np.abs(rows.val)
+    return np.linalg.norm(rows, ord, axis=-1)
+
+
+def row_span(rows, eps_rank: float):
+    """An orthonormal basis of the span of the (k, S) rows, as rows: for
+    one-term rows with distinct columns (orthogonal, with singular values
+    their |values|) the unit rows e_s of those that pass orthonormal_rows'
+    eps_rank cut, in the rows' order, else orthonormal_rows."""
+    if _distinct(rows):
+        mags = np.abs(rows.val)
+        keep = mags > eps_rank * mags.max()
+        onb = OneTerm(rows.idx[keep], np.ones(np.count_nonzero(keep), dtype=np.complex128), rows.width)
+        if keep.all():
+            # the same columns in the same order: the rows' positions
+            onb.__dict__["positions"] = rows.positions
+        return onb
+    return orthonormal_rows(dense_table(rows).reshape(rows.shape[0], -1), eps_rank)
+
+
+def project(rows, onb) -> tuple:
+    """(rows onb*, each row's distance from the span of the orthonormal
+    rows onb).  A one-term onb must be unit rows with phases, u e_s with
+    |u| = 1, at distinct columns: a one-term row v e_s then has the one
+    coefficient v conj(u), or none and distance |v| when no onb row is at
+    s, and dense rows are read at onb's columns by gather.  A dense onb
+    takes one matrix product."""
+    if isinstance(onb, OneTerm):
+        if isinstance(rows, OneTerm):
+            p = onb.positions[rows.idx]
+            out = p < 0
+            coeffs = rows.val * onb.val.conj()[p]
+            coeffs[out] = p[out] = 0
+            return OneTerm(p, coeffs, onb.idx.size), np.abs(rows.val) * out
+        # the remainder is rows off onb's columns, as |u| = 1; read
+        # through a float view, so no further copy of rows is made
+        rem = np.array(rows, dtype=np.complex128)
+        rem[..., onb.idx] = 0.0
+        rem = rem.view(np.float64)
+        return rows[..., onb.idx] * onb.val.conj(), np.sqrt(np.einsum("...i,...i->...", rem, rem))
+    # rows onb*, with the conjugates taken of rows and the product, not of
+    # the whole basis
+    rows = dense_table(rows)
+    coeffs = np.conj(np.conj(rows) @ onb.T)
+    return coeffs, _remainder_norms(rows, coeffs, onb)
+
+
+def expand_rows(targets, family, tol: Tolerance) -> tuple:
+    """(table, residual): the target rows expanded in the (m, S) family
+    rows, and the worst distance of a target from their span.  In one-term
+    rows with distinct columns the one-term target v e_s is v / f_k times
+    the member f_k at s, or a zero row at distance |v| when no member is
+    at s; any other input takes expand_table on the dense forms, whose
+    table is dense on its one-term path too."""
+    if isinstance(targets, OneTerm) and _distinct(family):
+        k = family.positions[targets.idx]
+        out = k < 0
+        val = targets.val / family.val[k]
+        val[out] = k[out] = 0
+        residual = float(np.abs(targets.val[out]).max(initial=0.0))
+        return OneTerm(k, val, family.idx.size), residual
+    t, f = dense_table(targets), dense_table(family)
+    table, _, residual = expand_table(t.reshape(-1, t.shape[-1]), f, tol)
+    return table.reshape(t.shape[:-1] + (f.shape[0],)), residual
+
+
+def solve(a, b):
+    """x with a x = b, for a square table a: one-term a with distinct
+    columns is a scaled permutation, whose inverse gathers b's rows (by
+    compose); any other a takes numpy.linalg.solve on the dense forms."""
+    if _distinct(a) and a.shape[0] == a.width:
+        owner = a.positions
+        return compose(OneTerm(owner, 1.0 / a.val[owner], a.width), b)
+    return np.linalg.solve(dense_table(a), dense_table(b))
+
+
+def op_norm(a) -> float:
+    """Operator norm of a (k, n) table: for one-term rows a* a is
+    diagonal, so it is the largest column norm; else numpy's 2-norm."""
+    if isinstance(a, OneTerm):
+        col = np.bincount(a.idx.reshape(-1), np.abs(a.val.reshape(-1)) ** 2, minlength=a.width)
+        return float(np.sqrt(col.max()))
+    return float(np.linalg.norm(a, 2))
+
+
+def row_blocks(rows, gathered: bool) -> list[slice]:
+    """The blocks of rows whose products are formed at once: all of them
+    when gathered (products of one-term rows are index arithmetic) and
+    they are one-term rows with distinct columns, else one row at a time,
+    so that no array of all products is held."""
+    if gathered and _distinct(rows):
+        return [slice(None)]
+    return [slice(i, i + 1) for i in range(rows.shape[0])]
+
+
+def concat_rows(tables):
+    """Tables of one format joined along their leading axis."""
+    if isinstance(tables[0], OneTerm):
+        idx = np.concatenate([t.idx for t in tables])
+        return OneTerm(idx, np.concatenate([t.val for t in tables]), tables[0].width)
+    return np.concatenate(tables)
 
 
 def _monomial_rows(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -451,7 +648,7 @@ def basis_tables(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     prods = (basis.reshape(d * n, n) @ wide).reshape(d, n, d, n)
     prods = prods.transpose(0, 2, 1, 3).reshape(d * d, n * n)
     mult, mono, res = expand_table(prods, rows, tol)
-    mult = mult.reshape(d, d, d) if mono is None else OneTerm(*mono, d).reshape(d, d)
+    mult = (mult if mono is None else OneTerm(*mono, d)).reshape(d, d, d)
     adjs = basis.conj().transpose(0, 2, 1).reshape(d, n * n)
     star, s_mono, s_res = expand_table(adjs, rows, tol)
     return mult, star if s_mono is None else OneTerm(*s_mono, d), max(res, s_res)
@@ -596,24 +793,18 @@ def frame(mats, tol: Tolerance = DEFAULT_TOL) -> Frame:
 def table_defect(mult, star, images, prods, stars) -> tuple[float, float]:
     """(product, adjoint) defect of images against a basis's tables.
 
-    mult and star are basis_tables' tables, OneTerm or dense; images[k] is
-    the image of basis element k, prods[i, j] the product of images i and
-    j, stars[i] the adjoint of image i, each of any shape.  The defects are
-    the worst row norms of prods - mult . images and stars - star . images,
-    zero exactly for a *-homomorphism b_k -> images[k]; a OneTerm row is
-    read by gather, val times the image it indexes.
+    mult and star are basis_tables' tables; images[k] is the image of
+    basis element k, prods[i, j] the product of images i and j, stars[i]
+    the adjoint of image i, each a table of rows or dense of any shape.
+    The defects are the worst row_distance of prods from
+    compose(mult, images) and of stars from compose(star, images), zero
+    exactly for a *-homomorphism b_k -> images[k].
     """
     m = images.shape[0]
     img = images.reshape(m, -1)
-
-    def expand(table, rows):
-        if isinstance(table, OneTerm):
-            return (table.val[..., None] * img[table.idx]).reshape(rows, -1)
-        return table.reshape(rows, m) @ img
-
-    hom = np.linalg.norm(prods.reshape(m * m, -1) - expand(mult, m * m), axis=1)
-    adj = np.linalg.norm(stars.reshape(m, -1) - expand(star, m), axis=1)
-    return float(np.max(hom)), float(np.max(adj))
+    hom = row_distance(prods.reshape(m, m, -1), compose(mult, img))
+    adj = row_distance(stars.reshape(m, -1), compose(star, img))
+    return float(hom.max()), float(adj.max())
 
 
 # ---------------------------------------------------------------------------

@@ -33,21 +33,29 @@ one group element, element pair or basis element at a time, with every
 product and adjoint formed.  `inline_coaction_frame` forms the coaction
 checks' group-only data per call, as they once did inline; it is the
 parity oracle for `QuantumGroupModel.coaction_frame`.
-`assert_reports_match` compares a library report with an oracle's.
+`dense_side_certificate` is a crossed product's closure certificate
+computed on dense rows, the dense side of its one-hot certificate.
+`assert_reports_match` compares a library report with an oracle's, and
+`densified_widths` records the width of every one-term table formed
+densely inside a block, so a test can state that a one-hot input stays on
+(index, value) arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import pytest
 
 from qtwist import coact
 from qtwist.abgroup import Bicharacter, FinAbGroup, pairing_table, regular_bicharacter
 from qtwist.apps import ScenarioResult, _deg, _report
 from qtwist.boxtimes import (
     CrossedProduct,
+    _certificate,
     ProductMap,
     build_from_markings,
     build_via_heisenberg,
@@ -72,6 +80,7 @@ from qtwist.coact import (
 from qtwist.matspan import (
     DEFAULT_TOL,
     AlgebraBasis,
+    OneTerm,
     Subspace,
     Tolerance,
     _cut,
@@ -89,6 +98,37 @@ from qtwist.matspan import (
     table_defect,
 )
 from qtwist.qgroup import translations
+
+
+def dense_side_certificate(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL):
+    """(onb, structure, star, residuals): boxtimes._certificate run on x's
+    family and reversed products formed densely by coords_product_pairs,
+    so that every table operation takes its dense branch, with the
+    identity's distance from that onb as residuals["identity_residual"].
+    """
+    m = x.family_table.shape[0]
+    fam = coords_product_pairs(x.iota_c, x.iota_d, x.legs).reshape(m, -1)
+    rev = coords_product_pairs(x.iota_d, x.iota_c, x.legs).reshape(m, -1)
+    onb, structure, star, residuals = _certificate(fam, rev, x.legs, tol)
+    one = x.legs.identity(tol).reshape(1, -1)
+    residuals["identity_residual"] = float(residual_outside(one, onb)[0])
+    return onb, structure, star, residuals
+
+
+@contextlib.contextmanager
+def densified_widths():
+    """Yield a list that records the width of each OneTerm.dense call made
+    inside the block."""
+    widths = []
+    real = OneTerm.dense
+
+    def dense(self):
+        widths.append(self.width)
+        return real(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OneTerm, "dense", dense)
+        yield widths
 
 
 def assert_reports_match(got, want, tol: float = 1e-12):

@@ -9,6 +9,7 @@ fail on both sides.
 
 import dataclasses
 import itertools
+from math import prod
 
 import numpy as np
 import pytest
@@ -229,23 +230,21 @@ def _products():
 
 
 @pytest.mark.parametrize("build", _products())
-def test_marking_reports_match_dense_oracle(build, monkeypatch):
+def test_marking_reports_match_dense_oracle(build):
     x = build()
-    dense_calls = []
-    defect = boxtimes.table_defect
-
-    def counted(*args):
-        dense_calls.append(1)
-        return defect(*args)
-
-    monkeypatch.setattr(boxtimes, "table_defect", counted)
-    for graded, iota in ((x.c_graded, x.iota_c), (x.d_graded, x.iota_d)):
-        got = _marking_report(graded, iota, x.legs, DEFAULT_TOL)
+    markings = [(x.c_graded, x.iota_c_table, x.iota_c), (x.d_graded, x.iota_d_table, x.iota_d)]
+    # the Heisenberg markings are one-hot on monomial legs: index arithmetic
+    # only, with no one-term table of the legs' width densified
+    with oracle.densified_widths() as widths:
+        got = [_marking_report(graded, table, x.legs, DEFAULT_TOL) for graded, table, _ in markings]
+    assert prod(x.legs.dims) not in widths
+    for (graded, _, iota), report in zip(markings, got):
+        # the same rows passed densely, and the per-element oracle
+        general = _marking_report(graded, iota.reshape(graded.dim, -1), x.legs, DEFAULT_TOL)
         want = oracle.dense_marking_report(graded, iota, x.legs)
-        assert abs(got[0] - want[0]) <= TOL and abs(got[1] - want[1]) <= TOL
-        assert got[2] == want[2]
-    # the Heisenberg markings are one-hot on monomial legs: index arithmetic only
-    assert dense_calls == []
+        for other in (general, want):
+            assert abs(report[0] - other[0]) <= TOL and abs(report[1] - other[1]) <= TOL
+            assert report[2] == other[2]
 
 
 def test_perturbed_leg_phase_fails_markings_on_both_sides():
@@ -265,12 +264,10 @@ def test_perturbed_leg_phase_fails_markings_on_both_sides():
     assert _marking_report(x.d_graded, x.iota_d, bad, DEFAULT_TOL)[0] <= bound
 
 
-def test_torus_markings_take_the_index_path(monkeypatch):
-    def dense(*args):
-        raise AssertionError("table_defect was called")
-
-    monkeypatch.setattr(boxtimes, "table_defect", dense)
-    res = finite_torus(6, 1)
+def test_torus_markings_take_the_index_path():
+    with oracle.densified_widths() as widths:
+        res = finite_torus(6, 1)
+    assert prod(res.objects["product"].legs.dims) not in widths
     assert res.passed
     assert res.report["verdicts"]["certified"]
 

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from math import prod
 from dataclasses import replace
 
 import numpy as np
@@ -63,18 +64,20 @@ from qtwist.matspan import (
     DEFAULT_TOL,
     BudgetError,
     OneTerm,
+    row_blocks,
     expand_in_rows,
     internal_unit,
     multiplicative_closure,
     orthonormal_rows,
     basis_tables,
-    dense_table,
     residual_outside,
 )
 from qtwist.qgroup import translations
 
 from dense_oracle import (
     all_pairs_closure,
+    dense_side_certificate,
+    densified_widths,
     center,
     dense_algebra,
     dense_build_via_covariant,
@@ -227,7 +230,7 @@ def test_dense_certificate_reports_the_star_table_defect():
     stars[0, 1] = delta
     bad = replace(legs, star_tables=(stars,))
     family = np.eye(2, dtype=np.complex128)
-    onb, _, star, residuals = boxtimes._dense_certificate(family, family, bad, DEFAULT_TOL)
+    onb, _, star, residuals = boxtimes._certificate(family, family, bad, DEFAULT_TOL)
     star_rows = np.stack([coords_star(f, bad) for f in family])
     assert np.max(residual_outside(star_rows, onb)) < delta / 2
     assert np.array_equal(star, np.eye(2))
@@ -285,76 +288,36 @@ def test_torus_assembly_peak_memory():
 # the closure certificate by index arithmetic
 
 
-def _dense_is_refused(monkeypatch):
-    def refused(*args):
-        raise AssertionError("the dense certificate was formed")
-
-    monkeypatch.setattr(boxtimes, "_dense_certificate", refused)
-
-
-def _count_dense(monkeypatch) -> list:
-    calls = []
-    dense = boxtimes._dense_certificate
-
-    def counted(*args):
-        calls.append(1)
-        return dense(*args)
-
-    monkeypatch.setattr(boxtimes, "_dense_certificate", counted)
-    return calls
-
-
-def _reassembled(x: CrossedProduct) -> CrossedProduct:
-    extra = {k: x.report[k] for k in ("pair_residual", "z_unitary") if k in x.report}
-    return build_from_markings(
-        x.c_graded, x.d_graded, x.chi, x.legs, x.iota_c, x.iota_d, x.provenance, extra
-    )
-
-
 def _crossed(cycles, part):
     return reduced_crossed_product(delta_grading(FinAbGroup(cycles))).objects[part]
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda k=k: finite_torus(6, k).objects["product"] for k in range(6)]
-    + [
-        lambda c=c, part=part: _crossed(c, part)
-        for c in ((2,), (3,), (2, 2))
-        for part in ("boxtimes", "direct")
-    ],
-    ids=[f"torus-6-{k}" for k in range(6)]
-    + [f"crossed-{c}-{part}" for c in ("z2", "z3", "z2xz2") for part in ("box", "direct")],
-)
-def _index_against_dense(make, monkeypatch) -> CrossedProduct:
-    """Build on the index path; its certificate must match the dense path's
-    and the all-pairs oracle's within 1e-12."""
-    with monkeypatch.context() as mp:
-        _dense_is_refused(mp)
+def _index_against_dense(make) -> CrossedProduct:
+    """Build on index arrays, with no one-term table of the legs' width
+    densified; its certificate must match the one computed on the dense
+    rows and the all-pairs oracle's within 1e-12."""
+    with densified_widths() as widths:
         x = make()
-    with monkeypatch.context() as mp:
-        mp.setattr(boxtimes, "_index_certificate", lambda *args: None)
-        y = _reassembled(x)
+    assert prod(x.legs.dims) not in widths
+    onb, structure, star, residuals = dense_side_certificate(x)
     want = all_pairs_closure(x)
-    assert x.dim == y.dim
-    assert x.report.keys() == y.report.keys()
-    for key, value in x.report.items():
-        if isinstance(value, float) and value != y.report[key]:
-            assert abs(value - y.report[key]) <= 1e-12, key
-        else:
-            assert value == y.report[key], key
+    assert x.dim == onb.shape[0]
+    for key, value in residuals.items():
+        if value != x.report[key]:
+            assert abs(value - x.report[key]) <= 1e-12, key
     for key in ("closure_residual", "structure_residual"):
         assert x.report[key] == want[key] or abs(x.report[key] - want[key]) <= 1e-12
     if x.structure is None:
-        assert y.structure is None and want["structure"] is None
-        assert x.star is None and y.star is None
+        assert structure is None and want["structure"] is None
+        assert x.star is None and star is None
     else:
-        for structure, star in ((y.structure, y.star), (want["structure"], want["star"])):
-            assert np.max(np.abs(x.structure - structure)) <= 1e-12
-            assert np.max(np.abs(x.star - star)) <= 1e-12
+        for dense_structure, dense_star in ((structure, star), (want["structure"], want["star"])):
+            assert np.max(np.abs(x.structure - dense_structure)) <= 1e-12
+            assert np.max(np.abs(x.star - dense_star)) <= 1e-12
     # onb is the family's kept unit rows: orthonormal, with the dense span
+    assert isinstance(x.onb_table, OneTerm)
     assert np.allclose(x.onb @ x.onb.conj().T, np.eye(x.dim), atol=1e-12)
-    assert np.max(residual_outside(y.onb, x.onb), initial=0.0) <= 1e-12
+    assert np.max(residual_outside(onb, x.onb), initial=0.0) <= 1e-12
     return x
 
 
@@ -369,15 +332,20 @@ def _index_against_dense(make, monkeypatch) -> CrossedProduct:
     ids=[f"torus-6-{k}" for k in range(6)]
     + [f"crossed-{c}-{part}" for c in ("z2", "z3", "z2xz2") for part in ("box", "direct")],
 )
-def test_index_certificate_matches_dense_path_and_oracle(make, monkeypatch):
-    x = _index_against_dense(make, monkeypatch)
+def test_index_certificate_matches_dense_path_and_oracle(make):
+    x = _index_against_dense(make)
     assert x.report["passed"] and x.dim == x.family.shape[0]
 
 
-def test_covariant_family_takes_the_dense_loop(monkeypatch):
-    calls = _count_dense(monkeypatch)
-    covariant_z3()
-    assert calls == [1]
+def _one_left_factor_at_a_time(x: CrossedProduct) -> bool:
+    m = x.family_table.shape[0]
+    return len(row_blocks(x.family_table, x.legs.monomial)) == m and isinstance(x.onb_table, np.ndarray)
+
+
+def test_covariant_family_takes_the_dense_loop():
+    x = covariant_z3()
+    assert not isinstance(x.family_table, OneTerm)
+    assert _one_left_factor_at_a_time(x)
 
 
 def unclosed_subset():
@@ -414,9 +382,9 @@ def tiny_marking():
     # below the eps_rank cut, so the span has dimension 6 of 9
     c = delta_grading(Z3)
     legs, iota_c, iota_d, _, _ = heisenberg_markings(c, c, CHI3)
-    iota_d = dense_table(iota_d).reshape((-1,) + legs.dims)
-    iota_d[2] *= 1e-12
-    return build_from_markings(c, c, CHI3, legs, iota_c, iota_d)
+    val = iota_d.val.copy()
+    val[2] *= 1e-12
+    return build_from_markings(c, c, CHI3, legs, iota_c, OneTerm(iota_d.idx, val, iota_d.width))
 
 
 @pytest.mark.parametrize(
@@ -428,17 +396,16 @@ def tiny_marking():
     ],
     ids=["unclosed-subset", "noncommuting", "below-rank-cut"],
 )
-def test_one_hot_negative_controls_fail_on_the_index_path(make, dim, failing, monkeypatch):
-    x = _index_against_dense(make, monkeypatch)
+def test_one_hot_negative_controls_fail_on_the_index_path(make, dim, failing):
+    x = _index_against_dense(make)
     assert x.dim == dim
     assert x.report[failing] > 1e-6
     assert not x.report["passed"]
 
 
-def test_repeated_support_takes_the_dense_loop_and_fails_the_dim_law(monkeypatch):
-    calls = _count_dense(monkeypatch)
+def test_repeated_support_takes_the_dense_loop_and_fails_the_dim_law():
     x = repeated_marking()
-    assert calls == [1]
+    assert _one_left_factor_at_a_time(x)
     assert not x.report["dim_law_ok"] and not x.report["passed"]
     assert x.structure is None and x.star is None
 

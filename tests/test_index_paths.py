@@ -1,19 +1,23 @@
 """The dual coaction and the maps between crossed products on index arrays.
 
-coact.table_grading, coact.verify_table_coaction and boxtimes._family_map
-each have an index path, taken when the crossed product's own tables are
-one-hot, and keep their general path for every other input.  The index
-paths must agree with the general path run on the same products held
-densely, and with the dense oracles (dense_oracle.dense_dual_coaction,
-loop_verify_table_coaction and dense_family_map): dims and verdicts
-exactly, floats within 1e-12.  Each test asserts which path ran, and the
-perturbed inputs (a moved degree, a wrong coefficient, a permuted member,
-the three perturbed table coactions) must fail on the index path as they
-fail on the general one.
+coact.table_grading and coact.verify_table_coaction each have an index
+path, taken when the crossed product's own tables are one-hot, and keep
+their general path for every other input; boxtimes._family_map is one
+body on matspan's table operations, which stay on (index, value) arrays
+for one-hot products.  The index paths must agree with the general path
+run on the same products held densely, and with the dense oracles
+(dense_oracle.dense_dual_coaction, loop_verify_table_coaction and
+dense_family_map): dims and verdicts exactly, floats within 1e-12.  Each
+test asserts which path ran (for the maps: that no one-term table of a
+product's leg width was formed densely), and the perturbed inputs (a
+moved degree, a wrong coefficient, a permuted member, the three perturbed
+table coactions) must fail on the index path as they fail on the general
+one.
 """
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +75,11 @@ def _dense(x):
         structure_table=x.structure,
         star_table=x.star,
     )
+
+
+def _leg_widths(*products) -> set:
+    """The flattened leg coordinate counts of the products."""
+    return {math.prod(x.legs.dims) for x in products}
 
 
 def _spy(monkeypatch, module, *names):
@@ -270,14 +279,13 @@ def _map_reports(pm, general):
 
 
 @pytest.mark.parametrize("cycles", CYCLES, ids=_ids)
-def test_equivalence_on_index_arrays_matches_the_general_path(cycles, monkeypatch):
+def test_equivalence_on_index_arrays_matches_the_general_path(cycles):
     objs = _crossed(cycles).objects
     xb, xd = objs["boxtimes"], objs["direct"]
-    calls = _spy(monkeypatch, boxtimes, "_index_family_map")
-    pm = equivalent(xb, xd)
-    assert calls["_index_family_map"] == 1
+    with oracle.densified_widths() as widths:
+        pm = equivalent(xb, xd)
+    assert not _leg_widths(xb, xd) & set(widths)
     general = equivalent(_dense(xb), _dense(xd))
-    assert calls["_index_family_map"] == 1
     _map_reports(pm, general)
     assert pm.report["passed"]
     if cycles in ((2,), (3,), (2, 2), (4,), (2, 4)):
@@ -309,13 +317,12 @@ CHI3 = Bicharacter(FinAbGroup((3,)), FinAbGroup((3,)), ((1,),))
 
 
 @pytest.mark.parametrize("chi", [CHI2, CHI3], ids=["Z2", "Z3"])
-def test_symmetry_on_index_arrays_matches_the_general_path(chi, monkeypatch):
+def test_symmetry_on_index_arrays_matches_the_general_path(chi):
     x = build_via_heisenberg(delta_grading(chi.group_g), delta_grading(chi.group_h), chi)
-    calls = _spy(monkeypatch, boxtimes, "_index_family_map")
-    y, pm = symmetry(x)
-    assert calls["_index_family_map"] == 1
+    with oracle.densified_widths() as widths:
+        y, pm = symmetry(x)
+    assert not _leg_widths(x, y) & set(widths)
     _, general = symmetry(_dense(x))
-    assert calls["_index_family_map"] == 1
     _map_reports(pm, general)
     fam2 = boxtimes.coords_product_pairs(y.iota_d, y.iota_c, y.legs).reshape(x.family.shape)
     markings = [(x.iota_c_table, y.iota_d_table), (x.iota_d_table, y.iota_c_table)]
@@ -323,15 +330,14 @@ def test_symmetry_on_index_arrays_matches_the_general_path(chi, monkeypatch):
 
 
 @pytest.mark.parametrize("chi", [CHI2, CHI3], ids=["Z2", "Z3"])
-def test_functor_map_on_index_arrays_matches_the_general_path(chi, monkeypatch):
+def test_functor_map_on_index_arrays_matches_the_general_path(chi):
     c = delta_grading(chi.group_g)
     x = build_via_heisenberg(c, c, chi)
     ident = graded_morphism(c, c, list(c.ambient.basis))
-    calls = _spy(monkeypatch, boxtimes, "_index_family_map")
-    pm = functor_map(ident, ident, x, x)
-    assert calls["_index_family_map"] == 1
+    with oracle.densified_widths() as widths:
+        pm = functor_map(ident, ident, x, x)
+    assert not _leg_widths(x) & set(widths)
     general = functor_map(ident, ident, _dense(x), _dense(x))
-    assert calls["_index_family_map"] == 1
     _map_reports(pm, general)
     fam2 = oracle.dense_aligned_family(x, list(c.ambient.basis), list(c.ambient.basis), DEFAULT_TOL)
     dense = oracle.dense_family_map(x, fam2, x, False, [])
@@ -352,9 +358,9 @@ REGRADINGS = {
 def test_reparametrize_on_index_arrays_matches_the_general_path(name, monkeypatch):
     group, f, g, chi2 = REGRADINGS[name]
     c = delta_grading(group)
-    calls = _spy(monkeypatch, boxtimes, "_index_family_map")
-    xa, xb, pm = qgr_morphism_reparametrize(c, c, f, g, chi2)
-    assert calls["_index_family_map"] == 1
+    with oracle.densified_widths() as widths:
+        xa, xb, pm = qgr_morphism_reparametrize(c, c, f, g, chi2)
+    assert not _leg_widths(xa, xb) & set(widths)
     real = boxtimes.build_via_heisenberg
 
     def held_densely(*args, **kwargs):
@@ -362,22 +368,20 @@ def test_reparametrize_on_index_arrays_matches_the_general_path(name, monkeypatc
 
     monkeypatch.setattr(boxtimes, "build_via_heisenberg", held_densely)
     _, _, general = qgr_morphism_reparametrize(c, c, f, g, chi2)
-    assert calls["_index_family_map"] == 1
     _map_reports(pm, general)
     fam2 = oracle.dense_aligned_family(xb, c.ambient.basis, c.ambient.basis, DEFAULT_TOL)
     markings = _marking_pairs(xa, xb, DEFAULT_TOL)[1]
     _map_reports(pm, oracle.dense_family_map(xa, fam2, xb, True, markings))
 
 
-def test_embedding_takes_the_general_path(monkeypatch):
+def test_embedding_takes_the_general_path():
     # the conjugated second marking is not one-hot, so neither is the
     # embedded family: the map is certified on the dense forms
     c = delta_grading(Z3)
-    calls = _spy(monkeypatch, boxtimes, "_index_family_map")
     res = embed_in_reduced(c, c, CHI3)
-    assert calls["_index_family_map"] == 0 and res.passed
+    assert res.passed
     x1, xe = res.objects["product"], res.objects["embedded"]
-    assert not isinstance(xe.family_table, OneTerm)
+    assert not isinstance(xe.family_table, OneTerm) and not isinstance(xe.onb_table, OneTerm)
     fam2 = oracle.dense_aligned_family(xe, c.ambient.basis, c.ambient.basis, DEFAULT_TOL)
     dense = oracle.dense_family_map(x1, fam2, xe, True, _marking_pairs(x1, xe, DEFAULT_TOL)[1])
     _map_reports(res.objects["map"], dense)
@@ -387,37 +391,36 @@ def test_embedding_takes_the_general_path(monkeypatch):
 # negative controls on the index path
 
 
-def _index_and_general(a, monkeypatch):
+def _index_and_general(a):
     objs = _crossed((2, 2)).objects
     xb, xd = objs["boxtimes"], objs["direct"]
     markings = _marking_pairs(xb, xd, DEFAULT_TOL)[1]
-    calls = _spy(monkeypatch, boxtimes, "_index_family_map")
-    pm = _family_map(xb, a, xd, True, markings, DEFAULT_TOL)
-    assert calls["_index_family_map"] == 1
+    with oracle.densified_widths() as widths:
+        pm = _family_map(xb, a, xd, True, markings, DEFAULT_TOL)
+    assert not _leg_widths(xb, xd) & set(widths)
     dense_markings = [(dense_table(v1), dense_table(v2)) for v1, v2 in markings]
     general = _family_map(_dense(xb), a, _dense(xd), True, dense_markings, DEFAULT_TOL)
-    assert calls["_index_family_map"] == 1
     return pm, general
 
 
-def test_one_wrong_coefficient_fails_on_the_index_path(monkeypatch):
+def test_one_wrong_coefficient_fails_on_the_index_path():
     a = np.eye(16, dtype=np.complex128)
     a[5, 5] = 1.0j
-    pm, general = _index_and_general(a, monkeypatch)
+    pm, general = _index_and_general(a)
     _map_reports(pm, general)
     assert not pm.report["passed"] and pm.report["multiplicative"] > 0.1
 
 
-def test_one_permuted_member_fails_on_the_index_path(monkeypatch):
+def test_one_permuted_member_fails_on_the_index_path():
     a = np.eye(16, dtype=np.complex128)[[0, 1, 2, 3, 4, 6, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15]]
-    pm, general = _index_and_general(a, monkeypatch)
+    pm, general = _index_and_general(a)
     _map_reports(pm, general)
     assert not pm.report["passed"] and pm.report["multiplicative"] > 0.1
 
 
-def test_a_shared_member_is_no_bijection_on_the_index_path(monkeypatch):
+def test_a_shared_member_is_no_bijection_on_the_index_path():
     a = np.eye(16, dtype=np.complex128)[[0, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]]
-    pm, general = _index_and_general(a, monkeypatch)
+    pm, general = _index_and_general(a)
     assert pm is None and general is None
 
 

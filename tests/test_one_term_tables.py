@@ -13,6 +13,7 @@ cli.group_catalog(8), and a perturbed image must fail on both.
 """
 
 from dataclasses import replace
+from math import prod
 
 import numpy as np
 import pytest
@@ -194,18 +195,6 @@ def test_densifying_a_one_term_table_checks_the_budget(monkeypatch):
     assert legs.mult_tables[0].dense().shape == (4, 4, 4)
 
 
-def _dense_rebuild(x, monkeypatch):
-    """x assembled again with its products formed and the dense certificate."""
-    real = boxtimes._pair_products
-    with monkeypatch.context() as mp:
-        mp.setattr(boxtimes, "_index_certificate", lambda *args: None)
-        mp.setattr(boxtimes, "_pair_products", lambda xs, ys, legs, rows: real(xs, ys, legs, None))
-        extra = {k: x.report[k] for k in ("pair_residual",) if k in x.report}
-        return boxtimes.build_from_markings(
-            x.c_graded, x.d_graded, x.chi, x.legs, x.iota_c, x.iota_d, x.provenance, extra
-        )
-
-
 def _crossed_box(*cycles):
     return reduced_crossed_product(delta_grading(FinAbGroup(cycles))).objects["boxtimes"]
 
@@ -222,21 +211,23 @@ def _products():
 
 
 @pytest.mark.parametrize("make", _products())
-def test_densified_tables_match_the_dense_certificate(make, monkeypatch):
+def test_densified_tables_match_the_dense_certificate(make):
     x = make()
     assert isinstance(x.family_table, OneTerm) and isinstance(x.structure_table, OneTerm)
     assert isinstance(x.onb_table, OneTerm) and isinstance(x.star_table, OneTerm)
-    y = _dense_rebuild(x, monkeypatch)
-    assert not isinstance(y.onb_table, OneTerm)
-    oracle.assert_reports_match(x.report, y.report)
-    assert x.family.shape == y.family.shape
-    assert np.max(np.abs(x.family - y.family)) <= TOL
-    assert np.max(np.abs(x.structure - y.structure)) <= TOL
-    assert np.max(np.abs(x.star - y.star)) <= TOL
+    onb, structure, star, residuals = oracle.dense_side_certificate(x)
+    assert not isinstance(onb, OneTerm)
+    oracle.assert_reports_match(x.report, {**x.report, **residuals})
+    m = x.family_table.shape[0]
+    family = boxtimes.coords_product_pairs(x.iota_c, x.iota_d, x.legs).reshape(x.family.shape)
+    assert x.family.shape == (m,) + x.legs.dims
+    assert np.max(np.abs(x.family - family)) <= TOL
+    assert np.max(np.abs(x.structure - structure)) <= TOL
+    assert np.max(np.abs(x.star - star)) <= TOL
     # onb is the family's unit rows: orthonormal, with the dense span
     assert np.allclose(x.onb @ x.onb.conj().T, np.eye(x.dim), atol=TOL)
-    assert np.max(residual_outside(y.onb, x.onb)) <= TOL
-    assert np.max(residual_outside(x.onb, y.onb)) <= TOL
+    assert np.max(residual_outside(onb, x.onb)) <= TOL
+    assert np.max(residual_outside(x.onb, onb)) <= TOL
 
 
 def _dense_markings(c, d, chi, pair):
@@ -347,7 +338,7 @@ def test_leg_without_the_identity_in_its_span_gets_it():
 
 
 @pytest.mark.parametrize("kind", ["matrix_units", "inner_matrix"])
-def test_matrix_grading_legs_are_monomial(kind, monkeypatch):
+def test_matrix_grading_legs_are_monomial(kind):
     G = FinAbGroup((2,))
     c = cli.random_grading(kind, G, np.random.default_rng(3), DEFAULT_TOL)
     d = delta_grading(G)
@@ -357,13 +348,16 @@ def test_matrix_grading_legs_are_monomial(kind, monkeypatch):
     assert np.allclose(legs.frames[0], c.ambient.basis.reshape(c.dim, -1), atol=TOL)
     assert isinstance(legs.mult_tables[0], OneTerm) and isinstance(legs.star_tables[0], OneTerm)
     assert legs.one_term
-
-    def refused(*args):
-        raise AssertionError("the dense certificate was formed")
-
-    monkeypatch.setattr(boxtimes, "_dense_certificate", refused)
     x = build_via_heisenberg(c, d, chi)
     assert x.report["passed"] and isinstance(x.structure_table, OneTerm)
+    # iota_D is dense, but the family and the reversed products are one-hot,
+    # so the closure certificate densifies no table of the legs' width
+    m = x.family_table.shape[0]
+    rev = matspan.row_table(boxtimes._products(x.iota_d_table, x.iota_c_table, legs))
+    with oracle.densified_widths() as widths:
+        cert = boxtimes._certificate(x.family_table, rev.reshape(m, -1), legs, DEFAULT_TOL)
+    assert prod(legs.dims) not in widths
+    assert np.array_equal(cert[1].idx, x.structure_table.idx)
 
 
 # ---------------------------------------------------------------------------
