@@ -11,18 +11,19 @@ The stored report, tests/data/suite_seed0_order10.json, was written by
 json.dump(run_suite(0, 10), fh, sort_keys=True, indent=1, default=float).
 """
 
+import importlib.util
 import json
-import sys
 from pathlib import Path
 
 from qtwist.cli import run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import gate  # noqa: E402
-
 GOLDEN = ROOT / "tests" / "data" / "suite_seed0_order10.json"
+
+# perfbench/gate.py loaded by path, so no module of perfbench/ shadows another
+_spec = importlib.util.spec_from_file_location("perfbench_gate", ROOT / "perfbench" / "gate.py")
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
 
 
 def _stored() -> dict:
