@@ -30,6 +30,11 @@ their generators the markings are one-hot, held as one-term rows, and the
 family iota_C(c_i) iota_D(d_j) is one-hot and a crossed product's
 structure and star tables are one term a row too.
 
+A triple of held frames (the factors' GradedAlgebra.leg, a regular
+pair's leg) gives one held LegFrames per tolerance (leg_frames), with the
+flat kernel tables on which a product or adjoint of one-term rows is one
+gather a leg; every product built on the same legs shares it.
+
 A crossed product is held only in these coordinates, as tables of rows:
 its markings, its marked family, an orthonormal basis of the family's
 span and the structure and star tables, with no dense copy of the
@@ -53,6 +58,8 @@ matrix on leg coordinates is formed only when read.
 from __future__ import annotations
 
 import functools
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import prod
 
@@ -82,6 +89,7 @@ from .matspan import (
     op_norm,
     project,
     rank,
+    read_only,
     row_blocks,
     row_distance,
     row_norms,
@@ -132,7 +140,7 @@ GATHER_COST = 64
 # per-leg coordinate frames
 
 
-@dataclass
+@dataclass(frozen=True)
 class LegFrames:
     """Orthonormal frames, one per tensor leg, with product/adjoint tables.
 
@@ -145,6 +153,15 @@ class LegFrames:
     above MAX_DENSE_ENTRIES).  residual is the worst table defect over all
     legs, so coordinate arithmetic is faithful up to this number.
     identity(tol) gives the coordinates of the ambient identity.
+
+    A coordinate row is flattened over the legs, index i the raveled leg
+    indices (a_0, ..., a_{r-1}).  On one-term legs, flat_mult and
+    flat_star hold the kernel tables of _term_products and _term_stars,
+    formed on first read: per leg, the digit a_l of every flattened index
+    and the table raveled, so that a product or adjoint of one-term rows
+    is one 1-D gather a leg.  Every array is read-only, and dims and the
+    kernel tables are held, so one LegFrames serves every product built on
+    its legs (leg_frames holds one per triple of held frames).
     """
 
     sizes: tuple[int, ...]
@@ -158,7 +175,7 @@ class LegFrames:
     def legs(self) -> int:
         return len(self.frames)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.shape[0] for f in self.frames)
 
@@ -166,12 +183,12 @@ class LegFrames:
     def ambient_dim(self) -> int:
         return prod(self.sizes)
 
-    @property
+    @functools.cached_property
     def monomial(self) -> bool:
         """Whether every product table is one term a row."""
         return all(isinstance(t, OneTerm) for t in self.mult_tables)
 
-    @property
+    @functools.cached_property
     def one_term(self) -> bool:
         """Whether every product and adjoint table is one term a row: the
         legs on which products and adjoints of one-term coordinate rows are
@@ -180,11 +197,42 @@ class LegFrames:
 
     @functools.cached_property
     def mults(self) -> tuple[np.ndarray, ...]:
-        return tuple(dense_table(t) for t in self.mult_tables)
+        out = tuple(dense_table(t) for t in self.mult_tables)
+        read_only(*out)
+        return out
 
     @functools.cached_property
     def stars(self) -> tuple[np.ndarray, ...]:
-        return tuple(dense_table(t) for t in self.star_tables)
+        out = tuple(dense_table(t) for t in self.star_tables)
+        read_only(*out)
+        return out
+
+    @functools.cached_property
+    def _digits(self) -> np.ndarray:
+        """(prod(dims), legs): row i holds the leg indices of flattened
+        index i, np.unravel_index's digits."""
+        out = np.stack(np.unravel_index(np.arange(prod(self.dims)), self.dims), axis=-1)
+        read_only(out)
+        return out
+
+    @functools.cached_property
+    def flat_mult(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(left, right, idx, val): the mult tables of legs.monomial legs,
+        raveled and joined.  Frame elements a and b of leg l multiply to
+        val[k] times element idx[k] / stride_l at k = left[i, l] +
+        right[j, l], for flattened indices i and j whose leg-l digits are
+        a and b: left holds offset_l + a d_l, right holds b, and idx is
+        scaled by the leg's stride in the flattened index (the product of
+        the later dims), so the indices of the legs add up."""
+        return _flat_tables(self.mult_tables, self.dims, self._digits, square=True)
+
+    @functools.cached_property
+    def flat_star(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, idx, val): the star tables of legs.one_term legs, raveled
+        and joined as flat_mult's are; frame element a of leg l has adjoint
+        val[k] times element idx[k] / stride_l at k = keys[i, l] for a
+        flattened index i whose leg-l digit is a."""
+        return _flat_tables(self.star_tables, self.dims, self._digits, square=False)
 
     def identity(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """pure_coords of the identity on every leg, formed once per
@@ -197,18 +245,87 @@ class LegFrames:
         return self._identity[tol]
 
 
+def _flat_tables(tables, dims: tuple[int, ...], digits: np.ndarray, square: bool) -> tuple:
+    """LegFrames.flat_mult (square, the (d, d) mult tables) or flat_star
+    (the (d,) star tables) of one-term tables, read-only."""
+    dims_arr = np.array(dims, dtype=np.intp)
+    strides = np.append(np.cumprod(dims_arr[:0:-1])[::-1], 1)
+    entries = dims_arr * dims_arr if square else dims_arr
+    offsets = np.cumsum(entries) - entries
+    idx = np.concatenate([t.idx.reshape(-1) * s for t, s in zip(tables, strides)])
+    val = np.concatenate([t.val.reshape(-1) for t in tables])
+    if square:
+        out = (digits * dims_arr + offsets, digits, idx, val)
+    else:
+        out = (digits + offsets, idx, val)
+    read_only(*out)
+    return out
+
+
 def leg_frames(legs, tol: Tolerance = DEFAULT_TOL) -> LegFrames:
     """Certified frames, one per tensor leg.
 
     An entry of legs is a list of the leg's spanning matrices, whose
     frame matspan.frame builds, or a matspan.Frame already built (a
-    factor's GradedAlgebra.leg), taken as it is.  A frame keeps the
-    generators, normalised, when it can, else it is an SVD basis; each
-    leg's span must be closed under products and adjoints, and the tables
-    are one term a row when each row is one term within eps_eq (see
-    LegFrames and matspan.frame).
+    factor's GradedAlgebra.leg, a regular pair's leg), taken as it is.  A
+    frame keeps the generators, normalised, when it can, else it is an SVD
+    basis; each leg's span must be closed under products and adjoints, and
+    the tables are one term a row when each row is one term within eps_eq
+    (see LegFrames and matspan.frame).
+
+    When every entry is a Frame, one LegFrames per (frames, tol) is held
+    and shared by every caller, with its dims and kernel tables
+    (_held_leg_frames, which keeps the last 64 such triples while their
+    frames live; _held_leg_frames.cache_clear() drops them).  Legs given
+    as matrices build a new LegFrames on every call.
     """
-    frames = [leg if isinstance(leg, Frame) else frame(leg, tol) for leg in legs]
+    if all(isinstance(leg, Frame) for leg in legs):
+        return _held_leg_frames(tuple(legs), tol)
+    return _new_leg_frames([leg if isinstance(leg, Frame) else frame(leg, tol) for leg in legs], tol)
+
+
+class _HeldLegFrames:
+    """One LegFrames per (frames, tol), for the last maxsize used.
+
+    A Frame holds arrays, so it has no hash: a triple is keyed by the ids
+    of its frames.  Each entry holds a weak reference to every frame,
+    whose callback drops the entry when the frame is collected, so no id
+    is reused while it is cached and a frame built per call (a witness
+    pair's Weyl leg) is not kept alive, with its tables, by this cache.
+    """
+
+    maxsize = 64
+
+    def __init__(self) -> None:
+        self._held: OrderedDict = OrderedDict()
+
+    def __call__(self, frames: tuple[Frame, ...], tol: Tolerance) -> LegFrames:
+        key = (tuple(map(id, frames)), tol)
+        entry = self._held.get(key)
+        if entry is None:
+            drop = functools.partial(self._drop, key)
+            refs = [weakref.ref(f, drop) for f in frames]
+            entry = self._held[key] = (_new_leg_frames(frames, tol), refs)
+            if len(self._held) > self.maxsize:
+                self._held.popitem(last=False)
+        else:
+            self._held.move_to_end(key)
+        return entry[0]
+
+    def _drop(self, key, ref) -> None:
+        self._held.pop(key, None)
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def cache_clear(self) -> None:
+        self._held.clear()
+
+
+_held_leg_frames = _HeldLegFrames()
+
+
+def _new_leg_frames(frames, tol: Tolerance) -> LegFrames:
     out = LegFrames(
         sizes=tuple(f.size for f in frames),
         frames=tuple(f.rows for f in frames),
@@ -665,27 +782,34 @@ def _term_products(xs: OneTerm, ys: OneTerm, legs: LegFrames) -> OneTerm:
     """Products x y of one-term coordinate rows, broadcast over their shapes.
 
     Needs one-term product tables (legs.monomial): leg by leg, frame
-    elements a and b multiply to mult.val[a, b] times element
-    mult.idx[a, b], so each product is one (index, value) pair;
+    elements a and b multiply to a value times one element, so each
+    product is one (index, value) pair.  The keys of every leg are one
+    gather of each row's indices into legs.flat_mult; the leg indices and
+    values are one gather each, the indices adding up to the flattened
+    index and the values multiplying into x y leg by leg, in leg order.
     _gathered_pairs scatters these terms of sparse rows.
     """
-    idx, val = 0, xs.val * ys.val
-    dims = legs.dims
-    for t, a, b in zip(
-        legs.mult_tables, np.unravel_index(xs.idx, dims), np.unravel_index(ys.idx, dims)
-    ):
-        idx = idx * t.width + t.idx[a, b]
-        val = val * t.val[a, b]
-    return OneTerm(idx, val, xs.width)
+    left, right, idx, val = legs.flat_mult
+    keys = left.take(xs.idx, axis=0) + right.take(ys.idx, axis=0)
+    return _gathered_terms(keys, idx, val, xs.val * ys.val, xs.width)
 
 
 def _term_stars(xs: OneTerm, legs: LegFrames) -> OneTerm:
-    """Adjoints of one-term coordinate rows on legs.one_term legs."""
-    idx, val = 0, xs.val.conj()
-    for t, a in zip(legs.star_tables, np.unravel_index(xs.idx, legs.dims)):
-        idx = idx * t.width + t.idx[a]
-        val = val * t.val[a]
-    return OneTerm(idx, val, xs.width)
+    """Adjoints of one-term coordinate rows on legs.one_term legs, gathered
+    from legs.flat_star as _term_products gathers."""
+    keys, idx, val = legs.flat_star
+    return _gathered_terms(keys.take(xs.idx, axis=0), idx, val, xs.val.conj(), xs.width)
+
+
+def _gathered_terms(keys, idx, val, out, width: int) -> OneTerm:
+    """The terms at keys (..., legs) of flattened kernel tables: the sum of
+    the legs' indices, and out times the legs' values in leg order."""
+    at, vals = idx.take(keys), val.take(keys)
+    flat, out = at[..., 0], out * vals[..., 0]
+    for l in range(1, keys.shape[-1]):
+        flat = flat + at[..., l]
+        out = out * vals[..., l]
+    return OneTerm(flat, out, width)
 
 
 def _products(xs, ys, legs: LegFrames) -> OneTerm | np.ndarray:
@@ -718,10 +842,41 @@ def _marking_report(
     and it is injective when its rank is full.  One-hot rows on one-term
     legs and tables stay (index, value) arrays throughout.
     """
+    return _marking_defects(graded, iota, _products(iota, iota, legs), _stars(iota, legs), tol)
+
+
+def _marking_defects(
+    graded: GradedAlgebra, iota, prods, stars, tol: Tolerance
+) -> tuple[float, float, bool]:
+    """_marking_report of a marking whose products and adjoints are given."""
     mult, star, _ = graded.tables(tol)
-    prods, stars = _products(iota, iota, legs), _stars(iota, legs)
     hom, star_res = table_defect(mult, star, iota, prods, stars)
     return hom, star_res, rank(iota, tol.eps_rank) == iota.shape[0]
+
+
+def _marking_blocks(iota_c, iota_d, legs: LegFrames) -> tuple:
+    """(cd, dc, (cc, c_stars), (dd, d_stars)): the products
+    iota_c[i] iota_d[j] and iota_d[j] iota_c[i] as (i, j) and (j, i)
+    rows, and each marking's products with itself and adjoints.
+
+    One-hot markings on one-term legs are stacked, so that all four
+    product blocks are one _term_products call and both markings'
+    adjoints one _term_stars call; the blocks are views of those.  Dense
+    markings take one _products or _stars call a block, so no array of
+    (m_c + m_d)^2 dense products is formed.
+    """
+    if legs.one_term and isinstance(iota_c, OneTerm) and isinstance(iota_d, OneTerm):
+        both = concat_rows([iota_c, iota_d])
+        prods = _term_products(both[:, None], both[None, :], legs)
+        stars = _term_stars(both, legs)
+        c, d = slice(None, iota_c.shape[0]), slice(iota_c.shape[0], None)
+        return prods[c, d], prods[d, c], (prods[c, c], stars[c]), (prods[d, d], stars[d])
+    return (
+        _products(iota_c, iota_d, legs),
+        _products(iota_d, iota_c, legs),
+        (_products(iota_c, iota_c, legs), _stars(iota_c, legs)),
+        (_products(iota_d, iota_d, legs), _stars(iota_d, legs)),
+    )
 
 
 def _require_factor(graded: GradedAlgebra, group: FinAbGroup, name: str) -> None:
@@ -796,20 +951,23 @@ def _assemble(
 
     A marking comes as one-term rows (heisenberg_markings' one-hot
     markings) or as dense coordinate tensors, and is held as a table of
-    rows (row_table: one-term when one-hot).  The family
-    iota_C(c_i) iota_D(d_j) and the reversed products are _products of
-    the markings, held one-term when one-hot; the closure certificate
-    (onb, the structure and star tables, and the closure, adjoint,
-    structure and C*-equality residuals) is _certificate's.  The identity
-    residual is the identity's distance from onb, and the commutation
-    law the row_distance of the reversed products from the phased family.
+    rows (row_table: one-term when one-hot).  _marking_blocks forms the
+    family iota_C(c_i) iota_D(d_j), the reversed products and each
+    marking's products with itself and adjoints, for one-hot markings on
+    one-term legs in one _term_products and one _term_stars call; the
+    marking reports read the last two (_marking_defects, as
+    _marking_report).  The closure certificate (onb, the structure and
+    star tables, and the closure, adjoint, structure and C*-equality
+    residuals) is _certificate's.  The identity residual is the
+    identity's distance from onb, and the commutation law the
+    row_distance of the reversed products from the phased family.
     """
     m_c, m_d = iota_c.shape[0], iota_d.shape[0]
     m = m_c * m_d
     iota_c = row_table(iota_c.reshape(m_c, -1))
     iota_d = row_table(iota_d.reshape(m_d, -1))
-    ab = row_table(_products(iota_c, iota_d, legs))
-    rev = row_table(_products(iota_d, iota_c, legs))
+    ab, rev, own_c, own_d = _marking_blocks(iota_c, iota_d, legs)
+    ab, rev = row_table(ab), row_table(rev)
     fam = ab.reshape(m, -1)
     onb, structure, star, residuals = _certificate(fam, rev.reshape(m, -1), legs, tol)
     dim = onb.shape[0]
@@ -825,8 +983,8 @@ def _assemble(
     one = legs.identity(tol).reshape(1, -1)
     rep["identity_residual"] = float(project(one, onb)[1][0])
 
-    hom_c, star_c, inj_c = _marking_report(c_graded, iota_c, legs, tol)
-    hom_d, star_d, inj_d = _marking_report(d_graded, iota_d, legs, tol)
+    hom_c, star_c, inj_c = _marking_defects(c_graded, iota_c, *own_c, tol)
+    hom_d, star_d, inj_d = _marking_defects(d_graded, iota_d, *own_d, tol)
     rep["iota_c_hom"], rep["iota_c_star"], rep["iota_c_injective"] = hom_c, star_c, inj_c
     rep["iota_d_hom"], rep["iota_d_star"], rep["iota_d_injective"] = hom_d, star_d, inj_d
 
@@ -1029,7 +1187,7 @@ def product_center_dim(x: CrossedProduct, tol: Tolerance = DEFAULT_TOL) -> int:
         m = t.idx.shape[0]
         diff = t.val - t.val.T
         cols = (np.arange(m) * m + t.idx)[diff != 0]
-        if np.unique(cols).size == cols.size:
+        if np.bincount(cols, minlength=m * m).max() <= 1:
             s = np.linalg.norm(diff, axis=1)
     if s is None:
         m = x.structure.shape[0]

@@ -27,6 +27,9 @@ families.  `loop_translations`,
 `loop_rep_residual`, `loop_weyl_residual` and `dense_marking_report` are
 the per-element forms of `qgroup.translations`, `heis._rep_residual`,
 `heis.is_heisenberg` / `is_anti_heisenberg` and `boxtimes._marking_report`,
+`unravel_term_products` and `unravel_term_stars` those of
+`boxtimes._term_products` and `_term_stars` (the leg digits of each index
+from np.unravel_index, each leg's table indexed in two dimensions),
 `loop_commutation_check` that of `heis.commutation_check` and
 `loop_verify_table_coaction` that of `coact.verify_table_coaction`:
 one group element, element pair or basis element at a time, with every
@@ -904,6 +907,28 @@ def dense_marking_report(
     hom, star_res = table_defect(mult, star, iota, prods, adjs)
     m = iota.shape[0]
     return hom, star_res, rank(iota.reshape(m, -1), tol.eps_rank) == m
+
+
+def unravel_term_products(xs: OneTerm, ys: OneTerm, legs) -> OneTerm:
+    """boxtimes._term_products leg by leg: the leg digits of every index by
+    np.unravel_index and the leg's mult table indexed at (a, b)."""
+    idx, val = 0, xs.val * ys.val
+    dims = legs.dims
+    for t, a, b in zip(
+        legs.mult_tables, np.unravel_index(xs.idx, dims), np.unravel_index(ys.idx, dims)
+    ):
+        idx = idx * t.width + t.idx[a, b]
+        val = val * t.val[a, b]
+    return OneTerm(idx, val, xs.width)
+
+
+def unravel_term_stars(xs: OneTerm, legs) -> OneTerm:
+    """boxtimes._term_stars leg by leg, as unravel_term_products."""
+    idx, val = 0, xs.val.conj()
+    for t, a in zip(legs.star_tables, np.unravel_index(xs.idx, legs.dims)):
+        idx = idx * t.width + t.idx[a]
+        val = val * t.val[a]
+    return OneTerm(idx, val, xs.width)
 
 
 def loop_commutation_check(p1, p2, model_g, model_h) -> float:

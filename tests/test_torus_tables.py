@@ -2,11 +2,13 @@
 
 The Weyl, unitary and order residuals come from coordinate tensors and the
 center from the commutator tensor's row norms; dense_oracle's
-dense_torus_checks forms u and v as ambient matrices and takes an SVD.
+dense_torus_checks forms u and v as ambient matrices and takes an SVD.  A
+one-term table whose commutator columns collide must take the SVD.
 """
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from qtwist.abgroup import Bicharacter, FinAbGroup
 from qtwist.apps import _torus_checks, finite_torus, inner_coaction_examples
 from qtwist.boxtimes import build_from_markings, heisenberg_markings, product_center_dim
 from qtwist.coact import delta_grading
-from qtwist.matspan import DEFAULT_TOL, BudgetError, OneTerm
+from qtwist.matspan import DEFAULT_TOL, BudgetError, OneTerm, dense_table
 
 TORI = [(n, k) for n in range(2, 7) for k in range(n)]
 # the tori with a matrix model, n = 2..12
@@ -45,6 +47,7 @@ def test_dense_oracle_builds_the_same_torus(n, k):
 def test_center_row_norms_match_svd_on_tori(n, k, monkeypatch):
     x = finite_torus(n, k).objects["product"]
     want = oracle.svd_center_dim(x)
+    assert want == math.gcd(k, n) ** 2
 
     def no_svd(*args, **kwargs):
         raise AssertionError("the one-hot torus table took the SVD")
@@ -71,6 +74,29 @@ def test_center_keeps_the_svd_on_inner_coaction_products(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert [product_center_dim(x) for x in products] == want
     assert len(calls) == len(products)
+
+
+def test_center_takes_the_svd_when_commutator_columns_collide(monkeypatch):
+    # f_1 f_0 - f_0 f_1 and f_2 f_0 - f_0 f_2 are both multiples of f_2:
+    # commutator rows 1 and 2 share a column, so the rank is 2 and the
+    # row norms (three non-zero) would miss the one-dimensional center
+    idx = np.array([[0, 2, 2], [2, 1, 0], [2, 0, 2]])
+    val = np.ones((3, 3), dtype=complex)
+    val[0, 1], val[0, 2] = -1.0, 1j
+    table = OneTerm(idx, val, 3)
+    x = SimpleNamespace(structure_table=table, structure=dense_table(table))
+    want = oracle.svd_center_dim(x)
+    assert want == 1
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert product_center_dim(x) == want
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("n,k", TORI)
